@@ -3,18 +3,18 @@
 ``meta_fit`` consumes a meta-train pool and produces a ``LearnerState``;
 ``LearnerState.fit`` consumes one episode's support set and produces a
 ``PredictorState``; ``PredictorState.predict`` labels query vectors.  Six
-built-in methods implement the contract (plus a test-only sleeper used to
-exercise budget enforcement).  Learners serialize to a versioned text
-artifact so the ingestion and scoring processes can hand off through the
-filesystem alone.
+built-in methods implement the contract, each declared once in the
+``METHODS`` registry together with its parameter schema.  Learners
+serialize to a versioned text artifact so the ingestion and scoring
+processes can hand off through the filesystem alone.
 """
 
 from __future__ import annotations
 
 import ast
 import threading
-import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .sampler import EpisodeSpec, sample_batch
 
 __all__ = [
     "METHODS",
+    "Method",
     "MethodConfig",
     "MetaLearnerSpec",
     "Provenance",
@@ -44,77 +45,88 @@ ARTIFACT_MAGIC = "MDLART1"
 # substream tags under the meta-training seed
 _PRETRAIN_STREAM = 2
 
-#: method name -> (allowed data modes, transductive?)
-METHODS: dict[str, tuple[tuple[str, ...], bool]] = {
-    "proto": (("episode",), False),
-    "fomaml": (("episode",), False),
-    "linear": (("batch",), False),
-    "ptmap": (("episode", "batch"), True),
-    "qda": (("episode", "batch"), False),
-    "rect": (("episode", "batch"), True),
-    # test-only: burns wallclock in meta_fit so budget enforcement can be
-    # exercised without a slow real method.
-    "sleeper": (("episode", "batch"), False),
-}
+
+@dataclass(frozen=True)
+class Method:
+    """One registry entry: a method's parameter schema and its code.
+
+    ``params`` maps every accepted ``method.<name>.<key>`` to its default;
+    the default's type is the type a given value is coerced to.
+    ``meta_fit(params, spec, meta_train, seed, clock, log_path)`` returns
+    ``(arrays, provenance)``; methods with nothing to learn from meta-train
+    data leave it ``None``.  ``fit(params, arrays, support_x, support_y,
+    n_way)`` returns the predictor state, and ``predict(state, query_x)``
+    labels query rows.  ``transductive`` methods label the whole query set
+    jointly, so their predictions are cached per query set.
+    """
+
+    params: dict
+    fit: Callable[..., dict]
+    predict: Callable[[dict, np.ndarray], np.ndarray]
+    meta_fit: Callable[..., tuple] | None = None
+    transductive: bool = False
+
+
+def _coerce(key: str, value, default):
+    if isinstance(default, bool):
+        # bool("false") would be True; parse the usual spellings instead
+        if isinstance(value, str):
+            lowered = value.strip().lower()
+            if lowered in ("1", "true", "yes", "on"):
+                return True
+            if lowered in ("0", "false", "no", "off"):
+                return False
+            raise ConfigError(
+                f"method parameter {key}={value!r} is not a valid bool"
+            )
+        return bool(value)
+    try:
+        return type(default)(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(
+            f"method parameter {key}={value!r} is not a valid "
+            f"{type(default).__name__}"
+        ) from None
 
 
 @dataclass(frozen=True)
 class MethodConfig:
-    """Selects one method and carries its hyperparameter overrides."""
+    """Selects one method and carries its hyperparameter overrides.
+
+    ``params`` keeps the values as given (config text gives strings), so
+    an artifact records exactly what was configured.
+    """
 
     name: str
     params: dict = field(default_factory=dict)
 
-    def validate(self) -> None:
-        if self.name not in METHODS:
+    def validate(self) -> dict:
+        """Check the name and keys against the registry; return every
+        parameter of the method, coerced to its schema type, defaults
+        filled in."""
+        method = METHODS.get(self.name)
+        if method is None:
             raise ConfigError(
                 f"unknown method {self.name!r}; known: {sorted(METHODS)}"
             )
-
-    def get(self, key: str, default):
-        value = self.params.get(key, default)
-        if default is None or value is None:
-            return value
-        if isinstance(default, bool):
-            # bool("false") would be True; parse the usual spellings instead
-            if isinstance(value, str):
-                lowered = value.strip().lower()
-                if lowered in ("1", "true", "yes", "on"):
-                    return True
-                if lowered in ("0", "false", "no", "off"):
-                    return False
-                raise ConfigError(
-                    f"method parameter {key}={value!r} is not a valid bool"
-                )
-            return bool(value)
-        try:
-            return type(default)(value)
-        except (TypeError, ValueError):
+        unknown = set(self.params) - set(method.params)
+        if unknown:
             raise ConfigError(
-                f"method parameter {key}={value!r} is not a valid "
-                f"{type(default).__name__}"
-            ) from None
+                f"unknown parameters {sorted(unknown)} for method {self.name!r}; "
+                f"known: {sorted(method.params)}"
+            )
+        return {
+            key: _coerce(key, self.params.get(key, default), default)
+            for key, default in method.params.items()
+        }
 
 
 @dataclass(frozen=True)
 class MetaLearnerSpec:
-    """What to meta-train: the method, its data mode, and the episode shape."""
+    """What to meta-train: the method and the training episode shape."""
 
     method: MethodConfig
-    data_mode: str = "episode"
     train_episode_spec: EpisodeSpec | None = None
-    budget_hint: float = 7200.0
-
-    def validate(self) -> None:
-        self.method.validate()
-        modes, _ = METHODS[self.method.name]
-        if self.data_mode not in ("episode", "batch"):
-            raise ConfigError(f"data_mode must be 'episode' or 'batch', got {self.data_mode!r}")
-        if self.data_mode not in modes:
-            raise ConfigError(
-                f"method {self.method.name!r} does not support data_mode "
-                f"{self.data_mode!r} (supports: {'/'.join(modes)})"
-            )
 
 
 @dataclass(frozen=True)
@@ -139,50 +151,21 @@ class PredictorState:
     _cache: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    @property
-    def transductive(self) -> bool:
-        return METHODS[self.method.name][1]
-
     def predict(self, query_x: np.ndarray) -> np.ndarray:
         """One episode label per query row; pure given the query set."""
         query_x = np.asarray(query_x, dtype=np.float64)
         if query_x.ndim == 1:
             query_x = query_x[None, :]
-        if self.transductive:
+        if not np.isfinite(query_x).all():
+            raise EpisodeFormatError("query set holds non-finite values")
+        method = METHODS[self.method.name]
+        if method.transductive:
             key = query_x.tobytes()
             with self._lock:
                 if key not in self._cache:
-                    self._cache[key] = self._predict_now(query_x)
+                    self._cache[key] = method.predict(self.state, query_x)
                 return self._cache[key].copy()
-        return self._predict_now(query_x)
-
-    def _predict_now(self, query_x: np.ndarray) -> np.ndarray:
-        name = self.method.name
-        st = self.state
-        if name == "proto":
-            return heads.proto_labels(st["prototypes"], query_x)
-        if name == "ptmap":
-            return heads.ptmap_fit_predict(
-                st["support_x"], st["support_y"], query_x,
-                pt_params=st["pt_params"],
-                sinkhorn_config=st["sinkhorn_config"],
-                n_iters=st["n_iters"], step_size=st["step_size"],
-            )
-        if name == "qda":
-            return heads.qda_predict(st["model"], query_x)
-        if name == "linear":
-            z = (query_x - st["feat_mean"]) / st["feat_std"]
-            return heads.linear_head_predict(st["head"], z)
-        if name == "rect":
-            return heads.rectified_proto_predict(
-                st["support_x"], st["support_y"], query_x, metric=st["metric"]
-            )
-        if name == "fomaml":
-            logits = fm.mlp_forward(st["adapted"], query_x)
-            return np.argmax(logits, axis=1)
-        if name == "sleeper":
-            return np.zeros(len(query_x), dtype=np.int64)
-        raise ConfigError(f"unknown method {name!r}")
+        return method.predict(self.state, query_x)
 
 
 @dataclass
@@ -195,80 +178,167 @@ class LearnerState:
 
     def fit(self, support_x: np.ndarray, support_y: np.ndarray) -> PredictorState:
         """Adapt to one episode's support set; the learner is not mutated."""
-        name = self.method.name
-        cfg = self.method
+        params = self.method.validate()
         n_way, _ = heads.support_structure(support_x, support_y)
         support_x = np.asarray(support_x, dtype=np.float64)
-        support_y = np.asarray(support_y)
-        labels = np.arange(n_way)
+        if not np.isfinite(support_x).all():
+            raise EpisodeFormatError("support set holds non-finite values")
+        state = METHODS[self.method.name].fit(
+            params, self.arrays, support_x, np.asarray(support_y), n_way
+        )
+        return PredictorState(method=self.method, labels=np.arange(n_way), state=state)
 
-        if name == "proto":
-            protos = heads.compute_prototypes(
-                support_x, support_y,
-                metric=cfg.get("metric", "euclidean"),
-                temperature=cfg.get("temperature", 1.0),
-            )
-            state = {"prototypes": protos}
-        elif name == "ptmap":
-            state = {
-                "support_x": support_x.copy(),
-                "support_y": support_y.copy(),
-                "pt_params": heads.PowerTransformParams(
-                    beta=cfg.get("beta", 0.5),
-                    epsilon=cfg.get("epsilon", 1e-6),
-                    unit_normalize=cfg.get("unit_normalize", True),
-                ),
-                "sinkhorn_config": heads.SinkhornConfig(
-                    reg=cfg.get("reg", heads.PTMAP_SINKHORN.reg),
-                    max_iters=cfg.get("max_iters", heads.PTMAP_SINKHORN.max_iters),
-                    tol=cfg.get("tol", heads.PTMAP_SINKHORN.tol),
-                ),
-                "n_iters": cfg.get("n_iters", 20),
-                "step_size": cfg.get("step_size", 0.2),
-            }
-        elif name == "qda":
-            state = {"model": heads.qda_fit(
-                support_x, support_y, shrinkage=cfg.get("shrinkage", 0.5)
-            )}
-        elif name == "linear":
-            mean = self.arrays.get("feat_mean")
-            std = self.arrays.get("feat_std")
-            if mean is None or std is None:
-                raise EpisodeFormatError(
-                    "linear learner lacks feature statistics; run meta_fit first"
-                )
-            z = (support_x - mean) / std
-            head = heads.linear_head_fit(
-                z, support_y,
-                epochs=cfg.get("epochs", 10),
-                step_size=cfg.get("step_size", 0.001),
-            )
-            state = {"head": head, "feat_mean": mean, "feat_std": std}
-        elif name == "rect":
-            state = {
-                "support_x": support_x.copy(),
-                "support_y": support_y.copy(),
-                "metric": cfg.get("metric", "euclidean"),
-            }
-        elif name == "fomaml":
-            params = fm.MlpParams(
-                W1=self.arrays["W1"], b1=self.arrays["b1"],
-                W2=self.arrays["W2"], b2=self.arrays["b2"],
-            )
-            if params.W2.shape[0] != n_way:
-                raise EpisodeFormatError(
-                    f"learner trained {params.W2.shape[0]}-way, support is {n_way}-way"
-                )
-            inner = fm.InnerConfig(
-                steps=cfg.get("inner_steps", 5), lr=cfg.get("inner_lr", 0.05)
-            )
-            adapted = fm.inner_adapt(params, support_x, support_y, inner)
-            state = {"adapted": adapted}
-        elif name == "sleeper":
-            state = {}
-        else:
-            raise ConfigError(f"unknown method {name!r}")
-        return PredictorState(method=self.method, labels=labels, state=state)
+
+# ---------------------------------------------------------------------------
+# Built-in methods.  Heads and fo-MAML functions are looked up on their
+# modules at call time, so a wrapper patched onto the module sees the call.
+
+
+def _proto_fit(p, arrays, support_x, support_y, n_way):
+    return {"prototypes": heads.compute_prototypes(
+        support_x, support_y, metric=p["metric"]
+    )}
+
+
+def _proto_predict(st, query_x):
+    return heads.proto_labels(st["prototypes"], query_x)
+
+
+def _keep_support(p, arrays, support_x, support_y, n_way):
+    """Fit of the transductive heads: all work waits for the query set."""
+    return {"support_x": support_x.copy(), "support_y": support_y.copy(), "p": p}
+
+
+def _ptmap_predict(st, query_x):
+    p = st["p"]
+    return heads.ptmap_fit_predict(
+        st["support_x"], st["support_y"], query_x,
+        pt_params=heads.PowerTransformParams(
+            beta=p["beta"], epsilon=p["epsilon"],
+            unit_normalize=p["unit_normalize"],
+        ),
+        sinkhorn_config=heads.SinkhornConfig(
+            reg=p["reg"], max_iters=p["max_iters"], tol=p["tol"]
+        ),
+        n_iters=p["n_iters"], step_size=p["step_size"],
+    )
+
+
+def _qda_fit(p, arrays, support_x, support_y, n_way):
+    return {"model": heads.qda_fit(support_x, support_y, shrinkage=p["shrinkage"])}
+
+
+def _qda_predict(st, query_x):
+    return heads.qda_predict(st["model"], query_x)
+
+
+def _linear_meta_fit(p, spec, meta_train, seed, clock, log_path):
+    """Per-coordinate feature statistics from sampled flat batches."""
+    batch_size = min(p["batch_size"], meta_train.total_examples)
+    root = RngState(seed).fork(_PRETRAIN_STREAM)
+    seen = []
+    for i in range(p["pretrain_batches"]):
+        if clock is not None:
+            clock.check()
+        seen.append(sample_batch(meta_train, batch_size, root.fork(i)).x)
+    stacked = np.concatenate(seen)
+    std = stacked.std(axis=0)
+    std[std < 1e-12] = 1.0
+    arrays = {"feat_mean": stacked.mean(axis=0), "feat_std": std}
+    return arrays, Provenance(seed=seed, batches_consumed=p["pretrain_batches"])
+
+
+def _linear_fit(p, arrays, support_x, support_y, n_way):
+    mean = arrays.get("feat_mean")
+    std = arrays.get("feat_std")
+    if mean is None or std is None:
+        raise EpisodeFormatError(
+            "linear learner lacks feature statistics; run meta_fit first"
+        )
+    z = (support_x - mean) / std
+    head = heads.linear_head_fit(
+        z, support_y, epochs=p["epochs"], step_size=p["step_size"]
+    )
+    return {"head": head, "feat_mean": mean, "feat_std": std}
+
+
+def _linear_predict(st, query_x):
+    z = (query_x - st["feat_mean"]) / st["feat_std"]
+    return heads.linear_head_predict(st["head"], z)
+
+
+def _rect_predict(st, query_x):
+    return heads.rectified_proto_predict(
+        st["support_x"], st["support_y"], query_x, metric=st["p"]["metric"]
+    )
+
+
+def _fomaml_meta_fit(p, spec, meta_train, seed, clock, log_path):
+    """The first-order MAML outer loop over sampled training episodes."""
+    if spec.train_episode_spec is None:
+        raise ConfigError("fomaml meta-training needs train_episode_spec")
+    outer = fm.OuterConfig(
+        lr=p["outer_lr"], meta_batch=p["meta_batch"], epochs=p["epochs"]
+    )
+    inner = fm.InnerConfig(steps=p["inner_steps"], lr=p["inner_lr"])
+    params, _log = fm.meta_train(
+        meta_train, spec.train_episode_spec, inner, outer, seed=seed,
+        hidden=p["hidden"], log_path=log_path, clock=clock,
+    )
+    arrays = {"W1": params.W1, "b1": params.b1, "W2": params.W2, "b2": params.b2}
+    return arrays, Provenance(seed=seed,
+                              episodes_consumed=outer.epochs * outer.meta_batch)
+
+
+def _fomaml_fit(p, arrays, support_x, support_y, n_way):
+    params = fm.MlpParams(
+        W1=arrays["W1"], b1=arrays["b1"], W2=arrays["W2"], b2=arrays["b2"]
+    )
+    if params.W2.shape[0] != n_way:
+        raise EpisodeFormatError(
+            f"learner trained {params.W2.shape[0]}-way, support is {n_way}-way"
+        )
+    inner = fm.InnerConfig(steps=p["inner_steps"], lr=p["inner_lr"])
+    return {"adapted": fm.inner_adapt(params, support_x, support_y, inner)}
+
+
+def _fomaml_predict(st, query_x):
+    return np.argmax(fm.mlp_forward(st["adapted"], query_x), axis=1)
+
+
+#: method name -> registry entry; the one place each method is defined
+METHODS: dict[str, Method] = {
+    "proto": Method(
+        params={"metric": "euclidean"},
+        fit=_proto_fit, predict=_proto_predict,
+    ),
+    "fomaml": Method(
+        params={"inner_steps": 5, "inner_lr": 0.05, "outer_lr": 0.005,
+                "meta_batch": 32, "epochs": 300, "hidden": 64},
+        fit=_fomaml_fit, predict=_fomaml_predict, meta_fit=_fomaml_meta_fit,
+    ),
+    "linear": Method(
+        params={"pretrain_batches": 10, "batch_size": 256,
+                "epochs": 10, "step_size": 0.001},
+        fit=_linear_fit, predict=_linear_predict, meta_fit=_linear_meta_fit,
+    ),
+    "ptmap": Method(
+        params={"beta": 0.5, "epsilon": 1e-6, "unit_normalize": True,
+                "reg": heads.PTMAP_SINKHORN.reg,
+                "max_iters": heads.PTMAP_SINKHORN.max_iters,
+                "tol": heads.PTMAP_SINKHORN.tol,
+                "n_iters": 20, "step_size": 0.2},
+        fit=_keep_support, predict=_ptmap_predict, transductive=True,
+    ),
+    "qda": Method(
+        params={"shrinkage": 0.5},
+        fit=_qda_fit, predict=_qda_predict,
+    ),
+    "rect": Method(
+        params={"metric": "euclidean"},
+        fit=_keep_support, predict=_rect_predict, transductive=True,
+    ),
+}
 
 
 def meta_fit(
@@ -286,63 +356,13 @@ def meta_fit(
     fo-MAML runs its outer loop.  ``clock`` (a budget clock with a
     ``check()`` method) is polled inside the long-running loops.
     """
-    spec.validate()
-    name = spec.method.name
-    cfg = spec.method
-    arrays: dict[str, np.ndarray] = {}
-    episodes_consumed = 0
-    batches_consumed = 0
-
-    if name == "fomaml":
-        ep_spec = spec.train_episode_spec
-        if ep_spec is None:
-            raise ConfigError("fomaml meta-training needs train_episode_spec")
-        inner = fm.InnerConfig(
-            steps=cfg.get("inner_steps", 5), lr=cfg.get("inner_lr", 0.05)
-        )
-        outer = fm.OuterConfig(
-            lr=cfg.get("outer_lr", 0.005),
-            meta_batch=cfg.get("meta_batch", 32),
-            epochs=cfg.get("epochs", 300),
-        )
-        params, _log = fm.meta_train(
-            meta_train, ep_spec, inner, outer, seed=seed,
-            hidden=cfg.get("hidden", 64), log_path=log_path, clock=clock,
-        )
-        arrays = {"W1": params.W1, "b1": params.b1,
-                  "W2": params.W2, "b2": params.b2}
-        episodes_consumed = outer.epochs * outer.meta_batch
-    elif name == "linear":
-        n_batches = cfg.get("pretrain_batches", 10)
-        batch_size = min(cfg.get("batch_size", 256), meta_train.total_examples)
-        root = RngState(int(seed)).fork(_PRETRAIN_STREAM)
-        seen = []
-        for i in range(n_batches):
-            if clock is not None:
-                clock.check()
-            seen.append(sample_batch(meta_train, batch_size, root.fork(i)).x)
-        stacked = np.concatenate(seen)
-        std = stacked.std(axis=0)
-        std[std < 1e-12] = 1.0
-        arrays = {"feat_mean": stacked.mean(axis=0), "feat_std": std}
-        batches_consumed = n_batches
-    elif name == "sleeper":
-        duration = cfg.get("duration_seconds", 10.0)
-        t0 = time.monotonic()
-        while time.monotonic() - t0 < duration:
-            if clock is not None:
-                clock.check()
-            time.sleep(0.05)
-
-    return LearnerState(
-        method=spec.method,
-        arrays=arrays,
-        provenance=Provenance(
-            seed=int(seed),
-            episodes_consumed=episodes_consumed,
-            batches_consumed=batches_consumed,
-        ),
-    )
+    params = spec.method.validate()
+    run = METHODS[spec.method.name].meta_fit
+    if run is None:
+        arrays, provenance = {}, Provenance(seed=int(seed))
+    else:
+        arrays, provenance = run(params, spec, meta_train, int(seed), clock, log_path)
+    return LearnerState(method=spec.method, arrays=arrays, provenance=provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +378,10 @@ def render_learner(learner: LearnerState) -> str:
     out.append(f"provenance,{p.seed},{p.episodes_consumed},{p.batches_consumed}")
     for name in sorted(learner.arrays):
         arr = np.asarray(learner.arrays[name], dtype=np.float64)
+        if arr.ndim not in (1, 2):
+            raise ArtifactError(
+                f"array {name!r} is {arr.ndim}-d; artifacts hold 1-d or 2-d arrays"
+            )
         shape = "x".join(str(s) for s in arr.shape)
         out.append(f"array,{name},{shape}")
         rows = arr.reshape(1, -1) if arr.ndim == 1 else arr
@@ -397,6 +421,8 @@ def parse_learner(text: str) -> LearnerState:
             elif line.startswith("array,"):
                 _, name, shape_s = line.split(",")
                 shape = tuple(int(s) for s in shape_s.split("x"))
+                if len(shape) > 2 or min(shape) < 0:
+                    raise ArtifactError(f"array {name!r} has bad shape {shape_s!r}")
                 n_rows = 1 if len(shape) == 1 else shape[0]
                 data = []
                 for j in range(n_rows):
@@ -406,7 +432,7 @@ def parse_learner(text: str) -> LearnerState:
             else:
                 raise ArtifactError(f"unrecognized artifact line {line!r}")
             i += 1
-    except (ValueError, IndexError, SyntaxError) as exc:
+    except (ValueError, TypeError, IndexError, SyntaxError) as exc:
         raise ArtifactError(f"malformed artifact: {exc}") from None
 
     if method_name is None or provenance is None:

@@ -10,7 +10,6 @@ with distinct seeds and reports the worst mean.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,7 +89,6 @@ def evaluate_learner(
     episode_count: int = 600,
     *,
     seed: int,
-    workers: int = 1,
     clock=None,
 ) -> AggregateScore:
     """Score a learner over a seeded episode stream.
@@ -103,10 +101,14 @@ def evaluate_learner(
     """
     if episode_count < 1:
         raise ArgumentError(f"episode_count must be >= 1, got {episode_count}")
-    if workers < 1:
-        raise ArgumentError(f"workers must be >= 1, got {workers}")
 
-    def score_one(index: int, episode) -> EpisodeScore:
+    scores: list[EpisodeScore] = []
+    for i, episode in enumerate(episode_stream(pool, spec, episode_count, seed)):
+        if clock is not None:
+            try:
+                clock.check()
+            except BudgetExceededError as exc:
+                raise BudgetExceededError(str(exc), completed=i) from None
         try:
             predictor = learner.fit(episode.support_x, episode.support_y)
             predicted = predictor.predict(episode.query_x)
@@ -115,37 +117,11 @@ def evaluate_learner(
             raise
         except Exception as exc:
             raise EvaluationError(
-                f"episode {index} failed: {exc}", episode_index=index
+                f"episode {i} failed: {exc}", episode_index=i
             ) from exc
-        return EpisodeScore(
-            episode_index=index, accuracy=acc, query_count=len(episode.query_y)
-        )
-
-    stream = episode_stream(pool, spec, episode_count, seed)
-    scores: list[EpisodeScore] = []
-    if workers == 1:
-        for i, episode in enumerate(stream):
-            if clock is not None:
-                try:
-                    clock.check()
-                except BudgetExceededError as exc:
-                    raise BudgetExceededError(str(exc), completed=i) from None
-            scores.append(score_one(i, episode))
-    else:
-        episodes = list(stream)
-        with ThreadPoolExecutor(max_workers=workers) as pool_:
-            futures = [
-                pool_.submit(score_one, i, ep) for i, ep in enumerate(episodes)
-            ]
-            for i, fut in enumerate(futures):
-                if clock is not None:
-                    try:
-                        clock.check()
-                    except BudgetExceededError as exc:
-                        for later in futures[i:]:
-                            later.cancel()
-                        raise BudgetExceededError(str(exc), completed=i) from None
-                scores.append(fut.result())
+        scores.append(EpisodeScore(
+            episode_index=i, accuracy=acc, query_count=len(episode.query_y)
+        ))
 
     accs = [s.accuracy for s in scores]
     return AggregateScore(

@@ -15,7 +15,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .api import MetaLearnerSpec, MethodConfig, METHODS, load_learner, meta_fit, save_learner
+from .api import MetaLearnerSpec, MethodConfig, load_learner, meta_fit, save_learner
 from .dataset import (
     MetaSplit,
     SyntheticSpec,
@@ -120,8 +120,6 @@ class PhaseConfig:
     budget_seconds: float
     seeds: tuple[int, ...]
     method: MethodConfig
-    data_mode: str
-    workers: int
     workdir: str
     leaderboard_path: str
     raw: dict[str, str] = field(default_factory=dict)
@@ -136,14 +134,6 @@ class PhaseConfig:
         if self.raw.get("paths.train_log", "") == "":
             return None
         return self.raw["paths.train_log"].replace("{seed}", str(seed))
-
-    def learner_spec(self) -> MetaLearnerSpec:
-        return MetaLearnerSpec(
-            method=self.method,
-            data_mode=self.data_mode,
-            train_episode_spec=self.episode_spec,
-            budget_hint=self.budget_seconds,
-        )
 
 
 def _get_int(cfg: dict[str, str], key: str, default: int | None) -> int | None:
@@ -225,7 +215,6 @@ def load_config(cfg: dict[str, str]) -> PhaseConfig:
     method = MethodConfig(name=method_name, params=params)
     method.validate()
 
-    default_mode = "batch" if "episode" not in METHODS[method_name][0] else "episode"
     workdir = cfg.get("paths.workdir", ".")
     config = PhaseConfig(
         name=name,
@@ -239,8 +228,6 @@ def load_config(cfg: dict[str, str]) -> PhaseConfig:
         budget_seconds=_get_float(cfg, "phase.budget_seconds", 7200.0),
         seeds=seeds,
         method=method,
-        data_mode=cfg.get("method.data_mode", default_mode),
-        workers=_get_int(cfg, "phase.workers", 1),
         workdir=workdir,
         leaderboard_path=cfg.get(
             "paths.leaderboard", os.path.join(workdir, "leaderboard.csv")
@@ -281,7 +268,7 @@ def run_ingestion(
     split = split or load_split(config)
     clock.check() if clock is not None else None
     learner = meta_fit(
-        config.learner_spec(),
+        MetaLearnerSpec(method=config.method, train_episode_spec=config.episode_spec),
         split.meta_train,
         seed,
         clock=clock,
@@ -313,7 +300,6 @@ def run_scoring(
         config.episode_spec,
         config.episode_count,
         seed=seed,
-        workers=config.workers,
         clock=clock,
     )
     os.makedirs(config.workdir, exist_ok=True)

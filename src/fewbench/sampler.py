@@ -226,6 +226,8 @@ def parse_episode(text: str) -> Episode:
         dim = int(lines[0][len("dim="):])
     except ValueError:
         raise ParseError(f"bad dimension in header {lines[0]!r}", line_no=1) from None
+    if dim < 1:
+        raise ParseError(f"dimension must be >= 1, got {dim}", line_no=1)
     sup, qry = [], []
     mapping: dict[int, int] = {}
     for i, line in enumerate(lines[1:], start=2):
@@ -234,17 +236,24 @@ def parse_episode(text: str) -> Episode:
         parts = line.split(",")
         if len(parts) != dim + 3:
             raise ParseError(f"expected {dim + 3} fields, got {len(parts)}", line_no=i)
-        cid, role, label = int(parts[0]), parts[1], int(parts[2])
+        role = parts[1]
         if role not in ("S", "Q"):
             raise ParseError(f"bad role {role!r}", line_no=i)
-        values = np.asarray([float(p) for p in parts[3:]], dtype=np.float64)
+        try:
+            cid = int(np.int64(parts[0]))  # class_map is int64
+            label = int(parts[2])
+            values = np.asarray([float(p) for p in parts[3:]], dtype=np.float64)
+        except (ValueError, OverflowError):
+            raise ParseError(
+                f"bad class id, label or value in row {line!r}", line_no=i
+            ) from None
         if label in mapping and mapping[label] != cid:
             raise ParseError(f"label {label} maps to two class ids", line_no=i)
         mapping[label] = cid
         (sup if role == "S" else qry).append((label, values))
     if not sup or not qry:
         raise ParseError("episode needs both support (S) and query (Q) rows")
-    n = max(mapping) + 1
+    n = len(mapping)
     if sorted(mapping) != list(range(n)):
         raise ParseError(f"episode labels {sorted(mapping)} are not 0..{n - 1}")
     return Episode(

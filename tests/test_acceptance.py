@@ -48,7 +48,6 @@ def episode_learner(name, **params):
     spec = MetaLearnerSpec(
         method=MethodConfig(name=name,
                             params={k: str(v) for k, v in params.items()}),
-        data_mode="episode",
         train_episode_spec=FIVE_ONE,
     )
     return meta_fit(spec, generate_synthetic(OVERLAP_SPEC), 0)
@@ -88,10 +87,8 @@ def test_criterion_02_separation_limit():
     t0 = time.monotonic()
     means = {}
     for name in ("proto", "ptmap", "qda", "linear", "rect"):
-        mode = "batch" if name == "linear" else "episode"
         spec = MetaLearnerSpec(
             method=MethodConfig(name=name, params={}),
-            data_mode=mode,
             train_episode_spec=FIVE_ONE,
         )
         learner = meta_fit(spec, split.meta_train, 0)
@@ -218,7 +215,6 @@ def test_criterion_07_meta_learning_effect():
             method=MethodConfig(name="fomaml", params={
                 "epochs": str(epochs), "outer_lr": "0.04",
             }),
-            data_mode="episode",
             train_episode_spec=FIVE_ONE,
         )
         learner = meta_fit(spec, split.meta_train, 9)

@@ -4,10 +4,13 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fewbench.heads
 from fewbench.api import (
     ARTIFACT_MAGIC,
+    METHODS,
     LearnerState,
     MetaLearnerSpec,
     MethodConfig,
@@ -19,7 +22,8 @@ from fewbench.api import (
     save_learner,
 )
 from fewbench.dataset import SyntheticSpec, generate_synthetic
-from fewbench.errors import ArtifactError, ConfigError, EpisodeFormatError
+from fewbench.errors import ArtifactError, BenchError, ConfigError, EpisodeFormatError
+from fewbench.pipeline import load_config, parse_config_text
 from fewbench.rng import RngState
 from fewbench.sampler import EpisodeSpec, sample_episode
 
@@ -28,13 +32,12 @@ EASY_POOL = generate_synthetic(
                   class_std=0.05, mean_scale=3.0, seed=1)
 )
 EP_SPEC = EpisodeSpec(n_way=5, k_shot=2, query_per_class=6)
+SIX_METHODS = ("fomaml", "linear", "proto", "ptmap", "qda", "rect")
 
 
 def spec_for(name, **params):
-    mode = "batch" if name == "linear" else "episode"
     return MetaLearnerSpec(
         method=MethodConfig(name=name, params=params),
-        data_mode=mode,
         train_episode_spec=EpisodeSpec(n_way=5, k_shot=2),
     )
 
@@ -85,33 +88,23 @@ def test_fomaml_requires_train_episode_spec():
 
 def test_mode_validation():
     with pytest.raises(ConfigError):
-        MetaLearnerSpec(method=MethodConfig(name="proto", params={}),
-                        data_mode="batch").validate()
-    with pytest.raises(ConfigError):
-        MetaLearnerSpec(method=MethodConfig(name="linear", params={}),
-                        data_mode="episode").validate()
-    with pytest.raises(ConfigError):
-        MetaLearnerSpec(method=MethodConfig(name="proto", params={}),
-                        data_mode="stream").validate()
-    with pytest.raises(ConfigError):
         MethodConfig(name="nonesuch", params={}).validate()
 
 
 def test_method_config_coercions():
-    cfg = MethodConfig(name="ptmap", params={
+    values = MethodConfig(name="ptmap", params={
         "reg": "0.5", "max_iters": "120", "unit_normalize": "false",
-        "metric": "cosine",
-    })
-    assert cfg.get("reg", 0.1) == 0.5
-    assert cfg.get("max_iters", 200) == 120
-    assert cfg.get("unit_normalize", True) is False
-    assert cfg.get("unit_normalize_missing", True) is True
-    assert cfg.get("metric", "euclidean") == "cosine"
+    }).validate()
+    assert values["reg"] == 0.5
+    assert values["max_iters"] == 120
+    assert values["unit_normalize"] is False
+    assert MethodConfig(name="ptmap").validate()["unit_normalize"] is True
+    assert MethodConfig(name="proto", params={"metric": "cosine"}).validate() == {
+        "metric": "cosine"}
     with pytest.raises(ConfigError):
-        MethodConfig(name="ptmap", params={"reg": "abc"}).get("reg", 0.1)
+        MethodConfig(name="ptmap", params={"reg": "abc"}).validate()
     with pytest.raises(ConfigError):
-        MethodConfig(name="ptmap", params={"unit_normalize": "maybe"}).get(
-            "unit_normalize", True)
+        MethodConfig(name="ptmap", params={"unit_normalize": "maybe"}).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +170,54 @@ def test_sleeper_predicts_lowest_label():
     predictor = learner.fit(ep.support_x, ep.support_y)
     assert np.array_equal(predictor.predict(ep.query_x),
                           np.zeros(len(ep.query_y)))
+
+
+@pytest.mark.parametrize("name", SIX_METHODS)
+def test_non_finite_inputs_rejected(name):
+    params = {"epochs": 2, "hidden": 8} if name == "fomaml" else {}
+    learner = meta_fit(spec_for(name, **params), EASY_POOL, seed=17)
+    ep = easy_episode()
+    support_x = ep.support_x.copy()
+    support_x[0, 0] = np.nan
+    with pytest.raises(EpisodeFormatError):
+        learner.fit(support_x, ep.support_y)
+    predictor = learner.fit(ep.support_x, ep.support_y)
+    query_x = ep.query_x.copy()
+    query_x[3, 1] = np.inf
+    with pytest.raises(EpisodeFormatError):
+        predictor.predict(query_x)
+    query_x[3, 1] = np.nan
+    with pytest.raises(EpisodeFormatError):
+        predictor.predict(query_x)
+
+
+# ---------------------------------------------------------------------------
+# Method registry
+
+
+@pytest.mark.parametrize("name", SIX_METHODS)
+def test_registry_schema_loads_round_trips_and_rejects_misspelling(name):
+    schema = METHODS[name].params
+    text = f"method.name = {name}\n" + "".join(
+        f"method.{name}.{key} = {default}\n" for key, default in schema.items()
+    )
+    method = load_config(parse_config_text(text)).method
+    assert set(method.params) == set(schema)
+    values = method.validate()
+    assert values == schema
+    for key, default in schema.items():
+        assert type(values[key]) is type(default)
+    learner = LearnerState(method=method, arrays={}, provenance=Provenance(seed=0))
+    back = parse_learner(render_learner(learner))
+    assert back.method.params == method.params
+    assert back.method.validate() == schema
+
+    misspelt = f"{sorted(schema)[0]}z"
+    with pytest.raises(ConfigError) as err:
+        load_config({"method.name": name, f"method.{name}.{misspelt}": "3"})
+    assert repr(misspelt) in str(err.value)
+    for key in schema:
+        assert repr(key) in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +311,7 @@ def test_artifact_round_trip_bit_exact():
 def test_artifact_round_trip_preserves_param_types():
     learner = LearnerState(
         method=MethodConfig(name="ptmap", params={
-            "reg": 0.25, "n_iters": 15, "metric": "cosine",
-            "unit_normalize": False,
+            "reg": 0.25, "n_iters": 15, "unit_normalize": False,
         }),
         arrays={"v": np.array([1.5, -2.25, 1e-300])},
         provenance=Provenance(seed=9, episodes_consumed=1, batches_consumed=2),
@@ -280,6 +320,15 @@ def test_artifact_round_trip_preserves_param_types():
     assert back.method.params == learner.method.params
     assert back.method.params["unit_normalize"] is False
     assert np.array_equal(back.arrays["v"], learner.arrays["v"])
+
+
+def test_artifact_round_trip_preserves_str_param():
+    learner = LearnerState(
+        method=MethodConfig(name="proto", params={"metric": "cosine"}),
+        arrays={}, provenance=Provenance(seed=9),
+    )
+    back = parse_learner(render_learner(learner))
+    assert back.method.params == {"metric": "cosine"}
 
 
 def test_artifact_file_round_trip(tmp_path):
@@ -321,3 +370,48 @@ def test_artifact_rejects_unknown_lines():
 def test_missing_artifact_file(tmp_path):
     with pytest.raises(ArtifactError):
         load_learner(str(tmp_path / "absent.txt"))
+
+
+@pytest.mark.parametrize("shape", [(), (2, 2, 2)])
+def test_render_rejects_arrays_not_1d_or_2d(shape):
+    learner = LearnerState(method=MethodConfig(name="proto"),
+                           arrays={"a": np.zeros(shape)},
+                           provenance=Provenance(seed=0))
+    with pytest.raises(ArtifactError):
+        render_learner(learner)
+
+
+def test_artifact_rejects_malformed_values():
+    head = f"{ARTIFACT_MAGIC}\nmethod,proto\n"
+    with pytest.raises(ArtifactError):  # unhashable dict key in the literal
+        parse_learner(head + "config,k,{[]:1}\nprovenance,0,0,0\nend\n")
+    with pytest.raises(ArtifactError):
+        parse_learner(head + "provenance,0,0,0\narray,a,1x1x1\n0.0\nend\n")
+    with pytest.raises(ArtifactError):  # reshape would infer a -1 entry
+        parse_learner(head + "provenance,0,0,0\narray,a,-1\n1.0,2.0\nend\n")
+
+
+ARTIFACT_LINES = st.lists(
+    st.one_of(
+        st.text(alphabet="0123456789.,-xe[]{}:'()natrucofigmhdpvly \t", max_size=30),
+        st.sampled_from([
+            "method,proto", "method,ptmap", "method,nonesuch", "provenance,1,2,3",
+            "array,a,2", "array,a,1x2", "array,a,2x1", "array,a,1x1x1",
+            "config,metric,'cosine'", "config,reg,[1]", "config,max_iters,1e999",
+            "config,k,{[]:1}", "1.5,2", "end",
+        ]),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(),
+    ARTIFACT_LINES.map(lambda lines: "\n".join([ARTIFACT_MAGIC, *lines, "end"])),
+))
+def test_parse_learner_fuzz_raises_only_bench_errors(text):
+    try:
+        parse_learner(text)
+    except BenchError:
+        pass

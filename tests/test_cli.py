@@ -1,9 +1,12 @@
 """Command-line surface: subcommands, overrides, and exit codes."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+import fewbench
 from fewbench.cli import EXIT_CONFIG, EXIT_FAILED, EXIT_OK, EXIT_TIMED_OUT, main
 from fewbench.dataset import load_feature_dataset
 
@@ -100,6 +103,32 @@ def test_malformed_config_is_config_error(tmp_path):
 def test_unknown_method_is_config_error(config_path):
     assert main(["run", "--config", config_path,
                  "--method", "mystery"]) == EXIT_CONFIG
+
+
+def test_misspelt_method_parameter_is_config_error(config_path, capsys):
+    assert main(["run", "--config", config_path, "--method", "ptmap",
+                 "--set", "method.ptmap.n_iterz=3"]) == EXIT_CONFIG
+    assert "n_iterz" in capsys.readouterr().err
+
+
+def test_registry_outside_tests_holds_the_six_methods(config_path):
+    # a fresh interpreter does not load this suite's conftest, so the
+    # test-only sleeper method must be unknown there
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(fewbench.__file__)))
+    listed = subprocess.run(
+        [sys.executable, "-c",
+         "from fewbench.api import METHODS; print(' '.join(sorted(METHODS)))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert listed.stdout.split() == ["fomaml", "linear", "proto", "ptmap", "qda", "rect"]
+    run = subprocess.run(
+        [sys.executable, "-m", "fewbench.cli", "run", "--config", config_path,
+         "--method", "sleeper"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == EXIT_CONFIG
+    assert "'sleeper'" in run.stderr
 
 
 def test_bad_set_syntax_is_config_error(config_path):

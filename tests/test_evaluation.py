@@ -147,16 +147,6 @@ def test_aggregate_is_per_episode_mean_not_pooled():
     assert agg.ci95_halfwidth == pytest.approx(ci95(accs), abs=0)
 
 
-def test_parallel_equals_serial():
-    serial = evaluate_learner(NearestSupportLearner(), POOL, SPEC, 24, seed=7)
-    threaded = evaluate_learner(NearestSupportLearner(), POOL, SPEC, 24, seed=7,
-                                workers=4)
-    assert [e.accuracy for e in serial.episodes] == \
-           [e.accuracy for e in threaded.episodes]
-    assert serial.mean == threaded.mean
-    assert serial.ci95_halfwidth == threaded.ci95_halfwidth
-
-
 def test_failure_names_episode_index():
     with pytest.raises(EvaluationError) as err:
         evaluate_learner(FailingLearner(fail_at=3), POOL, SPEC, 10, seed=8)
@@ -172,13 +162,6 @@ def test_budget_abort_records_completed_count():
     assert err.value.completed == 0
 
 
-def test_budget_abort_parallel():
-    clock = BudgetClock(limit_seconds=0.0)
-    with pytest.raises(BudgetExceededError):
-        evaluate_learner(NearestSupportLearner(), POOL, SPEC, 10, seed=10,
-                         clock=clock, workers=3)
-
-
 def test_single_episode_has_zero_halfwidth():
     agg = evaluate_learner(ConstantLearner(), POOL, SPEC, 1, seed=11)
     assert agg.episode_count == 1
@@ -188,8 +171,6 @@ def test_single_episode_has_zero_halfwidth():
 def test_argument_validation():
     with pytest.raises(ArgumentError):
         evaluate_learner(ConstantLearner(), POOL, SPEC, 0, seed=1)
-    with pytest.raises(ArgumentError):
-        evaluate_learner(ConstantLearner(), POOL, SPEC, 5, seed=1, workers=0)
 
 
 # ---------------------------------------------------------------------------

@@ -90,8 +90,6 @@ def test_load_config_defaults():
     assert cfg.synthetic.num_classes == 20
     assert cfg.synthetic.dim == 16
     assert cfg.n_train_classes == 15
-    assert cfg.data_mode == "episode"
-    assert cfg.workers == 1
 
 
 @pytest.mark.parametrize(
@@ -116,11 +114,7 @@ def test_load_config_scopes_method_params():
         "method.proto.metric": "cosine",  # other method's knob: ignored
     })
     assert cfg.method.params == {"shrinkage": "0.25"}
-    assert cfg.method.get("shrinkage", 0.5) == 0.25
-
-
-def test_load_config_batch_default_for_batch_only_method():
-    assert load_config({"method.name": "linear"}).data_mode == "batch"
+    assert cfg.method.validate()["shrinkage"] == 0.25
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fewbench.dataset import SyntheticSpec, generate_synthetic
-from fewbench.errors import ArgumentError, ParseError, SamplingError
+from fewbench.errors import ArgumentError, BenchError, ParseError, SamplingError
 from fewbench.rng import RngState
 from fewbench.sampler import (
     ALL_REMAINING,
@@ -215,3 +215,38 @@ def test_episode_round_trip():
 def test_parse_episode_errors(text):
     with pytest.raises(ParseError):
         parse_episode(text)
+
+
+@pytest.mark.parametrize(
+    "text,line_no",
+    [
+        ("dim=1\n0,S,0,1.0\nx,Q,0,2.0\n", 3),         # class id
+        ("dim=1\n0,S,0,1.0\n0,Q,zero,2.0\n", 3),      # episode label
+        ("dim=1\n0,S,0,abc\n0,Q,0,2.0\n", 2),         # value
+        ("dim=1\n99999999999999999999,S,0,1.0\n", 2),  # class id beyond int64
+        ("dim=-2\nx\n", 1),                           # dimension below 1
+    ],
+)
+def test_parse_episode_bad_field_names_the_line(text, line_no):
+    with pytest.raises(ParseError) as err:
+        parse_episode(text)
+    assert err.value.line_no == line_no
+
+
+EPISODE_LINES = st.lists(
+    st.one_of(
+        st.text(alphabet="0123456789.,-+SQXdim=naife_ \t", max_size=20),
+        st.sampled_from(["0,S,0,1.5", "1,Q,1,2", "0,Q,0,nan", "1,S,1,-3",
+                         "99999999999999999999,S,0,1", "dim=1"]),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), EPISODE_LINES.map(lambda lines: "\n".join(["dim=1", *lines]))))
+def test_parse_episode_fuzz_raises_only_bench_errors(text):
+    try:
+        parse_episode(text)
+    except BenchError:
+        pass
