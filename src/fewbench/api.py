@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fomaml as fm
 from . import heads
-from .dataset import DatasetTable, render_value
+from .dataset import DatasetTable, render_value, write_text_atomic
 from .errors import ArtifactError, ConfigError, EpisodeFormatError
 from .rng import RngState
 from .sampler import EpisodeSpec, sample_batch
@@ -57,7 +57,8 @@ class Method:
     data leave it ``None``.  ``fit(params, arrays, support_x, support_y,
     n_way)`` returns the predictor state, and ``predict(state, query_x)``
     labels query rows.  ``transductive`` methods label the whole query set
-    jointly, so their predictions are cached per query set.
+    jointly, so their predictions are cached per query set.  ``choices``
+    maps a key that takes one of a fixed set of values to that set.
     """
 
     params: dict
@@ -65,6 +66,7 @@ class Method:
     predict: Callable[[dict, np.ndarray], np.ndarray]
     meta_fit: Callable[..., tuple] | None = None
     transductive: bool = False
+    choices: dict = field(default_factory=dict)
 
 
 def _coerce(key: str, value, default):
@@ -115,10 +117,17 @@ class MethodConfig:
                 f"unknown parameters {sorted(unknown)} for method {self.name!r}; "
                 f"known: {sorted(method.params)}"
             )
-        return {
+        values = {
             key: _coerce(key, self.params.get(key, default), default)
             for key, default in method.params.items()
         }
+        for key, allowed in method.choices.items():
+            if values[key] not in allowed:
+                raise ConfigError(
+                    f"method parameter {key}={values[key]!r} for method "
+                    f"{self.name!r} must be one of {list(allowed)}"
+                )
+        return values
 
 
 @dataclass(frozen=True)
@@ -311,6 +320,7 @@ METHODS: dict[str, Method] = {
     "proto": Method(
         params={"metric": "euclidean"},
         fit=_proto_fit, predict=_proto_predict,
+        choices={"metric": heads.METRICS},
     ),
     "fomaml": Method(
         params={"inner_steps": 5, "inner_lr": 0.05, "outer_lr": 0.005,
@@ -337,6 +347,7 @@ METHODS: dict[str, Method] = {
     "rect": Method(
         params={"metric": "euclidean"},
         fit=_keep_support, predict=_rect_predict, transductive=True,
+        choices={"metric": heads.METRICS},
     ),
 }
 
@@ -443,8 +454,9 @@ def parse_learner(text: str) -> LearnerState:
 
 
 def save_learner(learner: LearnerState, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_learner(learner))
+    """Write the learner artifact atomically: a learner that fails to
+    render leaves any earlier artifact at ``path`` as it was."""
+    write_text_atomic(path, render_learner(learner))
 
 
 def load_learner(path: str) -> LearnerState:

@@ -15,6 +15,7 @@ write -> load -> write is byte-stable.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "load_feature_dataset",
     "parse_feature_dataset",
     "write_feature_dataset",
+    "write_text_atomic",
     "render_feature_dataset",
     "render_value",
     "split_classes",
@@ -210,9 +212,25 @@ def render_feature_dataset(table: DatasetTable) -> str:
     return "\n".join(out) + "\n"
 
 
+def write_text_atomic(path: str, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it
+    into place: readers see the old file or the new one, never a partial
+    one, and a write that fails leaves the old file untouched."""
+    tmp = os.path.join(
+        os.path.dirname(path), f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp"
+    )
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_feature_dataset(table: DatasetTable, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_feature_dataset(table))
+    write_text_atomic(path, render_feature_dataset(table))
 
 
 def split_classes(table: DatasetTable, n_train_classes: int, seed: int) -> MetaSplit:

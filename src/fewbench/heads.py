@@ -4,7 +4,8 @@ Five methods operate directly on support/query feature vectors:
 
 * nearest-prototype with a softmax over negative squared distances;
 * a transductive center-estimation head combining a power transform with
-  entropic optimal transport (log-domain Sinkhorn);
+  entropic optimal transport (Sinkhorn by stabilized scaling with
+  log-domain absorption);
 * quadratic discriminant analysis with covariance shrinkage;
 * a multinomial logistic head trained full-batch with Adam;
 * a rectified-prototype decoder that refines prototypes once with
@@ -31,6 +32,7 @@ from .errors import (
 )
 
 __all__ = [
+    "METRICS",
     "Prototypes",
     "PowerTransformParams",
     "SinkhornConfig",
@@ -94,6 +96,10 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
 # Prototypes
 
 
+#: Distances the prototype heads measure with.
+METRICS = ("euclidean", "cosine")
+
+
 @dataclass(frozen=True)
 class Prototypes:
     centers: np.ndarray  # (N, d)
@@ -112,7 +118,7 @@ def compute_prototypes(
     With ``metric="cosine"`` the support vectors are unit-normalized before
     averaging, and queries are normalized at predict time.
     """
-    if metric not in ("euclidean", "cosine"):
+    if metric not in METRICS:
         raise ArgumentError(f"unknown metric {metric!r}")
     if not temperature > 0:
         raise ArgumentError(f"temperature must be positive, got {temperature}")
@@ -197,7 +203,7 @@ def power_transform(
 
 
 # ---------------------------------------------------------------------------
-# Entropic optimal transport (log-domain Sinkhorn)
+# Entropic optimal transport (stabilized scaling Sinkhorn)
 
 
 @dataclass(frozen=True)
@@ -251,6 +257,39 @@ def _check_marginal(m: np.ndarray, size: int, name: str) -> np.ndarray:
     return m
 
 
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a finite array, bit for bit, without its generic
+    overhead.  Like its mean, the sums start from +0.0, so a zero median
+    comes out as +0.0."""
+    flat = x.ravel()
+    half = flat.size // 2
+    if flat.size % 2:
+        return float(0.0 + np.partition(flat, half)[half])
+    part = np.partition(flat, (half - 1, half))
+    return float((0.0 + part[half - 1] + part[half]) / 2)
+
+
+def _log_sweep(
+    log_kernel: np.ndarray, g: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One Sinkhorn iteration in the log domain: f against the row
+    marginals given g, then g against the column marginals given f."""
+    m = log_kernel + g
+    row_max = m.max(axis=1)
+    f = np.log(a) - row_max - np.log(np.exp(m - row_max[:, None]).sum(axis=1))
+    m = log_kernel + f[:, None]
+    col_max = m.max(axis=0)
+    g = np.log(b) - col_max - np.log(np.exp(m - col_max[None, :]).sum(axis=0))
+    return f, g
+
+
+#: Scaling vectors whose largest entry exceeds this are folded into the log
+#: potentials.  Kernel entries are at most 1, so the bound also keeps every
+#: scaling entry above (smallest marginal) / (size * bound): a kernel entry
+#: lost to underflow never carries more than ~1e-240 of mass.
+_SCALING_BOUND = 1e30
+
+
 def sinkhorn(
     cost: np.ndarray,
     row_marginals: np.ndarray,
@@ -258,13 +297,17 @@ def sinkhorn(
     config: SinkhornConfig | None = None,
     init_potentials: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> TransportPlan:
-    """Entropic-regularized optimal transport by alternating scaling.
+    """Entropic-regularized optimal transport by stabilized scaling.
 
-    Computed entirely in the log domain: the plan is
-    ``exp(f + logK + g)`` for potentials f, g updated in turn against the
-    row and column marginals.  ``init_potentials`` warm-starts the
-    iteration (the fixed point is unique, so this changes arrival speed,
-    not the answer).
+    The plan is ``exp(f + logK + g)`` for log potentials f, g.  The
+    potentials (zeros, or ``init_potentials`` as a warm start) are absorbed
+    once into a kernel ``K = exp(logK + f + g)``, and each iteration then
+    updates scaling vectors ``u = a / (K v)`` and ``v = b / (u K)``.  When
+    ``u`` or ``v`` leaves a safe range, or goes non-finite, they are folded
+    back into f, g by one log-domain iteration and K is rebuilt
+    (Schmitzer 2019), so small ``reg`` neither overflows nor underflows.
+    The plan is built once, at the end.  A warm start changes the arrival
+    speed, not the answer: the fixed point is unique.
     """
     config = config or SinkhornConfig()
     config.validate()
@@ -277,35 +320,45 @@ def sinkhorn(
     a = _check_marginal(row_marginals, n_rows, "row_marginals")
     b = _check_marginal(col_marginals, n_cols, "col_marginals")
 
-    med = float(np.median(cost))
+    med = _median(cost)
     scaled = cost / med if med > 0 else cost
     log_kernel = scaled * (-1.0 / config.reg)
-    log_a = np.log(a)
-    log_b = np.log(b)
     if init_potentials is not None:
-        f = np.asarray(init_potentials[0], dtype=np.float64).copy()
-        g = np.asarray(init_potentials[1], dtype=np.float64).copy()
+        f = np.asarray(init_potentials[0], dtype=np.float64)
+        g = np.asarray(init_potentials[1], dtype=np.float64)
     else:
         f = np.zeros(n_rows)
         g = np.zeros(n_cols)
 
-    plan = None
-    err = np.inf
-    it = 0
-    for it in range(1, config.max_iters + 1):
-        m = log_kernel + g          # (R, C)
-        row_max = m.max(axis=1)
-        f = log_a - row_max - np.log(np.exp(m - row_max[:, None]).sum(axis=1))
-        m = log_kernel + f[:, None]
-        col_max = m.max(axis=0)
-        g = log_b - col_max - np.log(np.exp(m - col_max[None, :]).sum(axis=0))
-        plan = np.exp(m + g[None, :])
-        # column sums are exact right after the g update; rows carry the error
-        err = float(np.abs(plan.sum(axis=1) - a).max())
-        if err <= config.tol:
-            break
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        kernel = log_kernel + g
+        kernel += f[:, None]
+        shift = kernel.max()         # the largest kernel entry is exactly 1
+        f = f - shift
+        kernel -= shift
+        np.exp(kernel, out=kernel)
+        v = np.ones(n_cols)
+        kv = kernel.sum(axis=1)
+        for it in range(1, config.max_iters + 1):
+            u_next = a / kv
+            v_next = b / (u_next @ kernel)
+            if u_next.max() <= _SCALING_BOUND and v_next.max() <= _SCALING_BOUND:
+                u, v = u_next, v_next
+            else:
+                # absorb the last safe v; redo this iteration in the log domain
+                f, g = _log_sweep(log_kernel, g + np.log(v), a, b)
+                kernel = np.exp(log_kernel + f[:, None] + g[None, :])
+                u = np.ones(n_rows)
+                v = np.ones(n_cols)
+            kv = kernel @ v
+            # the v update fits the columns; u * (K v) carries the row error
+            if np.abs(u * kv - a).max() <= config.tol:
+                break
 
-    if plan is None or not (np.isfinite(plan).all() and np.isfinite(err)):
+        plan = u[:, None] * kernel * v[None, :]
+        potentials = (f + np.log(u), g + np.log(v))
+    err = float(np.abs(plan.sum(axis=1) - a).max())
+    if not (np.isfinite(plan).all() and np.isfinite(err)):
         raise NumericError(
             "transport kernel underflowed; increase reg (entropic regularization)"
         )
@@ -316,7 +369,7 @@ def sinkhorn(
         iterations=it,
         marginal_error=err,
         converged=err <= config.tol,
-        log_potentials=(f, g),
+        log_potentials=potentials,
     )
 
 

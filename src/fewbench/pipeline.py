@@ -15,13 +15,21 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .api import MetaLearnerSpec, MethodConfig, load_learner, meta_fit, save_learner
+from .api import (
+    METHODS,
+    MetaLearnerSpec,
+    MethodConfig,
+    load_learner,
+    meta_fit,
+    save_learner,
+)
 from .dataset import (
     MetaSplit,
     SyntheticSpec,
     generate_synthetic,
     load_feature_dataset,
     split_classes,
+    write_text_atomic,
 )
 from .errors import (
     ArtifactError,
@@ -154,8 +162,45 @@ def _get_float(cfg: dict[str, str], key: str, default: float) -> float:
         raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from None
 
 
+#: Every key ``load_config`` reads, apart from the ``method.<name>.<key>``
+#: keys that the method registry declares.
+_CONFIG_KEYS = frozenset({
+    "phase.name", "phase.seeds", "phase.episode_count", "phase.budget_seconds",
+    "data.train_path", "data.test_path", "data.n_train_classes",
+    "data.split_seed", "data.synthetic.num_classes",
+    "data.synthetic.samples_per_class", "data.synthetic.dim",
+    "data.synthetic.class_std", "data.synthetic.mean_scale",
+    "data.synthetic.seed", "sampler.n_way", "sampler.k_shot",
+    "sampler.query_per_class", "method.name", "paths.workdir",
+    "paths.leaderboard", "paths.train_log",
+})
+
+
+def _method_params(cfg: dict[str, str]) -> dict[str, dict[str, str]]:
+    """Group the ``method.<name>.<key>`` keys by method, checking those of
+    every registered method against its schema, selected or not; reject
+    any other key that nothing reads."""
+    per_method: dict[str, dict[str, str]] = {}
+    for key, value in cfg.items():
+        if key in _CONFIG_KEYS:
+            continue
+        section, _, rest = key.partition(".")
+        name, dot, param = rest.partition(".")
+        if section == "method" and dot and name in METHODS:
+            per_method.setdefault(name, {})[param] = value
+            continue
+        raise ConfigError(
+            f"unknown config key {key!r}; known: {sorted(_CONFIG_KEYS)}, and "
+            f"method.<name>.<key> for the methods {sorted(METHODS)}"
+        )
+    for name, params in per_method.items():
+        MethodConfig(name=name, params=params).validate()
+    return per_method
+
+
 def load_config(cfg: dict[str, str]) -> PhaseConfig:
     """Build a validated PhaseConfig from a parsed key/value mapping."""
+    method_params = _method_params(cfg)
     name = cfg.get("phase.name", "custom")
     preset = _PRESETS.get(name)
 
@@ -210,9 +255,7 @@ def load_config(cfg: dict[str, str]) -> PhaseConfig:
         raise ConfigError(f"phase.seeds must be comma-separated integers, got {seeds_raw!r}") from None
 
     method_name = cfg.get("method.name", "proto")
-    prefix = f"method.{method_name}."
-    params = {k[len(prefix):]: v for k, v in cfg.items() if k.startswith(prefix)}
-    method = MethodConfig(name=method_name, params=params)
+    method = MethodConfig(name=method_name, params=method_params.get(method_name, {}))
     method.validate()
 
     workdir = cfg.get("paths.workdir", ".")
@@ -303,8 +346,7 @@ def run_scoring(
         clock=clock,
     )
     os.makedirs(config.workdir, exist_ok=True)
-    with open(config.report_path(seed), "w", encoding="utf-8") as fh:
-        fh.write(render_score_report(score))
+    write_text_atomic(config.report_path(seed), render_score_report(score))
     return score
 
 

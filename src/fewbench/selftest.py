@@ -41,6 +41,23 @@ def _check_sinkhorn_marginals() -> None:
     assert np.max(np.abs(plan.matrix.sum(axis=0) - b)) < 1e-12
 
 
+def _check_sinkhorn_small_reg() -> None:
+    # each row has one cheap column; at reg=0.01 the far row's kernel
+    # entries all underflow to zero, so only the solver's log-domain
+    # absorption step gets past the first iteration
+    rng = np.random.default_rng(1)
+    cost = rng.uniform(1.0, 2.0, size=(12, 4))
+    cost[np.arange(12), np.arange(12) % 4] = rng.uniform(0.0, 0.2, size=12)
+    cost[3] += 40.0
+    a = np.full(12, 1.0 / 12)
+    b = np.full(4, 1.0 / 4)
+    config = SinkhornConfig(reg=0.01, max_iters=2000, tol=1e-9)
+    plan = sinkhorn(cost, a, b, config)
+    assert plan.converged
+    assert np.max(np.abs(plan.matrix.sum(axis=1) - a)) <= config.tol
+    assert np.max(np.abs(plan.matrix.sum(axis=0) - b)) <= config.tol
+
+
 def _check_single_shot_prototypes() -> None:
     x = np.arange(10.0).reshape(5, 2)
     y = np.arange(5)
@@ -99,6 +116,7 @@ def _check_end_to_end_scoring() -> None:
 
 _CHECKS = [
     ("sinkhorn marginals", _check_sinkhorn_marginals),
+    ("sinkhorn small reg", _check_sinkhorn_small_reg),
     ("single-shot prototypes", _check_single_shot_prototypes),
     ("ci95 formula", _check_ci95_formula),
     ("episode determinism", _check_episode_determinism),

@@ -1,5 +1,6 @@
 """Meta-learner/learner/predictor contract and artifact serialization."""
 
+import os
 import threading
 
 import numpy as np
@@ -89,6 +90,18 @@ def test_fomaml_requires_train_episode_spec():
 def test_mode_validation():
     with pytest.raises(ConfigError):
         MethodConfig(name="nonesuch", params={}).validate()
+
+
+@pytest.mark.parametrize("name", ["proto", "rect"])
+def test_metric_takes_only_known_values(name):
+    for metric in fewbench.heads.METRICS:
+        assert MethodConfig(name=name, params={"metric": metric}).validate() == {
+            "metric": metric}
+    with pytest.raises(ConfigError) as err:
+        MethodConfig(name=name, params={"metric": "bogus"}).validate()
+    assert "'bogus'" in str(err.value)
+    for metric in fewbench.heads.METRICS:
+        assert repr(metric) in str(err.value)
 
 
 def test_method_config_coercions():
@@ -338,6 +351,20 @@ def test_artifact_file_round_trip(tmp_path):
     loaded = load_learner(str(path))
     assert np.array_equal(loaded.arrays["feat_mean"], learner.arrays["feat_mean"])
     assert loaded.provenance == learner.provenance
+
+
+def test_failed_save_keeps_earlier_artifact(tmp_path):
+    path = tmp_path / "learner.txt"
+    save_learner(meta_fit(spec_for("linear"), EASY_POOL, seed=15), str(path))
+    before = path.read_bytes()
+    broken = LearnerState(
+        method=MethodConfig(name="proto", params={}),
+        arrays={"cube": np.zeros((2, 2, 2))}, provenance=Provenance(seed=1),
+    )
+    with pytest.raises(ArtifactError):
+        save_learner(broken, str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["learner.txt"]
 
 
 def test_artifact_rejects_bad_magic():

@@ -162,11 +162,24 @@ def test_ingest_timeout_exit_code(config_path):
 
 
 def test_run_failure_exit_code(config_path):
+    # 6 samples per class cannot fill a 7-shot episode: scoring fails
     code = main([
         "run", "--config", config_path,
-        "--set", "method.proto.metric=bogus",
+        "--set", "sampler.k_shot=7",
     ])
     assert code == EXIT_FAILED
+
+
+def test_unknown_metric_is_config_error(config_path, capsys):
+    assert main(["run", "--config", config_path,
+                 "--set", "method.proto.metric=bogus"]) == EXIT_CONFIG
+    assert "bogus" in capsys.readouterr().err
+
+
+def test_unknown_config_key_is_config_error(config_path, capsys):
+    assert main(["run", "--config", config_path,
+                 "--set", "phase.episode_cuont=5"]) == EXIT_CONFIG
+    assert "phase.episode_cuont" in capsys.readouterr().err
 
 
 def test_selftest_passes(capsys):

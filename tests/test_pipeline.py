@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from fewbench import pipeline
 from fewbench.api import load_learner
 from fewbench.dataset import write_feature_dataset, generate_synthetic, SyntheticSpec
 from fewbench.errors import (
@@ -135,6 +136,39 @@ def test_load_config_rejects(overrides):
         load_config(overrides)
 
 
+def test_load_config_rejects_unknown_top_level_keys():
+    for key in ("phase.episode_cuont", "phase.workers", "method.data_mode",
+                "method.mystery.depth", "paths"):
+        with pytest.raises(ConfigError) as err:
+            load_config({key: "5"})
+        message = str(err.value)
+        assert repr(key) in message
+        assert "'phase.episode_count'" in message and "'paths.train_log'" in message
+
+
+def test_load_config_checks_every_registered_method_schema():
+    # a phase config may carry other methods' keys, as long as they are valid
+    cfg = load_config({
+        "method.name": "proto",
+        "method.fomaml.epochs": "15",
+        "paths.train_log": "log_{seed}.csv",
+    })
+    assert cfg.method.params == {}
+    assert cfg.train_log_path(7) == "log_7.csv"
+    for key, value in (("method.fomaml.epochz", "15"),
+                       ("method.fomaml.epochs", "many"),
+                       ("method.rect.metric", "bogus")):
+        with pytest.raises(ConfigError) as err:
+            load_config({"method.name": "proto", key: value})
+        assert key.rsplit(".", 1)[1] in str(err.value)
+
+
+def test_load_config_rejects_unknown_metric():
+    with pytest.raises(ConfigError) as err:
+        load_config({"method.name": "proto", "method.proto.metric": "bogus"})
+    assert "'euclidean'" in str(err.value) and "'cosine'" in str(err.value)
+
+
 def test_load_split_synthetic_partitions_classes(tmp_path):
     cfg = small_cfg(tmp_path)
     split = load_split(cfg)
@@ -220,6 +254,32 @@ def test_scoring_writes_report(tmp_path):
     assert lines[-1].startswith("aggregate,")
 
 
+def test_failed_report_write_keeps_earlier_report(tmp_path, monkeypatch):
+    cfg = small_cfg(tmp_path)
+    artifact = run_ingestion(cfg, seed=101)
+    run_scoring(artifact, cfg, seed=101)
+    before = open(cfg.report_path(101), "rb").read()
+    listing = sorted(os.listdir(cfg.workdir))
+
+    def broken_render(score):
+        raise ReportError("render failed")
+
+    monkeypatch.setattr(pipeline, "render_score_report", broken_render)
+    with pytest.raises(ReportError):
+        run_scoring(artifact, cfg, seed=101)
+    monkeypatch.undo()
+
+    def broken_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", broken_replace)
+    with pytest.raises(OSError):
+        run_scoring(artifact, cfg, seed=101)
+    monkeypatch.undo()
+    assert open(cfg.report_path(101), "rb").read() == before
+    assert sorted(os.listdir(cfg.workdir)) == listing
+
+
 def test_scoring_timeout_leaves_no_report(tmp_path):
     cfg = small_cfg(tmp_path)
     artifact = run_ingestion(cfg, seed=101)
@@ -275,7 +335,8 @@ def test_run_phase_timeout_marks_timed_out(tmp_path):
 
 
 def test_run_phase_failure_marks_failed(tmp_path):
-    cfg = small_cfg(tmp_path, **{"method.proto.metric": "bogus"})
+    # 6 samples per class cannot fill a 7-shot episode: scoring fails
+    cfg = small_cfg(tmp_path, **{"sampler.k_shot": "7"})
     result, entry = run_phase(cfg)
     assert result is None
     assert entry.status == "failed"

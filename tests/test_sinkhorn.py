@@ -1,9 +1,16 @@
 """Entropic optimal transport: oracle equivalence and iteration behavior.
 
-The production solver works in the log domain with a tolerance/iteration
-cap.  The oracle here is a deliberately different implementation —
-probability-domain diagonal scaling run to near machine precision — so
-agreement pins the fixed point, not the code path.
+The production solver iterates scaling vectors against a kernel that holds
+the log potentials, and folds the vectors back into the potentials by a
+log-domain sweep whenever they leave a safe range (stabilized scaling).
+Two oracles pin it down:
+
+* probability-domain diagonal scaling run to near machine precision, a
+  deliberately different implementation, so agreement pins the fixed
+  point, not the code path;
+* the plain log-domain solver the stabilized one replaced, run with the
+  same stopping rule, so agreement pins the iterates, the stopping
+  decision and the behavior at small ``reg`` where naive scaling fails.
 """
 
 import numpy as np
@@ -11,8 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fewbench import heads
 from fewbench.errors import ArgumentError, ShapeError
-from fewbench.heads import SinkhornConfig, sinkhorn
+from fewbench.heads import SinkhornConfig, TransportPlan, sinkhorn
+from fewbench.pipeline import load_config, load_split
+from fewbench.sampler import EpisodeSpec, episode_stream
 
 
 def scaling_oracle(cost, a, b, reg, sweeps=20000, stop=1e-15):
@@ -34,6 +44,39 @@ def scaling_oracle(cost, a, b, reg, sweeps=20000, stop=1e-15):
         if delta < stop:
             break
     return u[:, None] * kernel * v[None, :]
+
+
+def log_domain_oracle(cost, row_marginals, col_marginals, config=None,
+                      init_potentials=None):
+    """The plain log-domain Sinkhorn solver, one log-sum-exp per marginal
+    per iteration, with the production stopping rule and plan contract."""
+    config = config or SinkhornConfig()
+    cost = np.asarray(cost, dtype=np.float64)
+    a = np.asarray(row_marginals, dtype=np.float64)
+    b = np.asarray(col_marginals, dtype=np.float64)
+    med = float(np.median(cost))
+    log_kernel = (cost / med if med > 0 else cost) * (-1.0 / config.reg)
+    if init_potentials is not None:
+        f = np.asarray(init_potentials[0], dtype=np.float64).copy()
+        g = np.asarray(init_potentials[1], dtype=np.float64).copy()
+    else:
+        f = np.zeros(len(a))
+        g = np.zeros(len(b))
+    for it in range(1, config.max_iters + 1):
+        m = log_kernel + g
+        row_max = m.max(axis=1)
+        f = np.log(a) - row_max - np.log(np.exp(m - row_max[:, None]).sum(axis=1))
+        m = log_kernel + f[:, None]
+        col_max = m.max(axis=0)
+        g = np.log(b) - col_max - np.log(np.exp(m - col_max[None, :]).sum(axis=0))
+        plan = np.exp(m + g[None, :])
+        err = float(np.abs(plan.sum(axis=1) - a).max())
+        if err <= config.tol:
+            break
+    return TransportPlan(
+        matrix=plan, row_marginals=a, col_marginals=b, iterations=it,
+        marginal_error=err, converged=err <= config.tol, log_potentials=(f, g),
+    )
 
 
 def random_problem(gen, rows=10, cols=5):
@@ -202,3 +245,116 @@ def test_converged_plans_satisfy_both_marginals(seed, rows, cols, reg):
     assert np.max(np.abs(plan.matrix.sum(axis=1) - a)) <= 1e-10
     assert np.max(np.abs(plan.matrix.sum(axis=0) - b)) < 1e-12
     assert (plan.matrix >= 0).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    size=st.integers(min_value=1, max_value=500),
+    round_to=st.sampled_from([None, 1, 0]),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_median_is_bitwise_numpy_median(seed, size, round_to, sign):
+    """The solver normalizes by a one-partition median; it must equal
+    ``np.median`` bit for bit (ties and signed zeros included), or a plan
+    changes."""
+    gen = np.random.default_rng(seed)
+    x = sign * gen.standard_normal(size) * 10.0 ** gen.uniform(-5, 5, size)
+    if round_to is not None:
+        x = np.round(x, round_to)   # ties, and zeros of either sign
+    got = np.float64(heads._median(x.reshape(1, -1)))
+    assert got.tobytes() == np.float64(np.median(x)).tobytes()
+
+
+def outlier_problem(seed, rows, cols, far_row, far_col):
+    """Random costs with, optionally, one row and one column pushed far
+    from the rest, so that at small reg their kernel entries underflow."""
+    gen = np.random.default_rng(seed)
+    cost = gen.uniform(0.05, 4.0, size=(rows, cols))
+    if far_row:
+        cost[gen.integers(rows)] += gen.uniform(10.0, 100.0)
+    if far_col:
+        cost[:, gen.integers(cols)] += gen.uniform(10.0, 100.0)
+    a = gen.uniform(0.1, 1.0, size=rows)
+    b = gen.uniform(0.1, 1.0, size=cols)
+    return cost, a / a.sum(), b / b.sum(), gen
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    rows=st.integers(min_value=2, max_value=95),
+    cols=st.integers(min_value=2, max_value=5),
+    far_row=st.booleans(),
+    far_col=st.booleans(),
+    log_reg=st.floats(min_value=np.log(1e-3), max_value=np.log(2.0)),
+    log10_tol=st.floats(min_value=-10.0, max_value=-4.0),
+    max_iters=st.integers(min_value=1, max_value=1500),
+    warm=st.booleans(),
+)
+def test_matches_log_domain_oracle(seed, rows, cols, far_row, far_col, log_reg,
+                                   log10_tol, max_iters, warm):
+    cost, a, b, gen = outlier_problem(seed, rows, cols, far_row, far_col)
+    cfg = SinkhornConfig(reg=float(np.exp(log_reg)), max_iters=max_iters,
+                         tol=10.0 ** log10_tol)
+    init = None
+    if warm:
+        # potentials of a perturbed problem, as PT-MAP passes between updates
+        near = cost + gen.uniform(0.0, 0.3, size=cost.shape)
+        init = log_domain_oracle(near, a, b, SinkhornConfig(
+            reg=cfg.reg, max_iters=50, tol=1e-6)).log_potentials
+    with np.errstate(all="ignore"):
+        expected = log_domain_oracle(cost, a, b, cfg, init_potentials=init)
+    plan = sinkhorn(cost, a, b, cfg, init_potentials=init)  # must not raise
+    assert plan.converged == expected.converged
+    assert np.max(np.abs(plan.matrix - expected.matrix)) <= 1e-9
+    assert plan.matrix.shape == (rows, cols)
+    assert np.max(np.abs(plan.matrix.sum(axis=0) - b)) < 1e-12
+    # the returned potentials reproduce the plan, so they warm-start exactly
+    f, g = plan.log_potentials
+    log_kernel = -(cost / np.median(cost)) / cfg.reg
+    with np.errstate(under="ignore"):
+        rebuilt = np.exp(log_kernel + f[:, None] + g[None, :])
+    assert np.max(np.abs(rebuilt - plan.matrix)) <= 1e-12
+
+
+def test_small_reg_with_outlier_row_converges():
+    """At reg=0.01 the far row's kernel entries underflow to zero, which
+    stops plain scaling; absorbing into the log potentials carries on."""
+    cost, a, b, _ = outlier_problem(7, 95, 5, far_row=True, far_col=True)
+    cfg = SinkhornConfig(reg=0.01, max_iters=5000, tol=1e-9)
+    assert (np.exp(-cost / np.median(cost) / cfg.reg) == 0.0).all(axis=1).any()
+    plan = sinkhorn(cost, a, b, cfg)
+    expected = log_domain_oracle(cost, a, b, cfg)
+    assert plan.converged and expected.converged
+    assert plan.iterations == expected.iterations
+    assert np.max(np.abs(plan.matrix - expected.matrix)) <= 1e-9
+
+
+def test_ptmap_labels_match_log_domain_oracle(monkeypatch):
+    """PT-MAP on 20 default-preset episodes gives the same labels, and the
+    same iteration count per Sinkhorn call, with the oracle patched in."""
+    split = load_split(load_config({}))
+    episodes = list(episode_stream(
+        split.meta_test, EpisodeSpec(n_way=5, k_shot=1), 20, seed=5
+    ))
+
+    def run(solver):
+        iterations = []
+
+        def counted(*args, **kwargs):
+            plan = solver(*args, **kwargs)
+            iterations.append(plan.iterations)
+            return plan
+
+        monkeypatch.setattr(heads, "sinkhorn", counted)
+        labels = [heads.ptmap_fit_predict(ep.support_x, ep.support_y, ep.query_x)
+                  for ep in episodes]
+        return labels, iterations
+
+    labels, iterations = run(sinkhorn)
+    oracle_labels, oracle_iterations = run(log_domain_oracle)
+    assert len(iterations) == 20 * 20
+    assert iterations == oracle_iterations
+    for got, want in zip(labels, oracle_labels):
+        assert np.array_equal(got, want)
