@@ -166,10 +166,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_phase_config(args)
     result, entry = run_phase(config)
     if entry.status == "timed_out":
-        print(f"run timed out; leaderboard entry appended ({entry.status})")
+        print(f"run timed out ({entry.cause}); leaderboard entry appended ({entry.status})")
         return EXIT_TIMED_OUT
     if entry.status == "failed":
-        print(f"run failed; leaderboard entry appended ({entry.status})")
+        print(f"run failed ({entry.cause}); leaderboard entry appended ({entry.status})")
         return EXIT_FAILED
     for seed, agg in zip(config.seeds, result.per_seed):
         print(f"seed {seed}: mean {agg.mean!r} ci95 {agg.ci95_halfwidth!r}")

@@ -11,12 +11,34 @@ written by hand and runs can be diffed::
 
 Values render as the shortest decimal that round-trips a 64-bit float, so
 write -> load -> write is byte-stable.
+
+The grammar the parser accepts, line by line (lines split as
+``str.splitlines`` splits them, and stripped of surrounding whitespace):
+
+* line 1 is ``dim=<d>`` with an integer ``d >= 1``;
+* empty lines and lines starting with ``#`` are skipped;
+* every other line is a data row: ASCII only, without U+001F, holding
+  ``d + 1`` comma-separated fields, each of which may be padded with
+  spaces or tabs;
+* the first field is the class id: an optional sign and decimal digits,
+  with a value in ``[0, 2**63)``;
+* the other fields are values in Python's ``float`` syntax without ``_``
+  digit separators (``1``, ``-0.5``, ``.5``, ``2.``, ``1e-3``, ``1E+2``),
+  and must be finite;
+* no row may repeat an earlier row of its class, comparing values as
+  floats, so ``0.0`` and ``-0.0`` are the same value.
+
+A class's rows keep their file order, and classes are ordered by their
+first row.  Whatever breaks a rule raises :class:`ParseError` naming the
+line.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NoReturn
 
 import numpy as np
 
@@ -133,11 +155,12 @@ class SyntheticSpec:
 
 
 def parse_feature_dataset(text: str) -> DatasetTable:
-    """Parse the feature-table format from a string.
+    """Parse the feature-table format (see the module docstring) from a string.
 
-    Raises :class:`ParseError` naming the one-based line number on a
-    malformed header, ragged row, non-finite value, or a duplicated
-    (class, row) pair.
+    Raises :class:`ParseError` naming the one-based line number of the
+    first line, in file order, that breaks the format.  Within a line the
+    checks run in the order: field count, class id, negative class id,
+    value, non-finite value, duplicated (class, row) pair.
     """
     lines = text.splitlines()
     if not lines:
@@ -152,49 +175,141 @@ def parse_feature_dataset(text: str) -> DatasetTable:
     if dim < 1:
         raise ParseError(f"dimension must be >= 1, got {dim}", line_no=1)
 
-    order: list[int] = []
-    rows: dict[int, list[np.ndarray]] = {}
-    seen_rows: dict[int, set[tuple[float, ...]]] = {}
-    for i, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != dim + 1:
-            raise ParseError(
-                f"row has {len(parts) - 1} values, expected {dim}", line_no=i
-            )
-        try:
-            class_id = int(parts[0])
-        except ValueError:
-            raise ParseError(f"bad class id {parts[0]!r}", line_no=i) from None
-        if class_id < 0:
-            raise ParseError(f"negative class id {class_id}", line_no=i)
-        try:
-            values = [float(p) for p in parts[1:]]
-        except ValueError:
-            raise ParseError(f"unparseable value in row {line!r}", line_no=i) from None
-        if not all(np.isfinite(values)):
-            raise ParseError("non-finite value in row", line_no=i)
-        key = tuple(values)
-        if class_id not in rows:
-            order.append(class_id)
-            rows[class_id] = []
-            seen_rows[class_id] = set()
-        if key in seen_rows[class_id]:
-            raise ParseError(
-                f"duplicate row for class {class_id}", line_no=i
-            )
-        seen_rows[class_id].add(key)
-        rows[class_id].append(np.asarray(values, dtype=np.float64))
+    rows = [line for line in map(str.strip, lines[1:]) if line and line[0] != "#"]
+    if not rows:
+        return DatasetTable(dim=dim, classes=[])
+    # the whole-table pass; loadtxt also rejects a row with the wrong
+    # number of fields
+    records = _load(rows, _record_dtype(dim))
+    if records is None:
+        _raise_first_error(lines, dim)
+    ids, x = records["id"], records["x"]
+    if (ids < 0).any() or not np.isfinite(x).all() or _has_duplicate(ids, x):
+        _raise_first_error(lines, dim)
 
+    # group by class: a stable sort keeps file order within a class, and
+    # each class's first row in file order fixes the class order
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+    ends = np.r_[starts[1:], len(ids)]
     classes = [
-        ClassRecord(cid, np.vstack(rows[cid]).reshape(len(rows[cid]), dim))
-        for cid in order
+        ClassRecord(int(sorted_ids[starts[g]]), x[order[starts[g]:ends[g]]])
+        for g in np.argsort(order[starts], kind="stable")
     ]
     table = DatasetTable(dim=dim, classes=classes)
     table.validate()
     return table
+
+
+def _record_dtype(dim: int) -> list:
+    # a spec, not an np.dtype: loadtxt builds it inside _load, so a ``d``
+    # too large for one record is a row that does not parse
+    return [("id", np.int64), ("x", np.float64, (dim,))]
+
+
+def _load(rows: list[str], dtype) -> np.ndarray | None:
+    """One ``np.loadtxt`` pass over comma-separated ``rows``: one record per
+    row, or None when a row does not parse.
+
+    Rows must be ASCII: numpy's integer reader has crashed the process on
+    some non-ASCII characters.  U+001F is refused too, because loadtxt
+    skips it as padding where ``int`` and ``float`` reject it.
+    """
+    if not all(map(str.isascii, rows)) or any(map(str.__contains__, rows, repeat("\x1f"))):
+        return None
+    try:
+        records = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    return records if len(records) == len(rows) else None
+
+
+def _has_duplicate(ids: np.ndarray, x: np.ndarray) -> bool:
+    """Whether two rows of one class compare equal as floats.
+
+    Adding +0.0 folds -0.0 into +0.0, so equal rows have equal bits.  Each
+    row is hashed from its bits; only rows that share a hash are compared
+    exactly, so the exact pass is empty unless a duplicate is likely.
+    """
+    bits = (x + 0.0).view(np.uint64)
+    mult = (np.arange(x.shape[1], dtype=np.uint64) * 2 + 1) * np.uint64(0x9E3779B97F4A7C15)
+    h = ((bits ^ (bits >> np.uint64(29))) * mult).sum(axis=1, dtype=np.uint64)
+    h += ids.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
+    order = np.argsort(h)
+    same = h[order[1:]] == h[order[:-1]]
+    if not same.any():
+        return False
+    seen: set[tuple[int, bytes]] = set()
+    for i in np.union1d(order[1:][same], order[:-1][same]).tolist():
+        key = (int(ids[i]), bits[i].tobytes())
+        if key in seen:
+            return True
+        seen.add(key)
+    return False
+
+
+def _row_facts(records: np.ndarray) -> list[tuple[int, bool, bytes]]:
+    """(class id, all values finite, bits of the values with -0.0 folded
+    into +0.0) of each record, as Python objects."""
+    x = records["x"] + 0.0
+    width = x.itemsize * x.shape[1]
+    bits = x.tobytes()
+    return list(zip(
+        records["id"].tolist(),
+        np.isfinite(x).all(axis=1).tolist(),
+        (bits[o:o + width] for o in range(0, len(bits), width)),
+    ))
+
+
+_LOCATOR_BLOCK = 256  # rows per loadtxt call while locating a bad row
+
+
+def _raise_first_error(lines: list[str], dim: int) -> NoReturn:
+    """Raise the :class:`ParseError` of the first data row that breaks the
+    format.
+
+    Runs only after the whole-table pass has rejected the rows of
+    ``lines``: it reads them again with the same reader, a block at a
+    time, and a row at a time inside a block that does not parse, so it
+    never returns.
+    """
+    dtype = _record_dtype(dim)
+    numbered = [
+        (line_no, row)
+        for line_no, row in enumerate(map(str.strip, lines[1:]), start=2)
+        if row and row[0] != "#"
+    ]
+    seen: set[tuple[int, bytes]] = set()
+    for start in range(0, len(numbered), _LOCATOR_BLOCK):
+        block = numbered[start:start + _LOCATOR_BLOCK]
+        records = _load([row for _, row in block], dtype)
+        facts = iter(_row_facts(records)) if records is not None else None
+        for line_no, row in block:
+            if facts is not None:
+                class_id, finite, key = next(facts)
+            else:
+                n_values = row.count(",")
+                if n_values != dim:
+                    raise ParseError(f"row has {n_values} values, expected {dim}", line_no=line_no)
+                record = _load([row], dtype)
+                if record is None:
+                    id_text = row.partition(",")[0]
+                    class_id = _load([id_text], np.int64) if id_text.strip() else None
+                    if class_id is None:
+                        raise ParseError(f"bad class id {id_text!r}", line_no=line_no)
+                    if class_id[0] < 0:
+                        raise ParseError(f"negative class id {class_id[0]}", line_no=line_no)
+                    raise ParseError(f"unparseable value in row {row!r}", line_no=line_no)
+                class_id, finite, key = _row_facts(record)[0]
+            if class_id < 0:
+                raise ParseError(f"negative class id {class_id}", line_no=line_no)
+            if not finite:
+                raise ParseError("non-finite value in row", line_no=line_no)
+            if (class_id, key) in seen:
+                raise ParseError(f"duplicate row for class {class_id}", line_no=line_no)
+            seen.add((class_id, key))
+    raise ParseError("feature table rejected, but no row breaks the format")
 
 
 def load_feature_dataset(path: str) -> DatasetTable:
@@ -207,8 +322,9 @@ def render_feature_dataset(table: DatasetTable) -> str:
     table.validate()
     out = [f"dim={table.dim}"]
     for rec in table.classes:
-        for row in rec.examples:
-            out.append(f"{rec.class_id}," + ",".join(render_value(v) for v in row))
+        # tolist() gives Python floats, whose repr is render_value's output
+        prefix = f"{rec.class_id},"
+        out.extend(prefix + ",".join(map(repr, row)) for row in rec.examples.tolist())
     return "\n".join(out) + "\n"
 
 

@@ -252,7 +252,7 @@ def _check_marginal(m: np.ndarray, size: int, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (size,):
         raise ShapeError(f"{name} shape {m.shape} does not match cost axis {size}")
-    if (m < 0).any() or abs(m.sum() - 1.0) > 1e-9:
+    if not (m >= 0).all() or abs(m.sum() - 1.0) > 1e-9:  # NaN entries fail `>= 0`
         raise ArgumentError(f"{name} is not a probability vector")
     return m
 

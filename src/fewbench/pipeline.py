@@ -357,6 +357,8 @@ class LeaderboardEntry:
     Completed entries carry all three seed results; timed-out or failed
     entries leave the score fields empty.  The wallclock field is the only
     non-deterministic field and is excluded from reproducibility checks.
+    ``cause`` names the exception that stopped a timed-out or failed run
+    (``"SamplingError: ..."``); it is not part of the leaderboard line.
     """
 
     method: str
@@ -364,6 +366,7 @@ class LeaderboardEntry:
     seed_results: tuple[tuple[float, float], ...]  # (mean, ci95) per seed
     wallclock: float
     status: str  # completed | timed_out | failed
+    cause: str = field(default="", compare=False)
 
     def render(self) -> str:
         fields = [self.method]
@@ -434,37 +437,27 @@ def run_phase(config: PhaseConfig) -> tuple[RunResult | None, LeaderboardEntry]:
     t0 = time.monotonic()
     scores: list[AggregateScore] = []
     status = "completed"
+    cause = ""
     for seed in config.seeds:
         clock = BudgetClock(limit_seconds=config.budget_seconds)
         try:
             artifact = run_ingestion(config, seed, clock=clock, split=split)
             scores.append(run_scoring(artifact, config, seed, clock=clock, split=split))
-        except BudgetExceededError:
-            status = "timed_out"
-            break
-        except BenchError:
-            status = "failed"
+        except BenchError as exc:
+            status = "timed_out" if isinstance(exc, BudgetExceededError) else "failed"
+            cause = f"{type(exc).__name__}: {exc}"
             break
     wallclock = time.monotonic() - t0
 
-    if status == "completed":
-        result = final_score(scores)
-        entry = LeaderboardEntry(
-            method=config.method.name,
-            final=result.final,
-            seed_results=tuple((s.mean, s.ci95_halfwidth) for s in scores),
-            wallclock=wallclock,
-            status=status,
-        )
-    else:
-        result = None
-        entry = LeaderboardEntry(
-            method=config.method.name,
-            final=None,
-            seed_results=tuple((s.mean, s.ci95_halfwidth) for s in scores),
-            wallclock=wallclock,
-            status=status,
-        )
+    result = final_score(scores) if status == "completed" else None
+    entry = LeaderboardEntry(
+        method=config.method.name,
+        final=None if result is None else result.final,
+        seed_results=tuple((s.mean, s.ci95_halfwidth) for s in scores),
+        wallclock=wallclock,
+        status=status,
+        cause=cause,
+    )
     append_leaderboard_entry(config.leaderboard_path, entry)
     return result, entry
 

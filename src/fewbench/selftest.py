@@ -21,7 +21,16 @@ from .api import (
     parse_learner,
     render_learner,
 )
-from .dataset import SyntheticSpec, generate_synthetic, split_classes
+from .dataset import (
+    ClassRecord,
+    DatasetTable,
+    SyntheticSpec,
+    generate_synthetic,
+    parse_feature_dataset,
+    render_feature_dataset,
+    split_classes,
+)
+from .errors import ParseError
 from .evaluation import cat_accuracy, ci95, evaluate_learner
 from .heads import SinkhornConfig, compute_prototypes, proto_labels, sinkhorn
 from .rng import RngState
@@ -99,6 +108,24 @@ def _check_artifact_round_trip() -> None:
     assert render_learner(again) == text
 
 
+def _check_feature_table_round_trip() -> None:
+    pool = generate_synthetic(
+        SyntheticSpec(num_classes=3, dim=3, samples_per_class=4, class_std=1.0,
+                      mean_scale=2.0, seed=5)
+    )
+    edge = ClassRecord(7, np.array([[-0.0, 5e-324, 1e308], [0.25, -1e-300, -1e308]]))
+    table = DatasetTable(dim=3, classes=[pool.classes[1], edge, pool.classes[0]])
+    text = render_feature_dataset(table)
+    assert render_feature_dataset(parse_feature_dataset(text)) == text
+    # 0.0 and -0.0 compare equal, so the third line repeats the second
+    try:
+        parse_feature_dataset("dim=2\n0,0.0,1.5\n0,-0.0,1.5\n")
+    except ParseError as exc:
+        assert exc.line_no == 3, exc.line_no
+    else:
+        raise AssertionError("a 0.0/-0.0 duplicate row was accepted")
+
+
 def _check_end_to_end_scoring() -> None:
     table = generate_synthetic(
         SyntheticSpec(num_classes=10, dim=8, samples_per_class=8, class_std=0.5,
@@ -121,6 +148,7 @@ _CHECKS = [
     ("ci95 formula", _check_ci95_formula),
     ("episode determinism", _check_episode_determinism),
     ("artifact round trip", _check_artifact_round_trip),
+    ("feature table round trip", _check_feature_table_round_trip),
     ("end-to-end scoring", _check_end_to_end_scoring),
 ]
 

@@ -161,13 +161,14 @@ def test_ingest_timeout_exit_code(config_path):
     assert code == EXIT_TIMED_OUT
 
 
-def test_run_failure_exit_code(config_path):
+def test_run_failure_exit_code(config_path, capsys):
     # 6 samples per class cannot fill a 7-shot episode: scoring fails
     code = main([
         "run", "--config", config_path,
         "--set", "sampler.k_shot=7",
     ])
     assert code == EXIT_FAILED
+    assert "SamplingError" in capsys.readouterr().out
 
 
 def test_unknown_metric_is_config_error(config_path, capsys):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fewbench.dataset import (
@@ -61,6 +61,17 @@ def test_class_order_is_first_appearance():
         ("dim=2\n0,1.0,nan\n", 2),                # non-finite value
         ("dim=2\n0,1.0,inf\n", 2),                # non-finite value
         ("dim=1\n0,1.0\n0,2.0\n0,1.0\n", 4),      # duplicate (class, row)
+        ("dim=1\n0,0.0\n# c\n0,-0.0\n", 4),       # -0.0 == 0.0: duplicate
+        ("dim=1\n0,1.0\n9223372036854775808,1.0\n", 3),  # class id 2**63
+        ("dim=1\n0,1.0\n1_0,1.0\n", 3),          # digit separator in id
+        ("dim=1\n0,1.0\n0,1_0.5\n", 3),          # digit separator in value
+        ("dim=1\n0,1.0\n0,\u0661\n", 3),          # non-ASCII digit
+        ("dim=2\n0,1.0,\x1f2.0\n", 2),            # U+001F padding
+        ("dim=2\n0,1.0,2.0\n0,nan,abc\n", 3),     # bad value after a nan
+        ("dim=2\n-1,1.0,abc\n", 2),               # negative id before bad value
+        ("dim=1\n0,\n", 2),                       # empty value
+        ("dim=2\n,1.0,2.0\n", 2),                 # empty class id
+        ("dim=1000000000\n0,1.0\n", 2),            # d too wide for one record
     ],
 )
 def test_parse_errors_name_the_line(text, line_no):
@@ -69,9 +80,232 @@ def test_parse_errors_name_the_line(text, line_no):
     assert err.value.line_no == line_no
 
 
+@pytest.mark.parametrize(
+    "row,fragment",
+    [
+        ("0,1.0", "row has 1 values"),
+        ("x,1.0,nan", "bad class id"),
+        ("-1,abc,nan", "negative class id"),
+        ("1,abc,nan", "unparseable value"),
+        ("1,nan,2.0", "non-finite value"),
+        ("0,-0.0,1.0", "duplicate row"),
+    ],
+)
+def test_parse_errors_follow_the_check_order_within_a_line(row, fragment):
+    """Field count, class id, negative id, value, non-finite, duplicate."""
+    with pytest.raises(ParseError, match=fragment) as err:
+        parse_feature_dataset(f"dim=2\n0,0.0,1.0\n{row}\n")
+    assert err.value.line_no == 3
+
+
 def test_duplicate_rows_allowed_across_classes():
     table = parse_feature_dataset("dim=1\n0,1.0\n1,1.0\n")
     assert table.total_examples == 2
+
+
+@pytest.mark.parametrize("text", ["dim=3\n", "dim=3", "dim=3\n# only a comment\n\n  \n"])
+def test_header_only_file_is_an_empty_table(text):
+    table = parse_feature_dataset(text)
+    assert table.dim == 3 and table.classes == []
+
+
+def test_largest_class_id_and_padding_parse():
+    table = parse_feature_dataset("dim=2\n 9223372036854775807 ,\t+1.5, -0.0 \n")
+    assert table.class_ids() == [9223372036854775807]
+    assert type(table.class_ids()[0]) is int
+    assert table.classes[0].examples.tobytes() == np.array([[1.5, -0.0]]).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The whole-table parser against the row-at-a-time parser it replaced
+
+
+def row_loop_oracle(text: str) -> DatasetTable:
+    """The row-at-a-time parser that the whole-table pass replaced, kept
+    verbatim as the reference.  Its grammar is Python's ``int``/``float``,
+    which also takes ``_`` separators, non-ASCII digits and whitespace, and
+    class ids of 2**63 and up.
+
+    Parse the feature-table format from a string.
+
+    Raises :class:`ParseError` naming the one-based line number on a
+    malformed header, ragged row, non-finite value, or a duplicated
+    (class, row) pair.
+    """
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError("empty input, expected 'dim=<d>' header", line_no=1)
+    header = lines[0].strip()
+    if not header.startswith("dim="):
+        raise ParseError(f"expected 'dim=<d>' header, got {header!r}", line_no=1)
+    try:
+        dim = int(header[len("dim="):])
+    except ValueError:
+        raise ParseError(f"bad dimension in header {header!r}", line_no=1) from None
+    if dim < 1:
+        raise ParseError(f"dimension must be >= 1, got {dim}", line_no=1)
+
+    order: list[int] = []
+    rows: dict[int, list[np.ndarray]] = {}
+    seen_rows: dict[int, set[tuple[float, ...]]] = {}
+    for i, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != dim + 1:
+            raise ParseError(
+                f"row has {len(parts) - 1} values, expected {dim}", line_no=i
+            )
+        try:
+            class_id = int(parts[0])
+        except ValueError:
+            raise ParseError(f"bad class id {parts[0]!r}", line_no=i) from None
+        if class_id < 0:
+            raise ParseError(f"negative class id {class_id}", line_no=i)
+        try:
+            values = [float(p) for p in parts[1:]]
+        except ValueError:
+            raise ParseError(f"unparseable value in row {line!r}", line_no=i) from None
+        if not all(np.isfinite(values)):
+            raise ParseError("non-finite value in row", line_no=i)
+        key = tuple(values)
+        if class_id not in rows:
+            order.append(class_id)
+            rows[class_id] = []
+            seen_rows[class_id] = set()
+        if key in seen_rows[class_id]:
+            raise ParseError(
+                f"duplicate row for class {class_id}", line_no=i
+            )
+        seen_rows[class_id].add(key)
+        rows[class_id].append(np.asarray(values, dtype=np.float64))
+
+    classes = [
+        ClassRecord(cid, np.vstack(rows[cid]).reshape(len(rows[cid]), dim))
+        for cid in order
+    ]
+    table = DatasetTable(dim=dim, classes=classes)
+    table.validate()
+    return table
+
+
+
+def _tables_bitwise_equal(a: DatasetTable, b: DatasetTable) -> bool:
+    return (
+        a.dim == b.dim
+        and [type(c) for c in a.class_ids()] == [type(c) for c in b.class_ids()]
+        and a.class_ids() == b.class_ids()
+        and all(
+            x.examples.dtype == y.examples.dtype
+            and x.examples.shape == y.examples.shape
+            and x.examples.flags.c_contiguous and y.examples.flags.c_contiguous
+            and x.examples.tobytes() == y.examples.tobytes()
+            for x, y in zip(a.classes, b.classes)
+        )
+    )
+
+
+_GOOD_IDS = ["0", "1", "2", "3", " 1", "2\t", "+2", "01", "-0", "9223372036854775807"]
+_BAD_IDS = [
+    "-1", "x", "", " ", "1.0", "1e0", "\x1f1", "-9223372036854775809",  # both refuse
+    "9223372036854775808", "1_0", "\u0661", "\xa01",                    # oracle reads
+]
+_GOOD_VALUES = [
+    "0.0", "-0.0", "1.0", "0", "+1.0", "1", "1.", ".5", " 2.5 ", "\t-3e-2", "0.1",
+    "1E+2", "1e-320", "5e-324", "-1e-400", "1.7976931348623157e308",
+]
+_BAD_VALUES = [
+    "nan", "inf", "-Infinity", "1e400",                               # non-finite
+    "", " ", "abc", "1.0.0", "0x1", "1e", ".", "1 2", "\x1f1",         # both refuse
+    "1_0", "\u0661", "\xa01", "\u30001.0",                            # oracle reads
+]
+_PADDING = ["", "", "", " ", "\t", "\xa0", "\x1f", "\u3000"]
+_NEWLINES = ["\n", "\n", "\r\n", "\r", "\x0b", "\u2028"]
+
+
+@st.composite
+def feature_texts(draw):
+    """Feature-table texts over a small token pool, so rows of one class
+    repeat and classes interleave.  Each text draws how often a token or
+    a field count is bad, from never to often."""
+    bad_percent = draw(st.sampled_from([0, 0, 0, 3, 10, 30]))
+
+    def pick(good, bad, weight=0):
+        if draw(st.integers(0, 99)) < bad_percent:
+            return draw(st.sampled_from(bad))
+        # the first ``weight`` good tokens come up most, to repeat rows
+        return draw(st.sampled_from(good[:weight] * 4 + good))
+
+    dim = draw(st.integers(1, 3))
+    lines = [pick([f"dim={dim}", f" dim={dim}\t"], ["dim=0", "dims=2", f"dim={dim},"], 1)]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["comment", "blank"]))
+        if kind == "comment":
+            line = draw(st.sampled_from(["#", "# 0,1.0", "  #x,1_0"]))
+        elif kind == "blank":
+            line = ""
+        else:
+            n = pick([dim], [dim - 1, dim + 1])
+            fields = [pick(_GOOD_IDS, _BAD_IDS, 2)]
+            fields += [pick(_GOOD_VALUES, _BAD_VALUES, 3) for _ in range(n)]
+            line = ",".join(fields)
+        lines.append(draw(st.sampled_from(_PADDING)) + line + draw(st.sampled_from(_PADDING)))
+    newline = draw(st.sampled_from(_NEWLINES))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _first_oracle_only_line(text: str) -> int | None:
+    """Line of the first data row holding a field that the oracle reads but
+    the new grammar refuses: a non-ASCII character, a ``_``, or a class id
+    of 2**63 or more."""
+    lines = text.splitlines()
+    for i, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        for j, part in enumerate(parts):
+            try:
+                value = int(part) if j == 0 else float(part)
+            except ValueError:
+                continue
+            if not part.isascii() or "_" in part or (j == 0 and value >= 2**63):
+                return i
+    return None
+
+
+@settings(max_examples=600, deadline=None)
+@given(feature_texts())
+def test_whole_table_pass_matches_row_loop_oracle(text):
+    try:
+        expected = row_loop_oracle(text)
+        oracle_line = None
+    except ParseError as exc:
+        expected = None
+        oracle_line = exc.line_no
+    refused = [ln for ln in (oracle_line, _first_oracle_only_line(text)) if ln is not None]
+    if not refused:
+        assert _tables_bitwise_equal(parse_feature_dataset(text), expected)
+        return
+    with pytest.raises(ParseError) as err:
+        parse_feature_dataset(text)
+    assert err.value.line_no == min(refused)
+
+
+def test_whole_table_pass_matches_oracle_on_a_large_pool():
+    spec = SyntheticSpec(num_classes=12, dim=5, samples_per_class=40,
+                         class_std=1.0, mean_scale=2.0, seed=3)
+    text = render_feature_dataset(generate_synthetic(spec))
+    # interleave the classes so grouping has to restore file order
+    head, *rows = text.splitlines()
+    text = "\n".join([head] + rows[::2] + rows[1::2]) + "\n"
+    assert _tables_bitwise_equal(parse_feature_dataset(text), row_loop_oracle(text))
+    duplicated = text + "11,0.0,1,2,3,4\n# note\n11,-0.0,1.0,2,3,4e0\n"
+    for parse in (parse_feature_dataset, row_loop_oracle):
+        with pytest.raises(ParseError) as err:
+            parse(duplicated)
+        assert err.value.line_no == len(rows) + 4
 
 
 def test_render_parse_round_trip_is_byte_stable():
@@ -92,6 +326,18 @@ def test_render_parse_round_trip_is_byte_stable():
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_render_value_round_trips_exactly(x):
     assert float(render_value(x)) == x
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6))
+@example([-0.0, 0.0, 5e-324, -2.225073858507201e-308, 1e-310])
+@example([1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308])
+def test_rendered_rows_match_render_value(values):
+    examples = np.array([values, [-v for v in values]])
+    table = DatasetTable(dim=len(values), classes=[ClassRecord(4, examples)])
+    expected = [f"dim={len(values)}"]
+    expected += ["4," + ",".join(render_value(v) for v in row) for row in examples]
+    assert render_feature_dataset(table) == "\n".join(expected) + "\n"
 
 
 def test_validate_rejects_bad_tables():

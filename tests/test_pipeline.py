@@ -329,6 +329,7 @@ def test_run_phase_timeout_marks_timed_out(tmp_path):
     assert result is None
     assert entry.status == "timed_out"
     assert entry.final is None
+    assert entry.cause.startswith("BudgetExceededError: ")
     assert not os.path.exists(cfg.artifact_path(cfg.seeds[0]))
     board = open(cfg.leaderboard_path, encoding="utf-8").read().splitlines()
     assert parse_leaderboard_entry(board[0]).status == "timed_out"
@@ -341,6 +342,11 @@ def test_run_phase_failure_marks_failed(tmp_path):
     assert result is None
     assert entry.status == "failed"
     assert entry.final is None
+    assert entry.cause.startswith("SamplingError: ")
+    # the cause stays out of the 10-field leaderboard line
+    board = open(cfg.leaderboard_path, encoding="utf-8").read()
+    assert "SamplingError" not in board
+    assert parse_leaderboard_entry(board.splitlines()[0]) == entry
 
 
 def test_run_phase_is_deterministic_except_wallclock(tmp_path):

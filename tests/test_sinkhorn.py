@@ -217,6 +217,10 @@ def test_input_validation():
     with pytest.raises(ArgumentError):
         sinkhorn(cost, np.array([-0.1, 0.6, 0.5]), b2)  # negative mass
     with pytest.raises(ArgumentError):
+        sinkhorn(cost, np.array([np.nan, 0.5, 0.5]), b2)  # NaN mass
+    with pytest.raises(ArgumentError):
+        sinkhorn(cost, a3, np.array([0.5, np.nan]))
+    with pytest.raises(ArgumentError):
         sinkhorn(np.array([[np.inf, 1], [1, 1], [1, 1]]), a3, b2)
     with pytest.raises(ArgumentError):
         sinkhorn(cost, a3, b2, SinkhornConfig(reg=0.0))
