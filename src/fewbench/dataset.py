@@ -15,7 +15,8 @@ write -> load -> write is byte-stable.
 The grammar the parser accepts, line by line (lines split as
 ``str.splitlines`` splits them, and stripped of surrounding whitespace):
 
-* line 1 is ``dim=<d>`` with an integer ``d >= 1``;
+* line 1 is ``dim=<d>``, where ``d`` is written like a class id (below)
+  and is at least 1;
 * empty lines and lines starting with ``#`` are skipped;
 * every other line is a data row: ASCII only, without U+001F, holding
   ``d + 1`` comma-separated fields, each of which may be padded with
@@ -168,10 +169,12 @@ def parse_feature_dataset(text: str) -> DatasetTable:
     header = lines[0].strip()
     if not header.startswith("dim="):
         raise ParseError(f"expected 'dim=<d>' header, got {header!r}", line_no=1)
-    try:
-        dim = int(header[len("dim="):])
-    except ValueError:
-        raise ParseError(f"bad dimension in header {header!r}", line_no=1) from None
+    # ``d`` has the grammar of a class id, read by the same reader
+    dim_text = header[len("dim="):]
+    dim_record = _load([dim_text], np.int64) if dim_text.strip() else None
+    if dim_record is None:
+        raise ParseError(f"bad dimension in header {header!r}", line_no=1)
+    dim = int(dim_record[0])
     if dim < 1:
         raise ParseError(f"dimension must be >= 1, got {dim}", line_no=1)
 

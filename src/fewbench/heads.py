@@ -13,6 +13,13 @@ Five methods operate directly on support/query feature vectors:
 
 All heads break exact ties toward the lowest episode label, are
 label-permutation equivariant, and are pure functions of their inputs.
+
+Class statistics come from array passes over all of an episode's classes
+at once, not from a loop over classes: the support check counts labels
+with one ``bincount``, class means sum an (N, K, d) block of the
+label-sorted support rows, and QDA inverts all Cholesky factors in one
+batched call, then scores every query against every class with one
+matrix product against those whitening factors.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     ArgumentError,
@@ -68,6 +74,16 @@ def support_structure(support_x: np.ndarray, support_y: np.ndarray) -> tuple[int
         )
     if len(support_y) == 0:
         raise EpisodeFormatError("empty support set")
+    if (support_y.ndim == 1 and support_y.dtype.kind in "iu"
+            and np.can_cast(support_y.dtype, np.intp)
+            and 0 <= support_y.min() and support_y.max() < len(support_y)):
+        # the bounds keep bincount small; equal counts that sum to the
+        # support size are all positive, so every label 0..max is present
+        counts = np.bincount(support_y)
+        if (counts == counts[0]).all():
+            return len(counts), int(counts[0])
+    # labels that are not integers (bool or float 0..N-1 pass here), or
+    # that the pass above refused: count each value to name what is wrong
     labels, counts = np.unique(support_y, return_counts=True)
     n = len(labels)
     if not np.array_equal(labels, np.arange(n)):
@@ -75,6 +91,14 @@ def support_structure(support_x: np.ndarray, support_y: np.ndarray) -> tuple[int
     if not (counts == counts[0]).all():
         raise EpisodeFormatError(f"unbalanced support counts {counts.tolist()}")
     return n, int(counts[0])
+
+
+def _class_blocks(x: np.ndarray, support_y: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The support rows as an (N, K, d) block: class c's rows in support
+    order.  Summing a block over axis 1 and dividing by K is bitwise
+    ``x[y == c].mean(axis=0)``."""
+    order = np.argsort(support_y, kind="stable")
+    return x[order].reshape(n, k, x.shape[1])
 
 
 def _check_query(query_x: np.ndarray, dim: int) -> np.ndarray:
@@ -122,11 +146,11 @@ def compute_prototypes(
         raise ArgumentError(f"unknown metric {metric!r}")
     if not temperature > 0:
         raise ArgumentError(f"temperature must be positive, got {temperature}")
-    n, _ = support_structure(support_x, support_y)
+    n, k = support_structure(support_x, support_y)
     x = np.asarray(support_x, dtype=np.float64)
     if metric == "cosine":
         x = _unit_rows(x)
-    centers = np.stack([x[np.asarray(support_y) == c].mean(axis=0) for c in range(n)])
+    centers = _class_blocks(x, np.asarray(support_y), n, k).sum(axis=1) / k
     return Prototypes(centers=centers, metric=metric, temperature=temperature)
 
 
@@ -439,12 +463,19 @@ def ptmap_fit_predict(
 
 @dataclass(frozen=True)
 class QdaModel:
+    """Per-class Gaussians, with the factors ``qda_log_density`` uses.
+
+    ``whitening[c]`` is the inverse of the lower Cholesky factor of
+    ``covariances[c]``: it maps ``x - means[c]`` to a vector whose squared
+    norm is the Mahalanobis distance of ``x`` under class ``c``.
+    """
+
     means: np.ndarray        # (N, d)
     covariances: np.ndarray  # (N, d, d) after shrinkage
     shrinkage: float
     priors: np.ndarray       # (N,)
-    chol: np.ndarray = field(repr=False, default=None)     # cached factors
-    log_dets: np.ndarray = field(repr=False, default=None)
+    whitening: np.ndarray = field(repr=False, default=None)  # (N, d, d)
+    log_dets: np.ndarray = field(repr=False, default=None)   # (N,)
 
 
 def qda_fit(
@@ -457,60 +488,67 @@ def qda_fit(
     averaged over classes — a single shared scale, so ``lambda=1`` with
     equal priors degenerates exactly to nearest-prototype.  One-shot
     support forces identity covariances (the empirical one is undefined).
+    All classes are fitted together: their Cholesky factors and the
+    inverses of those (the whitening factors) come from one batched call
+    each.
     """
     if not 0.0 <= shrinkage <= 1.0:
         raise ArgumentError(f"shrinkage must be in [0, 1], got {shrinkage}")
     n, k = support_structure(support_x, support_y)
     x = np.asarray(support_x, dtype=np.float64)
-    y = np.asarray(support_y)
     d = x.shape[1]
-    means = np.stack([x[y == c].mean(axis=0) for c in range(n)])
-    priors = np.asarray([(y == c).sum() for c in range(n)], dtype=np.float64)
-    priors /= priors.sum()
+    blocks = _class_blocks(x, np.asarray(support_y), n, k)   # (N, K, d)
+    means = blocks.sum(axis=1) / k
+    priors = np.full(n, 1.0 / n)   # balanced support: K / (N K), bit for bit
 
     if k == 1:
+        # an identity covariance is its own Cholesky factor and inverse
         covs = np.broadcast_to(np.eye(d), (n, d, d)).copy()
+        whitening = covs.copy()
+        log_dets = np.zeros(n)
     else:
-        empirical = []
-        for c in range(n):
-            centered = x[y == c] - means[c]
-            empirical.append(centered.T @ centered / (y == c).sum())
-        empirical = np.stack(empirical)
+        centered = blocks - means[:, None, :]
+        empirical = centered.transpose(0, 2, 1) @ centered / k
         shared_scale = float(np.trace(empirical, axis1=1, axis2=2).mean() / d)
         covs = (1.0 - shrinkage) * empirical + shrinkage * shared_scale * np.eye(d)
-
-    try:
-        chol = np.linalg.cholesky(covs)
-    except np.linalg.LinAlgError:
-        raise ConditioningError(
-            "class covariance is singular after shrinkage; "
-            "increase lambda (shrinkage > 0)"
-        ) from None
-    log_dets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+        try:
+            chol = np.linalg.cholesky(covs)
+        except np.linalg.LinAlgError:
+            raise ConditioningError(
+                "class covariance is singular after shrinkage; "
+                "increase lambda (shrinkage > 0)"
+            ) from None
+        log_dets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+        whitening = np.linalg.inv(chol)
     return QdaModel(
         means=means,
         covariances=covs,
         shrinkage=shrinkage,
         priors=priors,
-        chol=chol,
+        whitening=whitening,
         log_dets=log_dets,
     )
 
 
 def qda_log_density(model: QdaModel, query_x: np.ndarray) -> np.ndarray:
-    """Per-class Gaussian log density plus log prior, (Q, N)."""
+    """Per-class Gaussian log density plus log prior, (Q, N).
+
+    One product of the queries with all whitening factors stacked as an
+    (N d, d) matrix; subtracting the whitened means and summing squares
+    over each class's d columns gives the Mahalanobis distances.
+    """
     query_x = _check_query(query_x, model.means.shape[1])
     n, d = model.means.shape
-    out = np.empty((len(query_x), n))
-    for c in range(n):
-        delta = (query_x - model.means[c]).T            # (d, Q)
-        sol = solve_triangular(model.chol[c], delta, lower=True)
-        quad = (sol ** 2).sum(axis=0)
-        out[:, c] = (
-            -0.5 * (quad + model.log_dets[c] + d * np.log(2.0 * np.pi))
-            + np.log(model.priors[c])
-        )
-    return out
+    factors = model.whitening.reshape(n * d, d)
+    delta = query_x @ factors.T                   # (Q, N d)
+    # in place: a fresh (Q, N d) temporary costs more than the arithmetic
+    delta -= (model.whitening @ model.means[:, :, None]).reshape(n * d)
+    delta = delta.reshape(len(query_x), n, d)
+    quad = np.einsum("qnd,qnd->qn", delta, delta)
+    return (
+        -0.5 * (quad + model.log_dets + d * np.log(2.0 * np.pi))
+        + np.log(model.priors)
+    )
 
 
 def qda_predict(model: QdaModel, query_x: np.ndarray) -> np.ndarray:

@@ -253,6 +253,9 @@ def load_config(cfg: dict[str, str]) -> PhaseConfig:
         seeds = tuple(int(s.strip()) for s in seeds_raw.split(",") if s.strip())
     except ValueError:
         raise ConfigError(f"phase.seeds must be comma-separated integers, got {seeds_raw!r}") from None
+    for seed in seeds:
+        if not 0 <= seed < 2**64:
+            raise ConfigError(f"phase.seeds must lie in [0, 2**64), got {seed}")
 
     method_name = cfg.get("method.name", "proto")
     method = MethodConfig(name=method_name, params=method_params.get(method_name, {}))
@@ -277,10 +280,14 @@ def load_config(cfg: dict[str, str]) -> PhaseConfig:
         ),
         raw=dict(cfg),
     )
-    if config.budget_seconds <= 0:
+    # NaN fails every comparison, so a NaN budget would never expire;
+    # inf is allowed and means no limit
+    if not config.budget_seconds > 0:
         raise ConfigError(f"phase.budget_seconds must be positive, got {config.budget_seconds}")
     if config.episode_count < 1:
         raise ConfigError(f"phase.episode_count must be >= 1, got {config.episode_count}")
+    if not 0 <= config.split_seed < 2**64:
+        raise ConfigError(f"data.split_seed must lie in [0, 2**64), got {config.split_seed}")
     return config
 
 

@@ -106,8 +106,8 @@ def sample_episode(pool: DatasetTable, spec: EpisodeSpec, rng: RngState) -> Epis
     chosen = gen.choice(pool.n_classes, size=n, replace=False)
 
     need = k + (1 if spec.query_per_class == ALL_REMAINING else spec.query_per_class)
-    sup_x, sup_y, qry_x, qry_y, ids = [], [], [], [], []
-    for label, idx in enumerate(chosen):
+    sup_x, qry_x, ids = [], [], []
+    for idx in chosen:
         rec = pool.classes[int(idx)]
         count = len(rec.examples)
         if count < need:
@@ -116,21 +116,20 @@ def sample_episode(pool: DatasetTable, spec: EpisodeSpec, rng: RngState) -> Epis
             )
         perm = gen.permutation(count)
         sup_x.append(rec.examples[perm[:k]])
-        sup_y.append(np.full(k, label, dtype=np.int64))
         if spec.query_per_class == ALL_REMAINING:
             q_idx = perm[k:]
         else:
             q_idx = perm[k:k + spec.query_per_class]
         qry_x.append(rec.examples[q_idx])
-        qry_y.append(np.full(len(q_idx), label, dtype=np.int64))
         ids.append(rec.class_id)
 
+    labels = np.arange(n, dtype=np.int64)
     query_x = np.concatenate(qry_x)
-    query_y = np.concatenate(qry_y)
+    query_y = np.repeat(labels, [len(q) for q in qry_x])
     shuffle = gen.permutation(len(query_y))
     return Episode(
         support_x=np.concatenate(sup_x),
-        support_y=np.concatenate(sup_y),
+        support_y=np.repeat(labels, k),
         query_x=query_x[shuffle],
         query_y=query_y[shuffle],
         class_map=np.asarray(ids, dtype=np.int64),

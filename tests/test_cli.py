@@ -171,6 +171,15 @@ def test_run_failure_exit_code(config_path, capsys):
     assert "SamplingError" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "setting", ["phase.budget_seconds=nan", "phase.seeds=-1,2,3", "phase.seeds=1,2,18446744073709551616"]
+)
+def test_bad_budget_or_seed_is_config_error(config_path, tmp_path, capsys, setting):
+    assert main(["run", "--config", config_path, "--set", setting]) == EXIT_CONFIG
+    assert setting.partition("=")[0] in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "work")   # nothing trained or written
+
+
 def test_unknown_metric_is_config_error(config_path, capsys):
     assert main(["run", "--config", config_path,
                  "--set", "method.proto.metric=bogus"]) == EXIT_CONFIG

@@ -53,6 +53,8 @@ def test_class_order_is_first_appearance():
         ("dimension=3\n0,1,2,3\n", 1),            # bad header keyword
         ("dim=x\n", 1),                           # unparseable dimension
         ("dim=0\n", 1),                           # non-positive dimension
+        ("dim=1_6\n0,1.0\n", 1),                  # digit separator in d
+        ("dim=\u0661\n0,1.0\n", 1),               # non-ASCII digit in d
         ("dim=2\n0,1.0\n", 2),                    # ragged row
         ("dim=2\n0,1.0,2.0,3.0\n", 2),            # too many values
         ("dim=2\nzero,1.0,2.0\n", 2),             # bad class id

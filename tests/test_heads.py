@@ -3,12 +3,16 @@
 Numeric contracts are pinned two ways: hand-computed frozen values for
 small inputs, and independent-route equivalences (nearest-prototype vs
 fully-shrunk QDA, scipy densities vs the hand-rolled ones, finite
-differences vs analytic gradients).
+differences vs analytic gradients).  The array passes over an episode's
+classes are also checked against the per-class loops they replaced.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.linalg import solve_triangular
 
 from fewbench.errors import (
     ArgumentError,
@@ -20,6 +24,7 @@ from fewbench.errors import (
 from fewbench.heads import (
     LinearHead,
     PowerTransformParams,
+    _unit_rows,
     compute_prototypes,
     linear_head_fit,
     linear_head_predict,
@@ -442,3 +447,178 @@ def test_rect_moves_centers_toward_query_mass():
     proto_acc = (proto_labels(compute_prototypes(sx, sy), qx) == qy).mean()
     rect_acc = (rectified_proto_predict(sx, sy, qx) == qy).mean()
     assert rect_acc >= proto_acc
+
+
+# ---------------------------------------------------------------------------
+# The array passes over an episode's classes against the per-class loops
+# they replaced, kept here as references
+
+
+def support_structure_oracle(support_x, support_y):
+    """The ``np.unique`` check that the ``bincount`` pass replaced."""
+    support_x = np.asarray(support_x, dtype=np.float64)
+    support_y = np.asarray(support_y)
+    if support_x.ndim != 2 or len(support_x) != len(support_y):
+        raise EpisodeFormatError(
+            f"support shapes {support_x.shape} / {support_y.shape} inconsistent"
+        )
+    if len(support_y) == 0:
+        raise EpisodeFormatError("empty support set")
+    labels, counts = np.unique(support_y, return_counts=True)
+    n = len(labels)
+    if not np.array_equal(labels, np.arange(n)):
+        raise EpisodeFormatError(f"support labels {labels.tolist()} are not 0..{n - 1}")
+    if not (counts == counts[0]).all():
+        raise EpisodeFormatError(f"unbalanced support counts {counts.tolist()}")
+    return n, int(counts[0])
+
+
+def class_means_oracle(x, y, n):
+    """Per-class means as the prototype and QDA fits computed them."""
+    return np.stack([x[y == c].mean(axis=0) for c in range(n)])
+
+
+def qda_log_density_oracle(model, query_x):
+    """One triangular solve per class against the Cholesky factor."""
+    n, d = model.means.shape
+    chol = np.linalg.cholesky(model.covariances)
+    log_dets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    out = np.empty((len(query_x), n))
+    for c in range(n):
+        delta = (query_x - model.means[c]).T            # (d, Q)
+        sol = solve_triangular(chol[c], delta, lower=True)
+        quad = (sol ** 2).sum(axis=0)
+        out[:, c] = (
+            -0.5 * (quad + log_dets[c] + d * np.log(2.0 * np.pi))
+            + np.log(model.priors[c])
+        )
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the type and the message are compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        np.array([0, 0, 1, 1]),
+        np.array([1, 0, 1, 0]),
+        np.array([0, 1, 2, 3]),
+        np.array([0, 0, 0, 0]),
+        np.array([0, 0, 1, 1], dtype=np.int32),
+        np.array([0, 0, 1, 1], dtype=np.uint8),
+        np.array([0, 0, 1, 1], dtype=np.uint64),
+        np.array([0, 0, 0, 1]),                       # unbalanced
+        np.array([0, 1, 1, 1]),                       # unbalanced
+        np.array([0, 0, 1, 3]),                       # a gap
+        np.array([1, 1, 2, 2]),                       # no label 0
+        np.array([-1, -1, 0, 0]),                     # negative
+        np.array([0, 1, 2, -1]),
+        np.array([0, 1, 2, 4]),                       # max == len
+        np.array([0, 1, 2, 2**40]),                   # far past len
+        np.array([0, 0, 1, 2**63 - 1]),
+        np.array([False, True, True, False]),
+        np.array([True, True, True, True]),
+        np.array([False, False, False, False]),
+        np.array([0.0, 1.0, 0.0, 1.0]),
+        np.array([0.0, 0.5, 0.0, 0.5]),
+        np.array([0.0, 1.0, 1.0, np.nan]),
+        np.array(["0", "0", "1", "1"]),
+        np.array([[0], [0], [1], [1]]),               # labels as a column
+        np.array([0, 0, 1]),                          # length mismatch
+    ],
+    ids=lambda a: f"{a.dtype}{list(a.shape)}:{','.join(map(str, a.ravel().tolist()))}",
+)
+def test_support_structure_matches_oracle(labels):
+    x = np.zeros((4, 3))
+    assert _outcome(support_structure, x, labels) == _outcome(support_structure_oracle, x, labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-3, 8), min_size=0, max_size=12))
+def test_support_structure_matches_oracle_on_random_labels(labels):
+    y = np.asarray(labels, dtype=np.int64)
+    x = np.zeros((len(y), 2))
+    assert _outcome(support_structure, x, y) == _outcome(support_structure_oracle, x, y)
+
+
+def _shuffled_support(seed, n, k, d, scale):
+    gen = np.random.default_rng(seed)
+    x = gen.normal(scale=scale, size=(n * k, d)) + gen.normal(size=(1, d)) * scale
+    x[gen.random(x.shape) < 0.1] = -0.0
+    y = np.repeat(np.arange(n), k)
+    order = gen.permutation(n * k)
+    return x[order], y[order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    k=st.integers(1, 20),
+    d=st.integers(1, 40),
+    scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e6, 1e300]),
+)
+@example(seed=0, n=3, k=9, d=1, scale=1.0)          # a reduction over one column
+def test_class_means_bitwise_equal_oracle(seed, n, k, d, scale):
+    x, y = _shuffled_support(seed, n, k, d, scale)
+    with np.errstate(over="ignore"):
+        want = class_means_oracle(x, y, n)
+        assert compute_prototypes(x, y).centers.tobytes() == want.tobytes()
+        assert (compute_prototypes(x, y, metric="cosine").centers.tobytes()
+                == class_means_oracle(_unit_rows(x), y, n).tobytes())
+    if scale in (1e-3, 1.0, 1e6):   # covariances neither underflow nor overflow
+        assert qda_fit(x, y, shrinkage=0.5).means.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 6),
+    k=st.integers(1, 8),
+    d=st.integers(1, 8),
+    shrinkage=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    spread=st.sampled_from([0.1, 1.0, 30.0]),
+)
+def test_qda_log_density_matches_triangular_solve_oracle(seed, n, k, d, shrinkage, spread):
+    """Within 1e-10 of the per-class solves, relative to the density's size
+    once that exceeds 1: singular covariances (shrinkage 0, K <= d) give
+    densities near 1e20 whose rounding scales with them.  Labels agree
+    wherever the oracle's top two classes are more than 1e-9 apart on the
+    same scale."""
+    gen = np.random.default_rng(seed)
+    means = gen.normal(scale=spread, size=(n, d))
+    sx = np.repeat(means, k, axis=0) + gen.normal(size=(n * k, d))
+    sy = np.repeat(np.arange(n), k)
+    order = gen.permutation(n * k)
+    qx = means[gen.integers(0, n, size=25)] + gen.normal(scale=2.0, size=(25, d))
+    try:
+        model = qda_fit(sx[order], sy[order], shrinkage=shrinkage)
+    except ConditioningError:
+        return
+    want = qda_log_density_oracle(model, qx)
+    got = qda_log_density(model, qx)
+    scale = np.maximum(1.0, np.abs(want))
+    assert (np.abs(got - want) <= 1e-10 * scale).all()
+    top2 = np.sort(want, axis=1)[:, -2:]
+    clear = top2[:, 1] - top2[:, 0] > 1e-9 * scale.max(axis=1)
+    assert np.array_equal(qda_predict(model, qx)[clear], np.argmax(want, axis=1)[clear])
+
+
+def test_qda_whitening_inverts_the_cholesky_factor():
+    sx, sy, _, _ = make_episode(n=4, k=6, seed=13)
+    model = qda_fit(sx, sy, shrinkage=0.2)
+    chol = np.linalg.cholesky(model.covariances)
+    eye = np.broadcast_to(np.eye(sx.shape[1]), chol.shape)
+    assert np.allclose(model.whitening @ chol, eye, rtol=0, atol=1e-12)
+
+
+def test_qda_empty_query_gives_empty_densities():
+    sx, sy, _, _ = make_episode(n=3, k=4)
+    model = qda_fit(sx, sy)
+    assert qda_log_density(model, np.zeros((0, sx.shape[1]))).shape == (0, 3)
+    assert qda_predict(model, np.zeros((0, sx.shape[1]))).shape == (0,)

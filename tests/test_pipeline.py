@@ -4,11 +4,15 @@ import os
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fewbench import pipeline
+from fewbench.api import METHODS
 from fewbench.api import load_learner
 from fewbench.dataset import write_feature_dataset, generate_synthetic, SyntheticSpec
 from fewbench.errors import (
+    ArgumentError,
     ArtifactError,
     BudgetExceededError,
     ConfigError,
@@ -124,8 +128,12 @@ def test_load_config_scopes_method_params():
         {"data.synthetic.num_classes": "many"},
         {"phase.budget_seconds": "soon"},
         {"phase.budget_seconds": "0"},
+        {"phase.budget_seconds": "nan"},
         {"phase.episode_count": "0"},
         {"phase.seeds": "1,two,3"},
+        {"phase.seeds": "-1,2,3"},
+        {"phase.seeds": f"1,2,{2**64}"},
+        {"data.split_seed": "-1"},
         {"data.train_path": "only_half.csv"},
         {"sampler.query_per_class": "some"},
         {"method.name": "mystery"},
@@ -208,6 +216,16 @@ def test_budget_clock_passes_then_expires():
     assert spent.expired()
     with pytest.raises(BudgetExceededError):
         spent.check()
+
+
+def test_infinite_budget_loads_and_never_expires():
+    cfg = load_config({"phase.budget_seconds": "inf",
+                       "phase.seeds": f"0,1,{2**64 - 1}"})
+    assert cfg.budget_seconds == float("inf")
+    assert cfg.seeds == (0, 1, 2**64 - 1)
+    clock = BudgetClock(limit_seconds=cfg.budget_seconds)
+    assert not clock.expired()
+    clock.check()  # no raise
 
 
 def test_budget_clock_elapsed_grows():
@@ -439,3 +457,66 @@ def test_leaderboard_report_names_bad_line(tmp_path):
     with pytest.raises(ReportError) as err:
         leaderboard_report(path)
     assert "2" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the config and leaderboard parsers
+
+
+_FUZZ_KEYS = sorted(pipeline._CONFIG_KEYS) + [
+    f"method.{name}.{param}" for name, method in METHODS.items() for param in method.params
+] + ["method.proto", "phase", "method.mystery.depth"]
+
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from([
+        "", "0", "1", "-1", "3", "5", "0.5", "1e400", "nan", "inf", "-inf",
+        "1_000", "\u0663", "2", "18446744073709551616", "9" * 5000, "1,2,3",
+        "1,1,2", "-1,2,3", "all-remaining", "cosine", "true", "off", "proto",
+        "qda", "feedback-like", "public-like", "x.csv",
+    ]),
+    st.text(max_size=12),
+)
+
+
+@st.composite
+def config_texts(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["pair"] * 5 + ["text", "comment"]))
+        if kind == "pair":
+            key = draw(st.one_of(st.sampled_from(_FUZZ_KEYS), st.text(max_size=8)))
+            lines.append(f"{key} = {draw(_FUZZ_VALUES)}")
+        elif kind == "comment":
+            lines.append("# " + draw(st.text(max_size=8)))
+        else:
+            lines.append(draw(st.text(max_size=20)))
+    return "\n".join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(config_texts())
+def test_config_text_fuzz_raises_only_config_errors(text):
+    try:
+        load_config(parse_config_text(text))
+    except (ParseError, ConfigError, ArgumentError):
+        pass
+
+
+_LEADERBOARD_FIELDS = st.one_of(
+    st.sampled_from(["", "0.5", "0.01", "-0.0", "nan", "inf", "1e400", "1_0",
+                     "\u0663", "completed", "timed_out", "failed", "proto"]),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.lists(_LEADERBOARD_FIELDS, min_size=8, max_size=11).map(",".join),
+))
+def test_leaderboard_line_fuzz_raises_only_report_errors(line):
+    try:
+        entry = parse_leaderboard_entry(line, line_no=3)
+    except ReportError:
+        return
+    assert entry.status in ("completed", "timed_out", "failed")

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fewbench.dataset import SyntheticSpec, generate_synthetic
+from fewbench.dataset import ClassRecord, DatasetTable
 from fewbench.errors import ArgumentError, BenchError, ParseError, SamplingError
 from fewbench.rng import RngState
 from fewbench.sampler import (
     ALL_REMAINING,
+    Episode,
     EpisodeSpec,
     episode_stream,
     parse_episode,
@@ -250,3 +252,61 @@ def test_parse_episode_fuzz_raises_only_bench_errors(text):
         parse_episode(text)
     except BenchError:
         pass
+
+
+def sample_episode_oracle(pool: DatasetTable, spec: EpisodeSpec, rng: RngState):
+    """The sampler before its label vectors came from one ``np.repeat``
+    each: one ``np.full`` per class and role."""
+    spec.validate()
+    n, k = spec.n_way, spec.k_shot
+    if pool.n_classes < n:
+        raise SamplingError(f"pool has {pool.n_classes} classes, episode needs {n}")
+    gen = rng.generator
+    chosen = gen.choice(pool.n_classes, size=n, replace=False)
+    need = k + (1 if spec.query_per_class == ALL_REMAINING else spec.query_per_class)
+    sup_x, sup_y, qry_x, qry_y, ids = [], [], [], [], []
+    for label, idx in enumerate(chosen):
+        rec = pool.classes[int(idx)]
+        count = len(rec.examples)
+        if count < need:
+            raise SamplingError(
+                f"class {rec.class_id} has {count} examples, episode needs {need}"
+            )
+        perm = gen.permutation(count)
+        sup_x.append(rec.examples[perm[:k]])
+        sup_y.append(np.full(k, label, dtype=np.int64))
+        if spec.query_per_class == ALL_REMAINING:
+            q_idx = perm[k:]
+        else:
+            q_idx = perm[k:k + spec.query_per_class]
+        qry_x.append(rec.examples[q_idx])
+        qry_y.append(np.full(len(q_idx), label, dtype=np.int64))
+        ids.append(rec.class_id)
+    query_x = np.concatenate(qry_x)
+    query_y = np.concatenate(qry_y)
+    shuffle = gen.permutation(len(query_y))
+    return Episode(
+        support_x=np.concatenate(sup_x),
+        support_y=np.concatenate(sup_y),
+        query_x=query_x[shuffle],
+        query_y=query_y[shuffle],
+        class_map=np.asarray(ids, dtype=np.int64),
+    )
+
+
+@pytest.mark.parametrize("query_per_class", [ALL_REMAINING, 1, 3])
+def test_sample_episode_matches_oracle(query_per_class):
+    # classes of unequal size, so all-remaining gives unequal query counts
+    base = make_pool(num_classes=9, dim=3, samples=15, seed=5)
+    pool = DatasetTable(dim=3, classes=[
+        ClassRecord(rec.class_id, rec.examples[:7 + i])
+        for i, rec in enumerate(base.classes)
+    ])
+    for n_way, k_shot in ((2, 1), (5, 1), (5, 4), (9, 2)):
+        spec = EpisodeSpec(n_way=n_way, k_shot=k_shot, query_per_class=query_per_class)
+        for seed in range(60):
+            rng = RngState(seed, (n_way, k_shot))
+            got = sample_episode(pool, spec, rng)
+            want = sample_episode_oracle(pool, spec, rng)
+            assert render_episode(got) == render_episode(want)
+            assert got.support_y.dtype == got.query_y.dtype == np.int64
