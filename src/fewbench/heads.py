@@ -68,13 +68,14 @@ def support_structure(support_x: np.ndarray, support_y: np.ndarray) -> tuple[int
     """
     support_x = np.asarray(support_x, dtype=np.float64)
     support_y = np.asarray(support_y)
-    if support_x.ndim != 2 or len(support_x) != len(support_y):
+    if (support_x.ndim != 2 or support_y.ndim != 1
+            or len(support_x) != len(support_y)):
         raise EpisodeFormatError(
             f"support shapes {support_x.shape} / {support_y.shape} inconsistent"
         )
     if len(support_y) == 0:
         raise EpisodeFormatError("empty support set")
-    if (support_y.ndim == 1 and support_y.dtype.kind in "iu"
+    if (support_y.dtype.kind in "iu"
             and np.can_cast(support_y.dtype, np.intp)
             and 0 <= support_y.min() and support_y.max() < len(support_y)):
         # the bounds keep bincount small; equal counts that sum to the
@@ -502,24 +503,22 @@ def qda_fit(
     priors = np.full(n, 1.0 / n)   # balanced support: K / (N K), bit for bit
 
     if k == 1:
-        # an identity covariance is its own Cholesky factor and inverse
         covs = np.broadcast_to(np.eye(d), (n, d, d)).copy()
-        whitening = covs.copy()
-        log_dets = np.zeros(n)
     else:
         centered = blocks - means[:, None, :]
         empirical = centered.transpose(0, 2, 1) @ centered / k
         shared_scale = float(np.trace(empirical, axis1=1, axis2=2).mean() / d)
         covs = (1.0 - shrinkage) * empirical + shrinkage * shared_scale * np.eye(d)
-        try:
-            chol = np.linalg.cholesky(covs)
-        except np.linalg.LinAlgError:
-            raise ConditioningError(
-                "class covariance is singular after shrinkage; "
-                "increase lambda (shrinkage > 0)"
-            ) from None
-        log_dets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-        whitening = np.linalg.inv(chol)
+
+    try:
+        chol = np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        raise ConditioningError(
+            "class covariance is singular after shrinkage; "
+            "increase lambda (shrinkage > 0)"
+        ) from None
+    log_dets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    whitening = np.linalg.inv(chol)
     return QdaModel(
         means=means,
         covariances=covs,

@@ -286,8 +286,8 @@ def load_config(cfg: dict[str, str]) -> PhaseConfig:
         raise ConfigError(f"phase.budget_seconds must be positive, got {config.budget_seconds}")
     if config.episode_count < 1:
         raise ConfigError(f"phase.episode_count must be >= 1, got {config.episode_count}")
-    if not 0 <= config.split_seed < 2**64:
-        raise ConfigError(f"data.split_seed must lie in [0, 2**64), got {config.split_seed}")
+    if config.split_seed < 0:
+        raise ConfigError(f"data.split_seed must be >= 0, got {config.split_seed}")
     return config
 
 

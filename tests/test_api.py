@@ -209,6 +209,15 @@ def test_non_finite_inputs_rejected(name):
 
 
 @pytest.mark.parametrize("name", SIX_METHODS)
+def test_column_support_labels_rejected(name):
+    params = {"epochs": 2, "hidden": 8} if name == "fomaml" else {}
+    learner = meta_fit(spec_for(name, **params), EASY_POOL, seed=17)
+    ep = easy_episode()
+    with pytest.raises(EpisodeFormatError):
+        learner.fit(ep.support_x, ep.support_y[:, None])
+
+
+@pytest.mark.parametrize("name", SIX_METHODS)
 def test_registry_schema_loads_round_trips_and_rejects_misspelling(name):
     schema = METHODS[name].params
     text = f"method.name = {name}\n" + "".join(

@@ -528,7 +528,6 @@ def _outcome(fn, *args):
         np.array([0.0, 0.5, 0.0, 0.5]),
         np.array([0.0, 1.0, 1.0, np.nan]),
         np.array(["0", "0", "1", "1"]),
-        np.array([[0], [0], [1], [1]]),               # labels as a column
         np.array([0, 0, 1]),                          # length mismatch
     ],
     ids=lambda a: f"{a.dtype}{list(a.shape)}:{','.join(map(str, a.ravel().tolist()))}",
@@ -536,6 +535,21 @@ def _outcome(fn, *args):
 def test_support_structure_matches_oracle(labels):
     x = np.zeros((4, 3))
     assert _outcome(support_structure, x, labels) == _outcome(support_structure_oracle, x, labels)
+
+
+@pytest.mark.parametrize(
+    "fit",
+    [support_structure, compute_prototypes, qda_fit, rectified_proto_predict],
+    ids=lambda f: f.__name__,
+)
+def test_column_labels_are_refused(fit):
+    # the oracle flattens a column of labels; the label sort would not, so
+    # every class statistic would come from the first support row
+    x = np.arange(8.0).reshape(4, 2)
+    y = np.array([[0], [0], [1], [1]])
+    args = (x, y, x) if fit is rectified_proto_predict else (x, y)
+    with pytest.raises(EpisodeFormatError, match="inconsistent"):
+        fit(*args)
 
 
 @settings(max_examples=300, deadline=None)

@@ -228,6 +228,18 @@ def test_infinite_budget_loads_and_never_expires():
     clock.check()  # no raise
 
 
+def test_split_seed_has_no_upper_bound():
+    # SeedSequence takes any non-negative integer; only negatives are refused
+    cfg = load_config({"data.split_seed": str(2**70),
+                       "data.synthetic.num_classes": "6",
+                       "data.synthetic.samples_per_class": "3",
+                       "data.n_train_classes": "3"})
+    assert cfg.split_seed == 2**70
+    split = load_split(cfg)
+    assert split.meta_train.n_classes == 3
+    assert split.meta_test.n_classes == 3
+
+
 def test_budget_clock_elapsed_grows():
     clock = BudgetClock(limit_seconds=10.0)
     first = clock.elapsed()
