@@ -32,14 +32,17 @@ The grammar the parser accepts, line by line (lines split as
 A class's rows keep their file order, and classes are ordered by their
 first row.  Whatever breaks a rule raises :class:`ParseError` naming the
 line.
+
+Files are read and written in blocks of about a mebibyte of text, so
+besides the table itself only about one block is held at a time.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import repeat
-from typing import NoReturn
+from itertools import chain, repeat
+from typing import Iterable, Iterator, NoReturn, TextIO
 
 import numpy as np
 
@@ -155,40 +158,51 @@ class SyntheticSpec:
             raise ArgumentError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
-def parse_feature_dataset(text: str) -> DatasetTable:
-    """Parse the feature-table format (see the module docstring) from a string.
+_BLOCK_CHARS = 1 << 20  # characters per block of feature text read or written
+
+
+def parse_feature_dataset(source: str | TextIO) -> DatasetTable:
+    """Parse the feature-table format (see the module docstring) from a
+    string, or from an open text file starting at its current position.
+
+    The text is read in blocks of whole lines, so besides the table only
+    about one block of text is held at a time.  When a block breaks the
+    format, the text is read again whole to locate the error, so a file
+    must be seekable.
 
     Raises :class:`ParseError` naming the one-based line number of the
     first line, in file order, that breaks the format.  Within a line the
     checks run in the order: field count, class id, negative class id,
-    value, non-finite value, duplicated (class, row) pair.
+    value, non-finite value, duplicated (class, row) pair.  A file that
+    is not text in its encoding raises :class:`ParseError` without a line.
     """
-    lines = text.splitlines()
+    start = None if isinstance(source, str) else source.tell()
+    blocks = _read_blocks(source)
+    lines = next(blocks, "").splitlines()
     if not lines:
         raise ParseError("empty input, expected 'dim=<d>' header", line_no=1)
-    header = lines[0].strip()
-    if not header.startswith("dim="):
-        raise ParseError(f"expected 'dim=<d>' header, got {header!r}", line_no=1)
-    # ``d`` has the grammar of a class id, read by the same reader
-    dim_text = header[len("dim="):]
-    dim_record = _load([dim_text], np.int64) if dim_text.strip() else None
-    if dim_record is None:
-        raise ParseError(f"bad dimension in header {header!r}", line_no=1)
-    dim = int(dim_record[0])
-    if dim < 1:
-        raise ParseError(f"dimension must be >= 1, got {dim}", line_no=1)
+    dim = _parse_dim_header(lines[0])
+    dtype = _record_dtype(dim)
 
-    rows = [line for line in map(str.strip, lines[1:]) if line and line[0] != "#"]
-    if not rows:
-        return DatasetTable(dim=dim, classes=[])
-    # the whole-table pass; loadtxt also rejects a row with the wrong
+    # one loadtxt pass per block, which also rejects a row with the wrong
     # number of fields
-    records = _load(rows, _record_dtype(dim))
-    if records is None:
-        _raise_first_error(lines, dim)
+    parts, hashes = [], []
+    for lines in chain([lines[1:]], map(str.splitlines, blocks)):
+        rows = [line for line in map(str.strip, lines) if line and line[0] != "#"]
+        if not rows:
+            continue
+        records = _load(rows, dtype)
+        if records is None or (records["id"] < 0).any() or not np.isfinite(records["x"]).all():
+            _locate_error(source, start, dim)
+        parts.append(records)
+        hashes.append(_row_hashes(records))
+    if not parts:
+        return DatasetTable(dim=dim, classes=[])
+    records = np.concatenate(parts)
+    parts.clear()  # the table's arrays below are the second copy, not the third
     ids, x = records["id"], records["x"]
-    if (ids < 0).any() or not np.isfinite(x).all() or _has_duplicate(ids, x):
-        _raise_first_error(lines, dim)
+    if _has_duplicate(np.concatenate(hashes), ids, x):
+        _locate_error(source, start, dim)
 
     # group by class: a stable sort keeps file order within a class, and
     # each class's first row in file order fixes the class order
@@ -203,6 +217,56 @@ def parse_feature_dataset(text: str) -> DatasetTable:
     table = DatasetTable(dim=dim, classes=classes)
     table.validate()
     return table
+
+
+def _parse_dim_header(line: str) -> int:
+    """The ``d`` of a ``dim=<d>`` header line, written like a class id and
+    at least 1; anything else raises :class:`ParseError` at line 1."""
+    header = line.strip()
+    if not header.startswith("dim="):
+        raise ParseError(f"expected 'dim=<d>' header, got {header!r}", line_no=1)
+    # ``d`` has the grammar of a class id, read by the same reader
+    dim_text = header[len("dim="):]
+    dim_record = _load([dim_text], np.int64) if dim_text.strip() else None
+    if dim_record is None:
+        raise ParseError(f"bad dimension in header {header!r}", line_no=1)
+    dim = int(dim_record[0])
+    if dim < 1:
+        raise ParseError(f"dimension must be >= 1, got {dim}", line_no=1)
+    return dim
+
+
+def _read_blocks(source: str | TextIO) -> Iterator[str]:
+    """The text of ``source`` in blocks of whole lines: each block ends at
+    the first ``\\n`` at or after ``_BLOCK_CHARS`` characters, or at the end
+    of the text.  A ``\\n`` ends a line in every newline convention, so no
+    block splits a line or a ``\\r\\n`` pair."""
+    if isinstance(source, str):
+        pos = 0
+        while pos < len(source):
+            end = source.find("\n", pos + _BLOCK_CHARS - 1) + 1 or len(source)
+            yield source[pos:end]
+            pos = end
+        return
+    while True:
+        try:
+            block = source.read(_BLOCK_CHARS)
+            if block and block[-1] != "\n":
+                block += source.readline()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not {exc.encoding} text: {exc.reason}") from None
+        if not block:
+            return
+        yield block
+
+
+def _locate_error(source: str | TextIO, start: int | None, dim: int) -> NoReturn:
+    """Read the whole text of ``source`` again and raise the error of its
+    first bad row."""
+    if not isinstance(source, str):
+        source.seek(start)
+        source = "".join(_read_blocks(source))
+    _raise_first_error(source.splitlines(), dim)
 
 
 def _record_dtype(dim: int) -> list:
@@ -228,24 +292,30 @@ def _load(rows: list[str], dtype) -> np.ndarray | None:
     return records if len(records) == len(rows) else None
 
 
-def _has_duplicate(ids: np.ndarray, x: np.ndarray) -> bool:
-    """Whether two rows of one class compare equal as floats.
+def _row_hashes(records: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each record's class id and values.
 
-    Adding +0.0 folds -0.0 into +0.0, so equal rows have equal bits.  Each
-    row is hashed from its bits; only rows that share a hash are compared
-    exactly, so the exact pass is empty unless a duplicate is likely.
+    Adding +0.0 folds -0.0 into +0.0, so rows of one class that compare
+    equal as floats have equal bits, and so equal hashes.
     """
-    bits = (x + 0.0).view(np.uint64)
-    mult = (np.arange(x.shape[1], dtype=np.uint64) * 2 + 1) * np.uint64(0x9E3779B97F4A7C15)
+    bits = (records["x"] + 0.0).view(np.uint64)
+    mult = (np.arange(bits.shape[1], dtype=np.uint64) * 2 + 1) * np.uint64(0x9E3779B97F4A7C15)
     h = ((bits ^ (bits >> np.uint64(29))) * mult).sum(axis=1, dtype=np.uint64)
-    h += ids.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
+    return h + records["id"].astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
+
+
+def _has_duplicate(h: np.ndarray, ids: np.ndarray, x: np.ndarray) -> bool:
+    """Whether two rows of one class compare equal as floats, given the
+    rows' :func:`_row_hashes` ``h``.  Only rows that share a hash are
+    compared exactly, so the exact pass is empty unless a duplicate is
+    likely."""
     order = np.argsort(h)
     same = h[order[1:]] == h[order[:-1]]
     if not same.any():
         return False
     seen: set[tuple[int, bytes]] = set()
     for i in np.union1d(order[1:][same], order[:-1][same]).tolist():
-        key = (int(ids[i]), bits[i].tobytes())
+        key = (int(ids[i]), (x[i] + 0.0).tobytes())
         if key in seen:
             return True
         seen.add(key)
@@ -272,7 +342,7 @@ def _raise_first_error(lines: list[str], dim: int) -> NoReturn:
     """Raise the :class:`ParseError` of the first data row that breaks the
     format.
 
-    Runs only after the whole-table pass has rejected the rows of
+    Runs only after the block pass has rejected the rows of
     ``lines``: it reads them again with the same reader, a block at a
     time, and a row at a time inside a block that does not parse, so it
     never returns.
@@ -316,23 +386,41 @@ def _raise_first_error(lines: list[str], dim: int) -> NoReturn:
 
 
 def load_feature_dataset(path: str) -> DatasetTable:
-    """Load and validate a feature-table file.  Row order is preserved."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_feature_dataset(fh.read())
+    """Load and validate a feature-table file.  Row order is preserved.
+
+    A file that cannot be opened, or is not UTF-8 text, raises
+    :class:`ParseError`.
+    """
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read feature file: {exc}") from None
+    with fh:
+        return parse_feature_dataset(fh)
+
+
+def _feature_chunks(table: DatasetTable) -> Iterator[str]:
+    """The text of ``table`` in chunks of whole lines: the header, then
+    each class's rows in chunks of at most ``_BLOCK_CHARS`` characters."""
+    table.validate()
+    yield f"dim={table.dim}\n"
+    # with its comma, a rendered value takes at most 25 characters, and so
+    # does a class id below 2**63
+    step = max(1, _BLOCK_CHARS // (25 * (table.dim + 1)))
+    for rec in table.classes:
+        prefix = f"{rec.class_id},"
+        for start in range(0, len(rec.examples), step):
+            # tolist() gives Python floats, whose repr is render_value's output
+            rows = rec.examples[start:start + step].tolist()
+            yield "".join([prefix + ",".join(map(repr, row)) + "\n" for row in rows])
 
 
 def render_feature_dataset(table: DatasetTable) -> str:
-    table.validate()
-    out = [f"dim={table.dim}"]
-    for rec in table.classes:
-        # tolist() gives Python floats, whose repr is render_value's output
-        prefix = f"{rec.class_id},"
-        out.extend(prefix + ",".join(map(repr, row)) for row in rec.examples.tolist())
-    return "\n".join(out) + "\n"
+    return "".join(_feature_chunks(table))
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path``, then rename it
+def _write_chunks_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to a temporary file beside ``path``, then rename it
     into place: readers see the old file or the new one, never a partial
     one, and a write that fails leaves the old file untouched."""
     tmp = os.path.join(
@@ -341,15 +429,22 @@ def write_text_atomic(path: str, text: str) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
+def write_text_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` atomically: readers see the old file or
+    the new one, never a partial one."""
+    _write_chunks_atomic(path, [text])
+
+
 def write_feature_dataset(table: DatasetTable, path: str) -> None:
-    write_text_atomic(path, render_feature_dataset(table))
+    """Write ``table`` to ``path`` atomically, a chunk of rows at a time."""
+    _write_chunks_atomic(path, _feature_chunks(table))
 
 
 def split_classes(table: DatasetTable, n_train_classes: int, seed: int) -> MetaSplit:

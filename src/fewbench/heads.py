@@ -104,7 +104,7 @@ def _class_blocks(x: np.ndarray, support_y: np.ndarray, n: int, k: int) -> np.nd
 
 def _check_query(query_x: np.ndarray, dim: int) -> np.ndarray:
     query_x = np.asarray(query_x, dtype=np.float64)
-    if query_x.ndim != 2 or (len(query_x) > 0 and query_x.shape[1] != dim):
+    if query_x.ndim != 2 or query_x.shape[1] != dim:
         raise ShapeError(
             f"query shape {query_x.shape} does not match feature dimension {dim}"
         )

@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .dataset import DatasetTable, render_value
+from .dataset import DatasetTable, _parse_dim_header, render_value
 from .errors import ArgumentError, ParseError, SamplingError
 from .rng import RngState
 
@@ -219,14 +219,9 @@ def render_episode(episode: Episode) -> str:
 def parse_episode(text: str) -> Episode:
     """Inverse of :func:`render_episode`."""
     lines = [ln.strip() for ln in text.splitlines()]
-    if not lines or not lines[0].startswith("dim="):
-        raise ParseError("expected 'dim=<d>' header", line_no=1)
-    try:
-        dim = int(lines[0][len("dim="):])
-    except ValueError:
-        raise ParseError(f"bad dimension in header {lines[0]!r}", line_no=1) from None
-    if dim < 1:
-        raise ParseError(f"dimension must be >= 1, got {dim}", line_no=1)
+    if not lines:
+        raise ParseError("empty input, expected 'dim=<d>' header", line_no=1)
+    dim = _parse_dim_header(lines[0])
     sup, qry = [], []
     mapping: dict[int, int] = {}
     for i, line in enumerate(lines[1:], start=2):

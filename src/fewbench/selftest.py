@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import io
 import math
+import os
+import tempfile
 import traceback
 
 import numpy as np
@@ -26,9 +28,11 @@ from .dataset import (
     DatasetTable,
     SyntheticSpec,
     generate_synthetic,
+    load_feature_dataset,
     parse_feature_dataset,
     render_feature_dataset,
     split_classes,
+    write_feature_dataset,
 )
 from .errors import ParseError
 from .evaluation import cat_accuracy, ci95, evaluate_learner
@@ -117,6 +121,14 @@ def _check_feature_table_round_trip() -> None:
     table = DatasetTable(dim=3, classes=[pool.classes[1], edge, pool.classes[0]])
     text = render_feature_dataset(table)
     assert render_feature_dataset(parse_feature_dataset(text)) == text
+    # the file path: the block writer and reader, past a replaced file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        write_feature_dataset(pool, path)
+        write_feature_dataset(table, path)
+        with open(path, "r", encoding="utf-8") as fh:
+            assert fh.read() == text
+        assert render_feature_dataset(load_feature_dataset(path)) == text
     # 0.0 and -0.0 compare equal, so the third line repeats the second
     try:
         parse_feature_dataset("dim=2\n0,0.0,1.5\n0,-0.0,1.5\n")

@@ -47,6 +47,20 @@ def test_gen_synthetic_and_split_round_trip(tmp_path):
     assert load_feature_dataset(test).n_classes == 2
 
 
+@pytest.mark.parametrize("content", [None, b"dim=1\n0,1.0\n\xff\n"])
+def test_split_of_an_unreadable_file_is_exit_2(content, tmp_path, capsys):
+    """A missing file, or one that is not UTF-8, is one line on stderr."""
+    raw = tmp_path / "all.csv"
+    if content is not None:
+        raw.write_bytes(content)
+    assert main(["split", "--input", str(raw), "--train-classes", "1",
+                 "--out-train", str(tmp_path / "a.csv"),
+                 "--out-test", str(tmp_path / "b.csv")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == (["all.csv"] if content else [])
+
+
 def test_ingest_then_score(config_path, tmp_path, capsys):
     assert main(["ingest", "--config", config_path, "--seed", "101"]) == EXIT_OK
     assert os.path.exists(tmp_path / "work" / "learner_seed101.txt")

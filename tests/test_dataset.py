@@ -1,23 +1,27 @@
 """Feature-table parsing/rendering, synthetic pools, class splits, oracle."""
 
-import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from fewbench import dataset
 from fewbench.dataset import (
     ClassRecord,
     DatasetTable,
     SyntheticSpec,
     bayes_oracle_accuracy,
     generate_synthetic,
+    load_feature_dataset,
     parse_feature_dataset,
     render_feature_dataset,
     render_value,
     split_classes,
     synthetic_class_means,
+    write_feature_dataset,
 )
 from fewbench.errors import ArgumentError, ParseError
 from fewbench.sampler import EpisodeSpec
@@ -277,9 +281,9 @@ def _first_oracle_only_line(text: str) -> int | None:
     return None
 
 
-@settings(max_examples=600, deadline=None)
-@given(feature_texts())
-def test_whole_table_pass_matches_row_loop_oracle(text):
+def _assert_matches_oracle(parse, text: str) -> None:
+    """``parse(text)`` gives the oracle's table bit for bit, or raises at
+    the first line that the oracle or the new grammar refuses."""
     try:
         expected = row_loop_oracle(text)
         oracle_line = None
@@ -288,11 +292,32 @@ def test_whole_table_pass_matches_row_loop_oracle(text):
         oracle_line = exc.line_no
     refused = [ln for ln in (oracle_line, _first_oracle_only_line(text)) if ln is not None]
     if not refused:
-        assert _tables_bitwise_equal(parse_feature_dataset(text), expected)
+        assert _tables_bitwise_equal(parse(text), expected)
         return
     with pytest.raises(ParseError) as err:
-        parse_feature_dataset(text)
+        parse(text)
     assert err.value.line_no == min(refused)
+
+
+@settings(max_examples=600, deadline=None)
+@given(feature_texts())
+def test_whole_table_pass_matches_row_loop_oracle(text):
+    _assert_matches_oracle(parse_feature_dataset, text)
+
+
+@pytest.mark.parametrize("block_chars", [1, 7, 64])
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=feature_texts())
+def test_block_pass_matches_oracle_at_any_block_size(block_chars, text, monkeypatch, tmp_path):
+    """Blocks of one character up to several lines, from a string and
+    from a file, where a rejected block rewinds the file to locate the
+    error."""
+    monkeypatch.setattr(dataset, "_BLOCK_CHARS", block_chars)
+    path = tmp_path / "table.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    _assert_matches_oracle(parse_feature_dataset, text)
+    _assert_matches_oracle(lambda _: load_feature_dataset(str(path)), text)
 
 
 def test_whole_table_pass_matches_oracle_on_a_large_pool():
@@ -308,6 +333,121 @@ def test_whole_table_pass_matches_oracle_on_a_large_pool():
         with pytest.raises(ParseError) as err:
             parse(duplicated)
         assert err.value.line_no == len(rows) + 4
+
+
+@pytest.mark.parametrize("text", [
+    "dim=2\n0,1.0,2.0\n1,3.0,4.0\n",
+    "dim=2\n0,1.0,2.0\n\n1,3.0,4.0\n0,1.0,2.0\n",   # duplicate at line 5
+    "dim=2\n0,1.0,2.0\n1,3.0\n",                    # ragged row at line 3
+])
+def test_open_file_parses_from_its_position(text, tmp_path, monkeypatch):
+    """A file is read from where it stands, and a rejected one is
+    rewound there, so line numbers count from that position."""
+    monkeypatch.setattr(dataset, "_BLOCK_CHARS", 4)
+    path = tmp_path / "table.csv"
+    path.write_text("# preamble\n" + text, encoding="utf-8")
+    try:
+        expected = parse_feature_dataset(text)
+    except ParseError as exc:
+        expected = exc
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        if isinstance(expected, ParseError):
+            with pytest.raises(ParseError) as err:
+                parse_feature_dataset(fh)
+            assert err.value.line_no == expected.line_no
+        else:
+            assert _tables_bitwise_equal(parse_feature_dataset(fh), expected)
+
+
+def test_unreadable_feature_files_raise_parse_error(tmp_path, monkeypatch):
+    with pytest.raises(ParseError, match="cannot read feature file"):
+        load_feature_dataset(str(tmp_path / "missing.csv"))
+    with pytest.raises(ParseError, match="cannot read feature file"):
+        load_feature_dataset(str(tmp_path))
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"dim=1\n\xff,1.0\n")
+    with pytest.raises(ParseError, match="not utf-8 text") as err:
+        load_feature_dataset(str(bad))
+    assert err.value.line_no is None
+    # with small blocks the bad byte is decoded after the first blocks parsed
+    monkeypatch.setattr(dataset, "_BLOCK_CHARS", 8)
+    bad.write_bytes(b"dim=1\n" + b"".join(b"0,%d.0\n" % i for i in range(20)) + b"1,\xff\n")
+    with pytest.raises(ParseError, match="not utf-8 text"):
+        load_feature_dataset(str(bad))
+
+
+def _writer_table() -> DatasetTable:
+    pool = generate_synthetic(SyntheticSpec(num_classes=4, dim=3, samples_per_class=9,
+                                            class_std=1.0, mean_scale=2.0, seed=2))
+    edge = ClassRecord(2**63 - 1, np.array([[-0.0, 5e-324, -1.7976931348623157e308]]))
+    return DatasetTable(dim=3, classes=[pool.classes[2], edge, *pool.classes[:2]])
+
+
+@pytest.mark.parametrize("block_chars", [1, 64, 1 << 20])
+def test_writer_output_equals_render(block_chars, tmp_path, monkeypatch):
+    monkeypatch.setattr(dataset, "_BLOCK_CHARS", block_chars)
+    table = _writer_table()
+    path = str(tmp_path / "table.csv")
+    write_feature_dataset(table, path)
+    with open(path, "rb") as fh:
+        assert fh.read() == render_feature_dataset(table).encode("utf-8")
+    assert _tables_bitwise_equal(load_feature_dataset(path), table)
+
+
+def test_failed_write_leaves_the_old_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataset, "_BLOCK_CHARS", 64)
+    path = str(tmp_path / "table.csv")
+    write_feature_dataset(_writer_table(), path)
+    with open(path, "rb") as fh:
+        before = fh.read()
+
+    # a table that fails validation
+    bad = DatasetTable(dim=3, classes=[ClassRecord(0, np.zeros((2, 2)))])
+    with pytest.raises(ArgumentError):
+        write_feature_dataset(bad, path)
+
+    # a failure after some chunks reached the temporary file
+    real_chunks = dataset._feature_chunks
+
+    def failing_chunks(table):
+        for i, chunk in enumerate(real_chunks(table)):
+            if i == 3:
+                raise OSError("disk full")
+            yield chunk
+
+    monkeypatch.setattr(dataset, "_feature_chunks", failing_chunks)
+    with pytest.raises(OSError, match="disk full"):
+        write_feature_dataset(generate_synthetic(SyntheticSpec(
+            num_classes=3, dim=3, samples_per_class=20, class_std=1.0,
+            mean_scale=2.0, seed=1)), path)
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert os.listdir(tmp_path) == ["table.csv"]
+
+
+def test_feature_file_io_memory_is_bounded(tmp_path, monkeypatch):
+    """Besides the table, reading holds about one block of text and the
+    table's records once more, and writing holds about one block."""
+    monkeypatch.setattr(dataset, "_BLOCK_CHARS", 64 * 1024)
+    table = generate_synthetic(SyntheticSpec(num_classes=10, dim=16, samples_per_class=300,
+                                             class_std=1.0, mean_scale=2.0, seed=4))
+    table_bytes = sum(rec.examples.nbytes for rec in table.classes)
+    path = str(tmp_path / "table.csv")
+    tracemalloc.start()
+    try:
+        write_feature_dataset(table, path)
+        _, write_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        loaded = load_feature_dataset(path)
+        _, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _tables_bitwise_equal(loaded, table)
+    assert write_peak < 1.0 * table_bytes
+    # the loaded table itself is one of the four
+    assert load_peak - before < 4.0 * table_bytes
 
 
 def test_render_parse_round_trip_is_byte_stable():

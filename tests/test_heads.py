@@ -636,3 +636,19 @@ def test_qda_empty_query_gives_empty_densities():
     model = qda_fit(sx, sy)
     assert qda_log_density(model, np.zeros((0, sx.shape[1]))).shape == (0, 3)
     assert qda_predict(model, np.zeros((0, sx.shape[1]))).shape == (0,)
+
+
+@pytest.mark.parametrize("head", [
+    lambda sx, sy, qx: proto_labels(compute_prototypes(sx, sy), qx),
+    lambda sx, sy, qx: proto_predict(compute_prototypes(sx, sy), qx),
+    lambda sx, sy, qx: qda_predict(qda_fit(sx, sy), qx),
+    lambda sx, sy, qx: qda_log_density(qda_fit(sx, sy), qx),
+    lambda sx, sy, qx: ptmap_fit_predict(sx, sy, qx),
+    lambda sx, sy, qx: rectified_proto_predict(sx, sy, qx),
+], ids=["proto_labels", "proto_predict", "qda_predict", "qda_log_density", "ptmap", "rect"])
+def test_empty_query_of_the_wrong_width_is_a_shape_error(head):
+    sx, sy, _, _ = make_episode(n=3, k=4)
+    assert sx.shape[1] != 2
+    with pytest.raises(ShapeError):
+        head(sx, sy, np.zeros((0, 2)))
+    assert len(head(sx, sy, np.zeros((0, sx.shape[1])))) == 0

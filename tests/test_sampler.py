@@ -227,6 +227,9 @@ def test_parse_episode_errors(text):
         ("dim=1\n0,S,0,abc\n0,Q,0,2.0\n", 2),         # value
         ("dim=1\n99999999999999999999,S,0,1.0\n", 2),  # class id beyond int64
         ("dim=-2\nx\n", 1),                           # dimension below 1
+        ("dim=1_0\n0,S,0,1.0\n0,Q,0,2.0\n", 1),      # digit separator in d
+        ("dim=\u0661\n0,S,0,1.0\n0,Q,0,2.0\n", 1),  # non-ASCII digit in d
+        ("\n0,S,0,1.0\n0,Q,0,2.0\n", 1),             # no header
     ],
 )
 def test_parse_episode_bad_field_names_the_line(text, line_no):
