@@ -58,7 +58,9 @@ class Method:
     n_way)`` returns the predictor state, and ``predict(state, query_x)``
     labels query rows.  ``transductive`` methods label the whole query set
     jointly, so their predictions are cached per query set.  ``choices``
-    maps a key that takes one of a fixed set of values to that set.
+    maps a key that takes one of a fixed set of values to that set, and
+    ``bounds`` maps a numeric key to the interval its value must lie in,
+    written like ``"(0, 1]"`` with ``inf`` for an unbounded end.
     """
 
     params: dict
@@ -67,6 +69,7 @@ class Method:
     meta_fit: Callable[..., tuple] | None = None
     transductive: bool = False
     choices: dict = field(default_factory=dict)
+    bounds: dict = field(default_factory=dict)
 
 
 def _coerce(key: str, value, default):
@@ -127,6 +130,13 @@ class MethodConfig:
                     f"method parameter {key}={values[key]!r} for method "
                     f"{self.name!r} must be one of {list(allowed)}"
                 )
+        for key, interval in method.bounds.items():
+            low, high = (float(end) for end in interval[1:-1].split(","))
+            v = values[key]
+            if not ((low <= v if interval[0] == "[" else low < v)
+                    and (v <= high if interval[-1] == "]" else v < high)):
+                raise ConfigError(f"method parameter {key}={v!r} for method "
+                                  f"{self.name!r} must lie in {interval}")
         return values
 
 
@@ -326,11 +336,16 @@ METHODS: dict[str, Method] = {
         params={"inner_steps": 5, "inner_lr": 0.05, "outer_lr": 0.005,
                 "meta_batch": 32, "epochs": 300, "hidden": 64},
         fit=_fomaml_fit, predict=_fomaml_predict, meta_fit=_fomaml_meta_fit,
+        bounds={"inner_steps": "[0, inf)", "inner_lr": "(0, inf)",
+                "outer_lr": "(0, inf)", "meta_batch": "[1, inf)",
+                "epochs": "[0, inf)", "hidden": "[1, inf)"},
     ),
     "linear": Method(
         params={"pretrain_batches": 10, "batch_size": 256,
                 "epochs": 10, "step_size": 0.001},
         fit=_linear_fit, predict=_linear_predict, meta_fit=_linear_meta_fit,
+        bounds={"pretrain_batches": "[1, inf)", "batch_size": "[1, inf)",
+                "epochs": "[1, inf)", "step_size": "(0, inf)"},
     ),
     "ptmap": Method(
         params={"beta": 0.5, "epsilon": 1e-6, "unit_normalize": True,
@@ -339,10 +354,12 @@ METHODS: dict[str, Method] = {
                 "tol": heads.PTMAP_SINKHORN.tol,
                 "n_iters": 20, "step_size": 0.2},
         fit=_keep_support, predict=_ptmap_predict, transductive=True,
+        bounds={"epsilon": "[0, inf)", "reg": "(0, inf]", "max_iters": "[1, inf)",
+                "tol": "(0, inf]", "n_iters": "[0, inf)", "step_size": "(0, 1]"},
     ),
     "qda": Method(
         params={"shrinkage": 0.5},
-        fit=_qda_fit, predict=_qda_predict,
+        fit=_qda_fit, predict=_qda_predict, bounds={"shrinkage": "[0, 1]"},
     ),
     "rect": Method(
         params={"metric": "euclidean"},
@@ -463,6 +480,6 @@ def load_learner(path: str) -> LearnerState:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ArtifactError(f"cannot read artifact: {exc}") from None
     return parse_learner(text)

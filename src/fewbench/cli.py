@@ -98,7 +98,7 @@ def _load_phase_config(args: argparse.Namespace):
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = parse_config_text(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     for item in args.set:
         if "=" not in item:

@@ -14,6 +14,7 @@ index order, so runs are bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,11 @@ __all__ = [
     "fo_meta_step",
     "meta_train",
 ]
+
+# the reductions that ndarray.sum and ndarray.max wrap, called directly:
+# the same arithmetic without a Python wrapper per call
+_sum = np.add.reduce
+_max = np.maximum.reduce
 
 # substream tags under the training seed
 _INIT_STREAM = 0
@@ -120,6 +126,39 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return logits[0] if single else logits
 
 
+def _one_hot(y, n_way):
+    """The (B, n_way) one-hot of labels ``y`` and the flat positions of its
+    ones, row by row; a label >= ``n_way`` raises ``IndexError``."""
+    onehot = np.zeros((len(y), n_way))
+    onehot[np.arange(len(y)), y] = 1.0
+    return onehot, np.flatnonzero(onehot)
+
+
+def _loss_grad(W1, b1, W2, b2, x, onehot, picks):
+    """Loss, gradients of (W1, b1, W2, b2) and logits of a float64 batch
+    ``x`` with labels given by ``_one_hot``."""
+    pre = x @ W1.T
+    pre += b1                                  # (B, h)
+    hidden = np.maximum(pre, 0.0)
+    logits = hidden @ W2.T
+    logits += b2                               # (B, n)
+    shifted = logits - _max(logits, axis=1, keepdims=True)
+    log_probs = shifted - np.log(_sum(np.exp(shifted), axis=1, keepdims=True))
+    n = len(onehot)
+    loss = float(-(_sum(log_probs.take(picks)) / n))
+    if not math.isfinite(loss):
+        raise NumericError("non-finite loss in MLP forward pass")
+
+    d_logits = np.exp(log_probs)
+    d_logits -= onehot
+    d_logits /= n
+    d_w2 = d_logits.T @ hidden
+    d_b2 = _sum(d_logits, axis=0)
+    d_pre = d_logits @ W2
+    d_pre *= pre > 0.0
+    return loss, d_pre.T @ x, _sum(d_pre, axis=0), d_w2, d_b2, logits
+
+
 def loss_and_grad(
     params: MlpParams, x: np.ndarray, y: np.ndarray
 ) -> tuple[float, MlpParams]:
@@ -127,28 +166,10 @@ def loss_and_grad(
 
     The relu subgradient at exactly 0 is taken as 0.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
-    pre = x @ params.W1.T + params.b1          # (B, h)
-    hidden = np.maximum(pre, 0.0)
-    logits = hidden @ params.W2.T + params.b2  # (B, n)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    n = len(y)
-    loss = float(-log_probs[np.arange(n), y].mean())
-    if not np.isfinite(loss):
-        raise NumericError("non-finite loss in MLP forward pass")
-
-    d_logits = np.exp(log_probs)
-    d_logits[np.arange(n), y] -= 1.0
-    d_logits /= n
-    d_w2 = d_logits.T @ hidden
-    d_b2 = d_logits.sum(axis=0)
-    d_hidden = d_logits @ params.W2
-    d_pre = d_hidden * (pre > 0.0)
-    d_w1 = d_pre.T @ x
-    d_b1 = d_pre.sum(axis=0)
-    return loss, MlpParams(W1=d_w1, b1=d_b1, W2=d_w2, b2=d_b2)
+    loss, *grads, _ = _loss_grad(params.W1, params.b1, params.W2, params.b2,
+                                 np.asarray(x, dtype=np.float64),
+                                 *_one_hot(y, len(params.b2)))
+    return loss, MlpParams(*grads)
 
 
 def inner_adapt(
@@ -160,10 +181,19 @@ def inner_adapt(
     """``config.steps`` full-batch gradient steps on the support loss."""
     config = config or InnerConfig()
     config.validate()
+    if config.steps == 0:
+        return params
+    x = np.asarray(support_x, dtype=np.float64)
+    onehot, picks = _one_hot(support_y, len(params.b2))
+    lr = config.lr
+    W1, b1, W2, b2 = params.W1, params.b1, params.W2, params.b2
     for _ in range(config.steps):
-        _, grads = loss_and_grad(params, support_x, support_y)
-        params = params.step(grads, config.lr)
-    return params
+        _, g1, gb1, g2, gb2, _ = _loss_grad(W1, b1, W2, b2, x, onehot, picks)
+        W1 = W1 - lr * g1
+        b1 = b1 - lr * gb1
+        W2 = W2 - lr * g2
+        b2 = b2 - lr * gb2
+    return MlpParams(W1=W1, b1=b1, W2=W2, b2=b2)
 
 
 def _fo_step_with_stats(
@@ -179,20 +209,20 @@ def _fo_step_with_stats(
     acc_sum = 0.0
     for ep in episodes:
         adapted = inner_adapt(params, ep.support_x, ep.support_y, inner)
-        loss, grads = loss_and_grad(adapted, ep.query_x, ep.query_y)
-        pred = np.argmax(mlp_forward(adapted, ep.query_x), axis=1)
+        loss, *grads, logits = _loss_grad(
+            adapted.W1, adapted.b1, adapted.W2, adapted.b2,
+            np.asarray(ep.query_x, dtype=np.float64),
+            *_one_hot(ep.query_y, len(params.b2)),
+        )
         loss_sum += loss
-        acc_sum += float((pred == ep.query_y).mean())
+        acc_sum += float((np.argmax(logits, axis=1) == ep.query_y).mean())
         if total is None:
             total = grads
         else:
-            total = MlpParams(
-                W1=total.W1 + grads.W1, b1=total.b1 + grads.b1,
-                W2=total.W2 + grads.W2, b2=total.b2 + grads.b2,
-            )
+            for t, g in zip(total, grads):
+                t += g
     m = float(len(episodes))
-    avg = MlpParams(W1=total.W1 / m, b1=total.b1 / m,
-                    W2=total.W2 / m, b2=total.b2 / m)
+    avg = MlpParams(*(t / m for t in total))
     return params.step(avg, outer_lr), loss_sum / m, acc_sum / m
 
 

@@ -475,7 +475,7 @@ def leaderboard_report(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ReportError(f"cannot read leaderboard: {exc}") from None
     entries = [
         parse_leaderboard_entry(ln, line_no=i) for i, ln in enumerate(lines, start=1)

@@ -12,6 +12,7 @@ import math
 import os
 import tempfile
 import traceback
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .dataset import (
 )
 from .errors import ParseError
 from .evaluation import cat_accuracy, ci95, evaluate_learner
+from .fomaml import MlpParams, loss_and_grad
 from .heads import SinkhornConfig, compute_prototypes, proto_labels, sinkhorn
 from .rng import RngState
 from .sampler import EpisodeSpec, episode_stream
@@ -69,6 +71,24 @@ def _check_sinkhorn_small_reg() -> None:
     assert plan.converged
     assert np.max(np.abs(plan.matrix.sum(axis=1) - a)) <= config.tol
     assert np.max(np.abs(plan.matrix.sum(axis=0) - b)) <= config.tol
+
+
+def _check_fomaml_gradient() -> None:
+    # central differences against the hand-derived gradient of a 3x4x3 MLP
+    rng = np.random.default_rng(2)
+    params = MlpParams(W1=rng.normal(size=(4, 3)), b1=rng.normal(size=4),
+                       W2=rng.normal(size=(3, 4)), b2=rng.normal(size=3))
+    x, y = rng.normal(size=(6, 3)), np.array([0, 1, 2, 0, 1, 2])
+    _, grads = loss_and_grad(params, x, y)
+    for name in ("W1", "b1", "W2", "b2"):
+        for idx in np.ndindex(getattr(params, name).shape):
+            moved = []
+            for step in (1e-6, -1e-6):
+                arr = getattr(params, name).copy()
+                arr[idx] += step
+                moved.append(loss_and_grad(replace(params, **{name: arr}), x, y)[0])
+            fd = (moved[0] - moved[1]) / 2e-6
+            assert abs(fd - getattr(grads, name)[idx]) < 1e-7, (name, idx, fd)
 
 
 def _check_single_shot_prototypes() -> None:
@@ -156,6 +176,7 @@ def _check_end_to_end_scoring() -> None:
 _CHECKS = [
     ("sinkhorn marginals", _check_sinkhorn_marginals),
     ("sinkhorn small reg", _check_sinkhorn_small_reg),
+    ("fo-MAML gradient", _check_fomaml_gradient),
     ("single-shot prototypes", _check_single_shot_prototypes),
     ("ci95 formula", _check_ci95_formula),
     ("episode determinism", _check_episode_determinism),

@@ -120,6 +120,42 @@ def test_method_config_coercions():
         MethodConfig(name="ptmap", params={"unit_normalize": "maybe"}).validate()
 
 
+def test_registry_bounds_cover_numeric_keys_only():
+    for name, method in METHODS.items():
+        for key, interval in method.bounds.items():
+            assert type(method.params[key]) in (int, float), (name, key)
+            assert interval[0] in "[(" and interval[-1] in "])", (name, key)
+        MethodConfig(name=name).validate()  # the defaults lie in bounds
+
+
+@pytest.mark.parametrize("name,key,bad,good", [
+    ("qda", "shrinkage", ["-0.01", "1.5", "2", "nan", "inf"], ["0", "1", "0.3"]),
+    ("fomaml", "inner_steps", ["-1"], ["0", "7"]),
+    ("fomaml", "inner_lr", ["0", "-0.1", "nan", "inf"], ["1e-9"]),
+    ("fomaml", "outer_lr", ["0", "nan"], ["0.5"]),
+    ("fomaml", "meta_batch", ["0", "-3"], ["1"]),
+    ("fomaml", "epochs", ["-1"], ["0"]),
+    ("fomaml", "hidden", ["0"], ["1"]),
+    ("linear", "pretrain_batches", ["0"], ["1"]),
+    ("linear", "batch_size", ["0"], ["1"]),
+    ("linear", "epochs", ["0"], ["1"]),
+    ("linear", "step_size", ["0", "-1"], ["1e-6"]),
+    ("ptmap", "epsilon", ["-1e-9", "inf", "nan"], ["0"]),
+    ("ptmap", "reg", ["0", "nan"], ["0.01", "inf"]),
+    ("ptmap", "max_iters", ["0"], ["1"]),
+    ("ptmap", "tol", ["0", "-1"], ["1e-12", "inf"]),
+    ("ptmap", "n_iters", ["-1"], ["0"]),
+    ("ptmap", "step_size", ["0", "1.01", "nan"], ["1", "1e-3"]),
+])
+def test_method_config_enforces_bounds(name, key, bad, good):
+    for value in bad:
+        with pytest.raises(ConfigError) as err:
+            MethodConfig(name=name, params={key: value}).validate()
+        assert key in str(err.value) and METHODS[name].bounds[key] in str(err.value)
+    for value in good:
+        MethodConfig(name=name, params={key: value}).validate()
+
+
 # ---------------------------------------------------------------------------
 # fit / predict across methods
 
@@ -406,6 +442,13 @@ def test_artifact_rejects_unknown_lines():
 def test_missing_artifact_file(tmp_path):
     with pytest.raises(ArtifactError):
         load_learner(str(tmp_path / "absent.txt"))
+
+
+def test_undecodable_artifact_file(tmp_path):
+    path = tmp_path / "learner.txt"
+    path.write_bytes(ARTIFACT_MAGIC.encode() + b"\nmethod,proto\xff\nend\n")
+    with pytest.raises(ArtifactError):
+        load_learner(str(path))
 
 
 @pytest.mark.parametrize("shape", [(), (2, 2, 2)])

@@ -114,6 +114,14 @@ def test_malformed_config_is_config_error(tmp_path):
     assert main(["run", "--config", str(path)]) == EXIT_CONFIG
 
 
+def test_undecodable_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"method.name = proto\xff\n")
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config") and err.count("\n") == 1
+
+
 def test_unknown_method_is_config_error(config_path):
     assert main(["run", "--config", config_path,
                  "--method", "mystery"]) == EXIT_CONFIG

@@ -6,9 +6,14 @@ step is pinned by an equivalence: with zero inner steps the meta update
 must coincide exactly with joint training on the pooled query batches.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fewbench import fomaml
 from fewbench.dataset import SyntheticSpec, generate_synthetic
 from fewbench.errors import ArgumentError, NumericError
 from fewbench.fomaml import (
@@ -23,7 +28,7 @@ from fewbench.fomaml import (
     mlp_forward,
 )
 from fewbench.rng import RngState
-from fewbench.sampler import EpisodeSpec, sample_episode
+from fewbench.sampler import ALL_REMAINING, Episode, EpisodeSpec, sample_episode
 
 
 def random_params(gen, d=4, h=6, n=3, scale=1.0):
@@ -283,3 +288,127 @@ def test_meta_train_epoch_draws_are_stream_indexed():
     ep_again = sample_episode(pool, spec, root.fork(1).fork(3).fork(2))
     assert np.array_equal(ep_direct.support_x, ep_again.support_x)
     assert np.array_equal(ep_direct.query_x, ep_again.query_x)
+
+
+# ---------------------------------------------------------------------------
+# Bit-exactness of the array-level loops against the per-task MlpParams loop
+#
+# The oracle below is the straightforward form of the same arithmetic: one
+# MlpParams and one full forward/backward per inner step, and a second
+# forward pass over the query set for the accuracy.  The library must give
+# the same bits.
+
+
+def _oracle_loss_and_grad(params, x, y):
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y)
+    pre = x @ params.W1.T + params.b1
+    hidden = np.maximum(pre, 0.0)
+    logits = hidden @ params.W2.T + params.b2
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    n = len(y)
+    loss = float(-log_probs[np.arange(n), y].mean())
+    if not np.isfinite(loss):
+        raise NumericError("non-finite loss in MLP forward pass")
+    d_logits = np.exp(log_probs)
+    d_logits[np.arange(n), y] -= 1.0
+    d_logits /= n
+    d_w2 = d_logits.T @ hidden
+    d_b2 = d_logits.sum(axis=0)
+    d_hidden = d_logits @ params.W2
+    d_pre = d_hidden * (pre > 0.0)
+    d_w1 = d_pre.T @ x
+    d_b1 = d_pre.sum(axis=0)
+    return loss, MlpParams(W1=d_w1, b1=d_b1, W2=d_w2, b2=d_b2)
+
+
+def _oracle_inner_adapt(params, support_x, support_y, config):
+    for _ in range(config.steps):
+        _, grads = _oracle_loss_and_grad(params, support_x, support_y)
+        params = params.step(grads, config.lr)
+    return params
+
+
+def _oracle_fo_step_with_stats(params, episodes, inner, outer_lr):
+    total = None
+    loss_sum = 0.0
+    acc_sum = 0.0
+    for ep in episodes:
+        adapted = _oracle_inner_adapt(params, ep.support_x, ep.support_y, inner)
+        loss, grads = _oracle_loss_and_grad(adapted, ep.query_x, ep.query_y)
+        pred = np.argmax(mlp_forward(adapted, ep.query_x), axis=1)
+        loss_sum += loss
+        acc_sum += float((pred == ep.query_y).mean())
+        if total is None:
+            total = grads
+        else:
+            total = MlpParams(
+                W1=total.W1 + grads.W1, b1=total.b1 + grads.b1,
+                W2=total.W2 + grads.W2, b2=total.b2 + grads.b2,
+            )
+    m = float(len(episodes))
+    avg = MlpParams(W1=total.W1 / m, b1=total.b1 / m,
+                    W2=total.W2 / m, b2=total.b2 / m)
+    return params.step(avg, outer_lr), loss_sum / m, acc_sum / m
+
+
+def assert_same_bits(got, want):
+    for name in ("W1", "b1", "W2", "b2"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(1, 3), h=st.integers(1, 3), n_way=st.integers(1, 3),
+    k_shot=st.integers(1, 3),
+    query=st.one_of(st.integers(1, 3), st.just(ALL_REMAINING)),
+    steps=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+)
+def test_loops_match_per_task_oracle_bitwise(d, h, n_way, k_shot, query, steps, seed):
+    gen = np.random.default_rng(seed)
+    inner = InnerConfig(steps=steps, lr=float(gen.choice([0.05, 0.5, 2.0])))
+    params = random_params(gen, d=d, h=h, n=n_way)
+    support_x = gen.normal(size=(n_way * k_shot, d))
+    support_y = np.repeat(np.arange(n_way), k_shot)
+    assert_same_bits(inner_adapt(params, support_x, support_y, inner),
+                     _oracle_inner_adapt(params, support_x, support_y, inner))
+    if n_way < 2:  # sampled episodes are at least 2-way
+        return
+
+    pool = generate_synthetic(SyntheticSpec(
+        num_classes=n_way + 1, dim=d, samples_per_class=k_shot + 3,
+        class_std=1.0, mean_scale=2.0, seed=seed % 1000))
+    spec = EpisodeSpec(n_way=n_way, k_shot=k_shot, query_per_class=query)
+    episodes = [sample_episode(pool, spec, RngState(seed).fork(i)) for i in range(3)]
+    assert_same_bits(fo_meta_step(params, episodes, inner, outer_lr=0.1),
+                     _oracle_fo_step_with_stats(params, episodes, inner, 0.1)[0])
+
+    outer = OuterConfig(lr=0.1, meta_batch=2, epochs=3)
+    got, got_log = meta_train(pool, spec, inner, outer, seed=seed, hidden=h)
+    with mock.patch.object(fomaml, "_fo_step_with_stats", _oracle_fo_step_with_stats):
+        want, want_log = meta_train(pool, spec, inner, outer, seed=seed, hidden=h)
+    assert_same_bits(got, want)
+    assert repr(got_log) == repr(want_log)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_loss_raises_in_inner_step():
+    params = random_params(np.random.default_rng(20))
+    x = np.full((3, 4), 1e308)  # overflows the hidden layer to +-inf
+    with pytest.raises(NumericError):
+        inner_adapt(params, x, np.array([0, 1, 2]), InnerConfig(steps=1))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_loss_raises_in_query_pass():
+    params = random_params(np.random.default_rng(21))
+    episode = Episode(
+        support_x=np.eye(3, 4), support_y=np.arange(3),
+        query_x=np.full((3, 4), 1e308), query_y=np.arange(3),
+        class_map=np.arange(3),
+    )
+    # the inner steps see only the finite support set
+    inner_adapt(params, episode.support_x, episode.support_y, InnerConfig(steps=2))
+    with pytest.raises(NumericError):
+        fo_meta_step(params, [episode], InnerConfig(steps=2))

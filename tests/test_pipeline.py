@@ -137,6 +137,11 @@ def test_load_config_scopes_method_params():
         {"data.train_path": "only_half.csv"},
         {"sampler.query_per_class": "some"},
         {"method.name": "mystery"},
+        {"method.name": "qda", "method.qda.shrinkage": "2"},
+        {"method.name": "fomaml", "method.fomaml.hidden": "0"},
+        {"method.name": "fomaml", "method.fomaml.meta_batch": "0"},
+        {"method.name": "linear", "method.linear.pretrain_batches": "0"},
+        {"method.name": "proto", "method.ptmap.step_size": "1.5"},
     ],
 )
 def test_load_config_rejects(overrides):
@@ -459,6 +464,13 @@ def test_leaderboard_report_ranks_and_breaks_ties(tmp_path):
 def test_leaderboard_report_missing_file():
     with pytest.raises(ReportError):
         leaderboard_report("/nonexistent/board.csv")
+
+
+def test_leaderboard_report_undecodable_file(tmp_path):
+    path = tmp_path / "board.csv"
+    path.write_bytes(b"\xff\n")
+    with pytest.raises(ReportError):
+        leaderboard_report(str(path))
 
 
 def test_leaderboard_report_names_bad_line(tmp_path):
