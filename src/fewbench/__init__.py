@@ -93,7 +93,6 @@ from .pipeline import (
 from .rng import RngState
 from .sampler import (
     ALL_REMAINING,
-    Batch,
     Episode,
     EpisodeSpec,
     episode_stream,

@@ -12,7 +12,6 @@ processes can hand off through the filesystem alone.
 from __future__ import annotations
 
 import ast
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -56,18 +55,16 @@ class Method:
     ``(arrays, provenance)``; methods with nothing to learn from meta-train
     data leave it ``None``.  ``fit(params, arrays, support_x, support_y,
     n_way)`` returns the predictor state, and ``predict(state, query_x)``
-    labels query rows.  ``transductive`` methods label the whole query set
-    jointly, so their predictions are cached per query set.  ``choices``
-    maps a key that takes one of a fixed set of values to that set, and
-    ``bounds`` maps a numeric key to the interval its value must lie in,
-    written like ``"(0, 1]"`` with ``inf`` for an unbounded end.
+    labels query rows.  ``choices`` maps a key that takes one of a fixed
+    set of values to that set, and ``bounds`` maps a numeric key to the
+    interval its value must lie in, written like ``"(0, 1]"`` with ``inf``
+    for an unbounded end.
     """
 
     params: dict
     fit: Callable[..., dict]
     predict: Callable[[dict, np.ndarray], np.ndarray]
     meta_fit: Callable[..., tuple] | None = None
-    transductive: bool = False
     choices: dict = field(default_factory=dict)
     bounds: dict = field(default_factory=dict)
 
@@ -157,18 +154,10 @@ class Provenance:
 
 @dataclass
 class PredictorState:
-    """Episode-adapted state; ``predict`` labels query vectors.
-
-    For transductive methods the batched call over the full query set is
-    the unit of purity: results are computed jointly, cached keyed by the
-    query bytes, and re-served identically on repeat calls.
-    """
+    """Episode-adapted state; every ``predict`` call recomputes the labels."""
 
     method: MethodConfig
-    labels: np.ndarray  # episode labels this predictor can emit, 0..N-1
     state: dict
-    _cache: dict = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def predict(self, query_x: np.ndarray) -> np.ndarray:
         """One episode label per query row; pure given the query set."""
@@ -177,14 +166,7 @@ class PredictorState:
             query_x = query_x[None, :]
         if not np.isfinite(query_x).all():
             raise EpisodeFormatError("query set holds non-finite values")
-        method = METHODS[self.method.name]
-        if method.transductive:
-            key = query_x.tobytes()
-            with self._lock:
-                if key not in self._cache:
-                    self._cache[key] = method.predict(self.state, query_x)
-                return self._cache[key].copy()
-        return method.predict(self.state, query_x)
+        return METHODS[self.method.name].predict(self.state, query_x)
 
 
 @dataclass
@@ -205,7 +187,7 @@ class LearnerState:
         state = METHODS[self.method.name].fit(
             params, self.arrays, support_x, np.asarray(support_y), n_way
         )
-        return PredictorState(method=self.method, labels=np.arange(n_way), state=state)
+        return PredictorState(method=self.method, state=state)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +241,7 @@ def _linear_meta_fit(p, spec, meta_train, seed, clock, log_path):
     for i in range(p["pretrain_batches"]):
         if clock is not None:
             clock.check()
-        seen.append(sample_batch(meta_train, batch_size, root.fork(i)).x)
+        seen.append(sample_batch(meta_train, batch_size, root.fork(i)))
     stacked = np.concatenate(seen)
     std = stacked.std(axis=0)
     std[std < 1e-12] = 1.0
@@ -353,7 +335,7 @@ METHODS: dict[str, Method] = {
                 "max_iters": heads.PTMAP_SINKHORN.max_iters,
                 "tol": heads.PTMAP_SINKHORN.tol,
                 "n_iters": 20, "step_size": 0.2},
-        fit=_keep_support, predict=_ptmap_predict, transductive=True,
+        fit=_keep_support, predict=_ptmap_predict,
         bounds={"epsilon": "[0, inf)", "reg": "(0, inf]", "max_iters": "[1, inf)",
                 "tol": "(0, inf]", "n_iters": "[0, inf)", "step_size": "(0, 1]"},
     ),
@@ -363,7 +345,7 @@ METHODS: dict[str, Method] = {
     ),
     "rect": Method(
         params={"metric": "euclidean"},
-        fit=_keep_support, predict=_rect_predict, transductive=True,
+        fit=_keep_support, predict=_rect_predict,
         choices={"metric": heads.METRICS},
     ),
 }

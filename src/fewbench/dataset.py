@@ -96,12 +96,6 @@ class DatasetTable:
     def class_ids(self) -> list[int]:
         return [c.class_id for c in self.classes]
 
-    def by_id(self, class_id: int) -> ClassRecord:
-        for rec in self.classes:
-            if rec.class_id == class_id:
-                return rec
-        raise ArgumentError(f"no class with id {class_id}")
-
     def validate(self) -> None:
         if self.dim < 1:
             raise ArgumentError(f"dim must be >= 1, got {self.dim}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, NumericError
+from .errors import ArgumentError, NumericError, ShapeError
 from .rng import RngState
 from .sampler import Episode, EpisodeSpec, sample_episode
 
@@ -134,6 +134,15 @@ def _one_hot(y, n_way):
     return onehot, np.flatnonzero(onehot)
 
 
+def _check_batch(params, x, y):
+    """``x`` as float64, checked to be one row of the MLP's width per label."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != params.W1.shape[1] or np.shape(y) != x.shape[:1]:
+        raise ShapeError(f"batch of shape {x.shape} with labels of shape "
+                         f"{np.shape(y)} for a {params.W1.shape[1]}-wide MLP")
+    return x
+
+
 def _loss_grad(W1, b1, W2, b2, x, onehot, picks):
     """Loss, gradients of (W1, b1, W2, b2) and logits of a float64 batch
     ``x`` with labels given by ``_one_hot``."""
@@ -167,7 +176,7 @@ def loss_and_grad(
     The relu subgradient at exactly 0 is taken as 0.
     """
     loss, *grads, _ = _loss_grad(params.W1, params.b1, params.W2, params.b2,
-                                 np.asarray(x, dtype=np.float64),
+                                 _check_batch(params, x, y),
                                  *_one_hot(y, len(params.b2)))
     return loss, MlpParams(*grads)
 
@@ -181,9 +190,9 @@ def inner_adapt(
     """``config.steps`` full-batch gradient steps on the support loss."""
     config = config or InnerConfig()
     config.validate()
+    x = _check_batch(params, support_x, support_y)
     if config.steps == 0:
         return params
-    x = np.asarray(support_x, dtype=np.float64)
     onehot, picks = _one_hot(support_y, len(params.b2))
     lr = config.lr
     W1, b1, W2, b2 = params.W1, params.b1, params.W2, params.b2

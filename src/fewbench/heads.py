@@ -129,14 +129,12 @@ METRICS = ("euclidean", "cosine")
 class Prototypes:
     centers: np.ndarray  # (N, d)
     metric: str = "euclidean"
-    temperature: float = 1.0
 
 
 def compute_prototypes(
     support_x: np.ndarray,
     support_y: np.ndarray,
     metric: str = "euclidean",
-    temperature: float = 1.0,
 ) -> Prototypes:
     """Per-class arithmetic means of the support vectors.
 
@@ -145,14 +143,12 @@ def compute_prototypes(
     """
     if metric not in METRICS:
         raise ArgumentError(f"unknown metric {metric!r}")
-    if not temperature > 0:
-        raise ArgumentError(f"temperature must be positive, got {temperature}")
     n, k = support_structure(support_x, support_y)
     x = np.asarray(support_x, dtype=np.float64)
     if metric == "cosine":
         x = _unit_rows(x)
     centers = _class_blocks(x, np.asarray(support_y), n, k).sum(axis=1) / k
-    return Prototypes(centers=centers, metric=metric, temperature=temperature)
+    return Prototypes(centers=centers, metric=metric)
 
 
 def _sq_dists(query_x: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -164,7 +160,7 @@ def _sq_dists(query_x: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def proto_predict(prototypes: Prototypes, query_x: np.ndarray) -> np.ndarray:
-    """Per-query probability vectors: softmax(-distance^2 / temperature).
+    """Per-query probability vectors: softmax(-distance^2).
 
     The argmax of each row is the nearest-center label.
     """
@@ -172,7 +168,7 @@ def proto_predict(prototypes: Prototypes, query_x: np.ndarray) -> np.ndarray:
     if prototypes.metric == "cosine":
         query_x = _unit_rows(query_x)
     d2 = _sq_dists(query_x, prototypes.centers)
-    logits = -d2 / prototypes.temperature
+    logits = -d2
     logits -= logits.max(axis=1, keepdims=True)
     probs = np.exp(logits)
     probs /= probs.sum(axis=1, keepdims=True)

@@ -130,7 +130,7 @@ class PhaseConfig:
     method: MethodConfig
     workdir: str
     leaderboard_path: str
-    raw: dict[str, str] = field(default_factory=dict)
+    train_log: str = ""  # paths.train_log; "{seed}" becomes the seed
 
     def artifact_path(self, seed: int) -> str:
         return os.path.join(self.workdir, f"learner_seed{seed}.txt")
@@ -139,9 +139,9 @@ class PhaseConfig:
         return os.path.join(self.workdir, f"score_seed{seed}.csv")
 
     def train_log_path(self, seed: int) -> str | None:
-        if self.raw.get("paths.train_log", "") == "":
+        if self.train_log == "":
             return None
-        return self.raw["paths.train_log"].replace("{seed}", str(seed))
+        return self.train_log.replace("{seed}", str(seed))
 
 
 def _get_int(cfg: dict[str, str], key: str, default: int | None) -> int | None:
@@ -278,7 +278,7 @@ def load_config(cfg: dict[str, str]) -> PhaseConfig:
         leaderboard_path=cfg.get(
             "paths.leaderboard", os.path.join(workdir, "leaderboard.csv")
         ),
-        raw=dict(cfg),
+        train_log=cfg.get("paths.train_log", ""),
     )
     # NaN fails every comparison, so a NaN budget would never expire;
     # inf is allowed and means no limit

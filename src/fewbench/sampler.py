@@ -23,7 +23,6 @@ __all__ = [
     "ALL_REMAINING",
     "EpisodeSpec",
     "Episode",
-    "Batch",
     "RngState",
     "sample_episode",
     "episode_stream",
@@ -78,14 +77,6 @@ class Episode:
     @property
     def n_way(self) -> int:
         return len(self.class_map)
-
-
-@dataclass(frozen=True)
-class Batch:
-    """A flat draw of (example, original class id) pairs — no episode structure."""
-
-    x: np.ndarray          # (B, d)
-    class_ids: np.ndarray  # (B,) int64
 
 
 def sample_episode(pool: DatasetTable, spec: EpisodeSpec, rng: RngState) -> Episode:
@@ -147,19 +138,9 @@ def episode_stream(
         yield sample_episode(pool, spec, root.fork(i))
 
 
-def sample_batch(
-    pool: DatasetTable,
-    batch_size: int,
-    rng: RngState,
-    balanced: bool = False,
-) -> Batch:
-    """Draw a flat batch, uniform over all (class, example) pairs.
-
-    Within one call the draw is without replacement.  With
-    ``balanced=True`` each class contributes exactly
-    ``batch_size / n_classes`` examples (the batch-mode shape some
-    competition baselines trained on).
-    """
+def sample_batch(pool: DatasetTable, batch_size: int, rng: RngState) -> np.ndarray:
+    """Draw a flat ``(batch_size, d)`` batch of rows, uniform over all
+    examples of the pool and without replacement within one call."""
     if batch_size < 1:
         raise ArgumentError(f"batch_size must be >= 1, got {batch_size}")
     total = pool.total_examples
@@ -167,36 +148,9 @@ def sample_batch(
         raise ArgumentError(
             f"batch_size {batch_size} exceeds pool size {total}"
         )
-    gen = rng.generator
-    if balanced:
-        n_cls = pool.n_classes
-        quota, rem = divmod(batch_size, n_cls)
-        if rem != 0:
-            raise ArgumentError(
-                f"balanced batch_size {batch_size} not divisible by "
-                f"{n_cls} classes"
-            )
-        xs, cs = [], []
-        for rec in pool.classes:
-            if len(rec.examples) < quota:
-                raise ArgumentError(
-                    f"class {rec.class_id} has {len(rec.examples)} examples, "
-                    f"balanced batch needs {quota}"
-                )
-            take = gen.permutation(len(rec.examples))[:quota]
-            xs.append(rec.examples[take])
-            cs.append(np.full(quota, rec.class_id, dtype=np.int64))
-        x = np.concatenate(xs)
-        class_ids = np.concatenate(cs)
-        order = gen.permutation(batch_size)
-        return Batch(x=x[order], class_ids=class_ids[order])
-
     flat_x = np.concatenate([rec.examples for rec in pool.classes])
-    flat_c = np.concatenate(
-        [np.full(len(rec.examples), rec.class_id, dtype=np.int64) for rec in pool.classes]
-    )
-    take = gen.permutation(total)[:batch_size]
-    return Batch(x=flat_x[take], class_ids=flat_c[take])
+    take = rng.generator.permutation(total)[:batch_size]
+    return flat_x[take]
 
 
 def render_episode(episode: Episode) -> str:

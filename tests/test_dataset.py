@@ -41,8 +41,9 @@ def test_parse_basic():
     assert table.dim == 3
     assert table.class_ids() == [0, 1]
     assert table.total_examples == 4
-    assert np.array_equal(table.by_id(0).examples[0], [1.0, 0.5, -2.25])
-    assert table.by_id(1).examples.shape == (2, 3)
+    by_id = {rec.class_id: rec for rec in table.classes}
+    assert np.array_equal(by_id[0].examples[0], [1.0, 0.5, -2.25])
+    assert by_id[1].examples.shape == (2, 3)
 
 
 def test_class_order_is_first_appearance():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from fewbench import fomaml
 from fewbench.dataset import SyntheticSpec, generate_synthetic
-from fewbench.errors import ArgumentError, NumericError
+from fewbench.errors import ArgumentError, NumericError, ShapeError
 from fewbench.fomaml import (
     InnerConfig,
     MlpParams,
@@ -152,6 +152,18 @@ def test_inner_adapt_zero_steps_is_identity():
     x, y = random_batch(gen)
     adapted = inner_adapt(params, x, y, InnerConfig(steps=0, lr=0.05))
     assert adapted is params
+
+
+@pytest.mark.parametrize("shape,n_labels", [((6, 4), 3), ((8, 5), 8)],
+                         ids=["rows-vs-labels", "width"])
+@pytest.mark.parametrize("call", [
+    loss_and_grad,
+    lambda params, x, y: inner_adapt(params, x, y, InnerConfig(steps=1)),
+], ids=["loss_and_grad", "inner_adapt"])
+def test_batch_shape_mismatch_is_shape_error(call, shape, n_labels):
+    params = random_params(np.random.default_rng(22))  # d=4, n=3
+    with pytest.raises(ShapeError):
+        call(params, np.zeros(shape), np.arange(n_labels) % 3)
 
 
 def test_fo_step_zero_inner_equals_joint_training():

@@ -128,16 +128,6 @@ def test_cosine_metric_ignores_magnitude():
     assert labels.tolist() == [0, 1]
 
 
-def test_temperature_sharpens_but_preserves_argmax():
-    sx, sy, qx, _ = make_episode(seed=4)
-    sharp = compute_prototypes(sx, sy, temperature=0.1)
-    soft = compute_prototypes(sx, sy, temperature=10.0)
-    p_sharp = proto_predict(sharp, qx)
-    p_soft = proto_predict(soft, qx)
-    assert np.array_equal(np.argmax(p_sharp, axis=1), np.argmax(p_soft, axis=1))
-    assert p_sharp.max(axis=1).mean() > p_soft.max(axis=1).mean()
-
-
 def test_unknown_metric_rejected():
     sx, sy, _, _ = make_episode()
     with pytest.raises(ArgumentError):
