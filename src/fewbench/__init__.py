@@ -96,8 +96,6 @@ from .sampler import (
     Episode,
     EpisodeSpec,
     episode_stream,
-    parse_episode,
-    render_episode,
     sample_batch,
     sample_episode,
 )

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fomaml as fm
 from . import heads
-from .dataset import DatasetTable, render_value, write_text_atomic
+from .dataset import DatasetTable, read_text, render_value, write_text_atomic
 from .errors import ArtifactError, ConfigError, EpisodeFormatError
 from .rng import RngState
 from .sampler import EpisodeSpec, sample_batch
@@ -438,6 +438,8 @@ def parse_learner(text: str) -> LearnerState:
                 for j in range(n_rows):
                     data.append([float(v) for v in body[i + 1 + j].split(",")])
                 arrays[name] = np.asarray(data, dtype=np.float64).reshape(shape)
+                if not np.isfinite(arrays[name]).all():
+                    raise ArtifactError(f"array {name!r} holds non-finite values")
                 i += n_rows
             else:
                 raise ArtifactError(f"unrecognized artifact line {line!r}")
@@ -459,9 +461,4 @@ def save_learner(learner: LearnerState, path: str) -> None:
 
 
 def load_learner(path: str) -> LearnerState:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ArtifactError(f"cannot read artifact: {exc}") from None
-    return parse_learner(text)
+    return parse_learner(read_text(path, ArtifactError, "artifact"))

@@ -18,6 +18,7 @@ from .dataset import (
     SyntheticSpec,
     generate_synthetic,
     load_feature_dataset,
+    read_text,
     split_classes,
     write_feature_dataset,
 )
@@ -95,11 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_phase_config(args: argparse.Namespace):
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = parse_config_text(fh.read())
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
+    cfg = parse_config_text(read_text(args.config, ConfigError, "config"))
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")

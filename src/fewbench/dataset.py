@@ -39,6 +39,7 @@ besides the table itself only about one block is held at a time.
 
 from __future__ import annotations
 
+import io
 import os
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -46,7 +47,7 @@ from typing import Iterable, Iterator, NoReturn, TextIO
 
 import numpy as np
 
-from .errors import ArgumentError, ParseError
+from .errors import ArgumentError, BenchError, ParseError
 
 __all__ = [
     "ClassRecord",
@@ -56,6 +57,7 @@ __all__ = [
     "load_feature_dataset",
     "parse_feature_dataset",
     "write_feature_dataset",
+    "read_text",
     "write_text_atomic",
     "render_feature_dataset",
     "render_value",
@@ -170,12 +172,23 @@ def parse_feature_dataset(source: str | TextIO) -> DatasetTable:
     value, non-finite value, duplicated (class, row) pair.  A file that
     is not text in its encoding raises :class:`ParseError` without a line.
     """
-    start = None if isinstance(source, str) else source.tell()
+    source = io.StringIO(source) if isinstance(source, str) else source
+    start = source.tell()
     blocks = _read_blocks(source)
     lines = next(blocks, "").splitlines()
     if not lines:
         raise ParseError("empty input, expected 'dim=<d>' header", line_no=1)
-    dim = _parse_dim_header(lines[0])
+    header = lines[0].strip()
+    if not header.startswith("dim="):
+        raise ParseError(f"expected 'dim=<d>' header, got {header!r}", line_no=1)
+    # ``d`` has the grammar of a class id, read by the same reader
+    dim_text = header[len("dim="):]
+    dim_record = _load([dim_text], np.int64) if dim_text.strip() else None
+    if dim_record is None:
+        raise ParseError(f"bad dimension in header {header!r}", line_no=1)
+    dim = int(dim_record[0])
+    if dim < 1:
+        raise ParseError(f"dimension must be >= 1, got {dim}", line_no=1)
     dtype = _record_dtype(dim)
 
     # one loadtxt pass per block, which also rejects a row with the wrong
@@ -213,35 +226,11 @@ def parse_feature_dataset(source: str | TextIO) -> DatasetTable:
     return table
 
 
-def _parse_dim_header(line: str) -> int:
-    """The ``d`` of a ``dim=<d>`` header line, written like a class id and
-    at least 1; anything else raises :class:`ParseError` at line 1."""
-    header = line.strip()
-    if not header.startswith("dim="):
-        raise ParseError(f"expected 'dim=<d>' header, got {header!r}", line_no=1)
-    # ``d`` has the grammar of a class id, read by the same reader
-    dim_text = header[len("dim="):]
-    dim_record = _load([dim_text], np.int64) if dim_text.strip() else None
-    if dim_record is None:
-        raise ParseError(f"bad dimension in header {header!r}", line_no=1)
-    dim = int(dim_record[0])
-    if dim < 1:
-        raise ParseError(f"dimension must be >= 1, got {dim}", line_no=1)
-    return dim
-
-
-def _read_blocks(source: str | TextIO) -> Iterator[str]:
+def _read_blocks(source: TextIO) -> Iterator[str]:
     """The text of ``source`` in blocks of whole lines: each block ends at
     the first ``\\n`` at or after ``_BLOCK_CHARS`` characters, or at the end
     of the text.  A ``\\n`` ends a line in every newline convention, so no
     block splits a line or a ``\\r\\n`` pair."""
-    if isinstance(source, str):
-        pos = 0
-        while pos < len(source):
-            end = source.find("\n", pos + _BLOCK_CHARS - 1) + 1 or len(source)
-            yield source[pos:end]
-            pos = end
-        return
     while True:
         try:
             block = source.read(_BLOCK_CHARS)
@@ -254,13 +243,11 @@ def _read_blocks(source: str | TextIO) -> Iterator[str]:
         yield block
 
 
-def _locate_error(source: str | TextIO, start: int | None, dim: int) -> NoReturn:
-    """Read the whole text of ``source`` again and raise the error of its
-    first bad row."""
-    if not isinstance(source, str):
-        source.seek(start)
-        source = "".join(_read_blocks(source))
-    _raise_first_error(source.splitlines(), dim)
+def _locate_error(source: TextIO, start: int, dim: int) -> NoReturn:
+    """Read the whole text of ``source`` again from ``start`` and raise the
+    error of its first bad row."""
+    source.seek(start)
+    _raise_first_error("".join(_read_blocks(source)).splitlines(), dim)
 
 
 def _record_dtype(dim: int) -> list:
@@ -416,18 +403,37 @@ def render_feature_dataset(table: DatasetTable) -> str:
 def _write_chunks_atomic(path: str, chunks: Iterable[str]) -> None:
     """Write ``chunks`` to a temporary file beside ``path``, then rename it
     into place: readers see the old file or the new one, never a partial
-    one, and a write that fails leaves the old file untouched."""
+    one, and a write that fails leaves the old file untouched.  A temporary
+    file that cannot be created or renamed raises :class:`ArgumentError`
+    naming ``path``; any other failure propagates as it is."""
     tmp = os.path.join(
         os.path.dirname(path), f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp"
     )
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise ArgumentError(f"cannot write {path!r}: {exc.strerror or exc}") from None
     try:
         with open(fd, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
-        os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+    try:
+        os.replace(tmp, path)
+    except OSError as exc:
+        os.unlink(tmp)
+        raise ArgumentError(f"cannot write {path!r}: {exc.strerror or exc}") from None
+
+
+def read_text(path: str, error: type[BenchError], what: str) -> str:
+    """The whole UTF-8 text of ``path``; a file that cannot be read, or is
+    not UTF-8, raises ``error`` with the message ``cannot read <what>: ...``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what}: {exc}") from None
 
 
 def write_text_atomic(path: str, text: str) -> None:

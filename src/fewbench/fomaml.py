@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import write_text_atomic
 from .errors import ArgumentError, NumericError, ShapeError
 from .rng import RngState
 from .sampler import Episode, EpisodeSpec, sample_episode
@@ -245,10 +246,13 @@ def fo_meta_step(
 
     Per episode: adapt on the support set, take the query-loss gradient at
     the adapted parameters.  The gradients are averaged in episode index
-    order and applied once to ``params``.
+    order and applied once to ``params``.  A query set whose rows do not
+    match its labels or the MLP's input width raises :class:`ShapeError`.
     """
     if not episodes:
         raise ArgumentError("meta-batch must contain at least one episode")
+    for ep in episodes:
+        _check_batch(params, ep.query_x, ep.query_y)
     inner = inner or InnerConfig()
     inner.validate()
     new_params, _, _ = _fo_step_with_stats(params, episodes, inner, outer_lr)
@@ -296,7 +300,7 @@ def meta_train(
     params.check_finite()
 
     if log_path is not None:
-        with open(log_path, "w", encoding="utf-8") as fh:
-            for epoch, q_loss, q_acc in log:
-                fh.write(f"{epoch},{q_loss!r},{q_acc!r}\n")
+        write_text_atomic(log_path, "".join(
+            f"{epoch},{q_loss!r},{q_acc!r}\n" for epoch, q_loss, q_acc in log
+        ))
     return params, log

@@ -11,6 +11,7 @@ entry to an append-only leaderboard file.
 from __future__ import annotations
 
 import fcntl
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -28,11 +29,12 @@ from .dataset import (
     SyntheticSpec,
     generate_synthetic,
     load_feature_dataset,
+    read_text,
     split_classes,
     write_text_atomic,
 )
 from .errors import (
-    ArtifactError,
+    ArgumentError,
     BenchError,
     BudgetExceededError,
     ConfigError,
@@ -305,6 +307,13 @@ def load_split(config: PhaseConfig) -> MetaSplit:
 # Ingestion / scoring / phase
 
 
+def _make_workdir(workdir: str) -> None:
+    try:
+        os.makedirs(workdir, exist_ok=True)
+    except OSError as exc:
+        raise ArgumentError(f"cannot create workdir {workdir!r}: {exc.strerror or exc}") from None
+
+
 def run_ingestion(
     config: PhaseConfig,
     seed: int,
@@ -326,7 +335,7 @@ def run_ingestion(
     )
     if clock is not None:
         clock.check()
-    os.makedirs(config.workdir, exist_ok=True)
+    _make_workdir(config.workdir)
     path = config.artifact_path(seed)
     save_learner(learner, path)
     return path
@@ -340,8 +349,6 @@ def run_scoring(
     split: MetaSplit | None = None,
 ) -> AggregateScore:
     """Load the artifact, evaluate on meta-test, write the score report."""
-    if not os.path.exists(artifact_path):
-        raise ArtifactError(f"artifact missing: {artifact_path}")
     learner = load_learner(artifact_path)
     split = split or load_split(config)
     score = evaluate_learner(
@@ -352,7 +359,7 @@ def run_scoring(
         seed=seed,
         clock=clock,
     )
-    os.makedirs(config.workdir, exist_ok=True)
+    _make_workdir(config.workdir)
     write_text_atomic(config.report_path(seed), render_score_report(score))
     return score
 
@@ -389,23 +396,39 @@ class LeaderboardEntry:
         return ",".join(fields)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
 def parse_leaderboard_entry(line: str, line_no: int | None = None) -> LeaderboardEntry:
+    """Parse one leaderboard line.  A completed line carries a final and
+    exactly three seed results, and its final is the least of their means;
+    any other line carries no final.  Seed results fill the first slots,
+    and numbers must be finite."""
     parts = line.split(",")
     if len(parts) != 10:
         raise ReportError(
             f"leaderboard line {line_no}: expected 10 fields, got {len(parts)}"
         )
     try:
-        final = float(parts[1]) if parts[1] else None
-        results = []
-        for i in range(3):
-            m, c = parts[2 + 2 * i], parts[3 + 2 * i]
-            if m:
-                results.append((float(m), float(c)))
-        wallclock = float(parts[8])
+        final = _finite(parts[1]) if parts[1] else None
+        slots = [i for i in (2, 4, 6) if parts[i] or parts[i + 1]]
+        if slots != [2, 4, 6][:len(slots)]:
+            raise ValueError("seed results must fill the first slots")
+        results = [(_finite(parts[i]), _finite(parts[i + 1])) for i in slots]
+        wallclock = _finite(parts[8])
         status = parts[9]
         if status not in ("completed", "timed_out", "failed"):
             raise ValueError(f"bad status {status!r}")
+        if status != "completed":
+            if final is not None:
+                raise ValueError(f"a {status} entry carries a final")
+        elif final is None or len(results) != 3 or final != min(m for m, _ in results):
+            raise ValueError("a completed entry needs 3 seed results and their "
+                             "least mean as its final")
     except ValueError as exc:
         raise ReportError(f"leaderboard line {line_no}: {exc}") from None
     return LeaderboardEntry(
@@ -415,15 +438,19 @@ def parse_leaderboard_entry(line: str, line_no: int | None = None) -> Leaderboar
 
 
 def append_leaderboard_entry(path: str, entry: LeaderboardEntry) -> None:
-    """Append one line under an exclusive lock (concurrent runs serialize)."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-        try:
-            fh.write(entry.render() + "\n")
-            fh.flush()
-        finally:
-            fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
+    """Append one line under an exclusive lock (concurrent runs serialize).
+    A leaderboard that cannot be written raises :class:`ReportError`."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "a", encoding="utf-8") as fh:
+            fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+            try:
+                fh.write(entry.render() + "\n")
+                fh.flush()
+            finally:
+                fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
+    except OSError as exc:
+        raise ReportError(f"cannot append to leaderboard {path!r}: {exc.strerror or exc}") from None
 
 
 def run_phase(config: PhaseConfig) -> tuple[RunResult | None, LeaderboardEntry]:
@@ -472,11 +499,7 @@ def run_phase(config: PhaseConfig) -> tuple[RunResult | None, LeaderboardEntry]:
 def leaderboard_report(path: str) -> str:
     """Ranked text report: completed entries by final score (desc), ties by
     lower wallclock; timed-out and failed entries listed after, unranked."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ReportError(f"cannot read leaderboard: {exc}") from None
+    lines = [ln for ln in read_text(path, ReportError, "leaderboard").splitlines() if ln.strip()]
     entries = [
         parse_leaderboard_entry(ln, line_no=i) for i, ln in enumerate(lines, start=1)
     ]

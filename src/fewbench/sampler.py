@@ -15,8 +15,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .dataset import DatasetTable, _parse_dim_header, render_value
-from .errors import ArgumentError, ParseError, SamplingError
+from .dataset import DatasetTable
+from .errors import ArgumentError, SamplingError
 from .rng import RngState
 
 __all__ = [
@@ -27,8 +27,6 @@ __all__ = [
     "sample_episode",
     "episode_stream",
     "sample_batch",
-    "render_episode",
-    "parse_episode",
 ]
 
 ALL_REMAINING = "all-remaining"
@@ -151,63 +149,3 @@ def sample_batch(pool: DatasetTable, batch_size: int, rng: RngState) -> np.ndarr
     flat_x = np.concatenate([rec.examples for rec in pool.classes])
     take = rng.generator.permutation(total)[:batch_size]
     return flat_x[take]
-
-
-def render_episode(episode: Episode) -> str:
-    """Serialize an episode in the feature-table format plus role/label columns.
-
-    Lines are ``<class_id>,<S|Q>,<episode_label>,<v1>,...,<vd>`` after the
-    usual ``dim=`` header.  Used for fixture capture and cross-run diffing.
-    """
-    dim = episode.support_x.shape[1]
-    out = [f"dim={dim}"]
-    for role, xs, ys in (("S", episode.support_x, episode.support_y),
-                         ("Q", episode.query_x, episode.query_y)):
-        for row, label in zip(xs, ys):
-            cid = episode.class_map[int(label)]
-            vals = ",".join(render_value(v) for v in row)
-            out.append(f"{cid},{role},{label},{vals}")
-    return "\n".join(out) + "\n"
-
-
-def parse_episode(text: str) -> Episode:
-    """Inverse of :func:`render_episode`."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    if not lines:
-        raise ParseError("empty input, expected 'dim=<d>' header", line_no=1)
-    dim = _parse_dim_header(lines[0])
-    sup, qry = [], []
-    mapping: dict[int, int] = {}
-    for i, line in enumerate(lines[1:], start=2):
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != dim + 3:
-            raise ParseError(f"expected {dim + 3} fields, got {len(parts)}", line_no=i)
-        role = parts[1]
-        if role not in ("S", "Q"):
-            raise ParseError(f"bad role {role!r}", line_no=i)
-        try:
-            cid = int(np.int64(parts[0]))  # class_map is int64
-            label = int(parts[2])
-            values = np.asarray([float(p) for p in parts[3:]], dtype=np.float64)
-        except (ValueError, OverflowError):
-            raise ParseError(
-                f"bad class id, label or value in row {line!r}", line_no=i
-            ) from None
-        if label in mapping and mapping[label] != cid:
-            raise ParseError(f"label {label} maps to two class ids", line_no=i)
-        mapping[label] = cid
-        (sup if role == "S" else qry).append((label, values))
-    if not sup or not qry:
-        raise ParseError("episode needs both support (S) and query (Q) rows")
-    n = len(mapping)
-    if sorted(mapping) != list(range(n)):
-        raise ParseError(f"episode labels {sorted(mapping)} are not 0..{n - 1}")
-    return Episode(
-        support_x=np.vstack([v for _, v in sup]),
-        support_y=np.asarray([l for l, _ in sup], dtype=np.int64),
-        query_x=np.vstack([v for _, v in qry]),
-        query_y=np.asarray([l for l, _ in qry], dtype=np.int64),
-        class_map=np.asarray([mapping[l] for l in range(n)], dtype=np.int64),
-    )

@@ -1,5 +1,6 @@
 """Meta-learner/learner/predictor contract and artifact serialization."""
 
+import inspect
 import os
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fewbench.heads
+from fewbench import fomaml as fm
 from fewbench.api import (
     ARTIFACT_MAGIC,
     METHODS,
@@ -308,6 +310,37 @@ def test_repeat_predict_recomputes_equal_labels(name, monkeypatch):
     assert calls["n"] == (2 if name == "ptmap" else 0)
 
 
+def _defaults(fn):
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not inspect.Parameter.empty}
+
+
+def test_registry_defaults_equal_the_library_defaults():
+    """A registry default that mirrors a library default is declared twice;
+    the two must agree in type and value."""
+    heads = fewbench.heads
+    pt, inner, outer = heads.PowerTransformParams(), fm.InnerConfig(), fm.OuterConfig()
+    ptmap, linear = _defaults(heads.ptmap_fit_predict), _defaults(heads.linear_head_fit)
+    mirrored = {
+        "proto": {"metric": _defaults(heads.compute_prototypes)["metric"]},
+        "rect": {"metric": _defaults(heads.rectified_proto_predict)["metric"]},
+        "qda": {"shrinkage": _defaults(heads.qda_fit)["shrinkage"]},
+        "ptmap": {"beta": pt.beta, "epsilon": pt.epsilon,
+                  "unit_normalize": pt.unit_normalize, "reg": heads.PTMAP_SINKHORN.reg,
+                  "max_iters": heads.PTMAP_SINKHORN.max_iters,
+                  "tol": heads.PTMAP_SINKHORN.tol,
+                  "n_iters": ptmap["n_iters"], "step_size": ptmap["step_size"]},
+        "linear": {"epochs": linear["epochs"], "step_size": linear["step_size"]},
+        "fomaml": {"inner_steps": inner.steps, "inner_lr": inner.lr,
+                   "outer_lr": outer.lr, "meta_batch": outer.meta_batch,
+                   "epochs": outer.epochs, "hidden": _defaults(fm.meta_train)["hidden"]},
+    }
+    for name, expected in mirrored.items():
+        got = {key: METHODS[name].params[key] for key in expected}
+        assert {k: (type(v), v) for k, v in got.items()} == \
+               {k: (type(v), v) for k, v in expected.items()}, name
+
+
 # ---------------------------------------------------------------------------
 # Artifact serialization
 
@@ -427,6 +460,18 @@ def test_artifact_rejects_malformed_values():
         parse_learner(head + "provenance,0,0,0\narray,a,1x1x1\n0.0\nend\n")
     with pytest.raises(ArtifactError):  # reshape would infer a -1 entry
         parse_learner(head + "provenance,0,0,0\narray,a,-1\n1.0,2.0\nend\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_artifact_rejects_non_finite_array_values(value):
+    # with no inner steps, a NaN row of W2 gives every query label 0
+    learner = meta_fit(spec_for("fomaml", epochs=2, hidden=8, inner_steps=0),
+                       EASY_POOL, seed=16)
+    lines = render_learner(learner).splitlines()
+    row = lines.index("array,W2,5x8") + 1
+    lines[row] = ",".join([value] * 8)
+    with pytest.raises(ArtifactError, match="'W2'"):
+        parse_learner("\n".join(lines) + "\n")
 
 
 ARTIFACT_LINES = st.lists(

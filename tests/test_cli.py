@@ -193,6 +193,40 @@ def test_run_failure_exit_code(config_path, capsys):
     assert "SamplingError" in capsys.readouterr().out
 
 
+def test_unwritable_outputs_are_exit_2(tmp_path, capsys):
+    raw = str(tmp_path / "all.csv")
+    absent = str(tmp_path / "absent" / "x.csv")
+    assert main(["gen-synthetic", "--classes", "4", "--out", absent]) == EXIT_CONFIG
+    assert main(["gen-synthetic", "--classes", "4", "--out", raw]) == EXIT_OK
+    assert main(["split", "--input", raw, "--train-classes", "2",
+                 "--out-train", absent, "--out-test", raw]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("config error: cannot write ") and absent in line
+               for line in err)
+    assert sorted(os.listdir(tmp_path)) == ["all.csv"]
+
+
+def test_unwritable_train_log_fails_the_run(config_path, tmp_path, capsys):
+    log = tmp_path / "absent" / "log_{seed}.csv"
+    code = main(["run", "--config", config_path, "--method", "fomaml",
+                 "--set", "method.fomaml.epochs=1", "--set", f"paths.train_log={log}"])
+    assert code == EXIT_FAILED
+    assert "failed (ArgumentError: cannot write " in capsys.readouterr().out
+    board = (tmp_path / "work" / "leaderboard.csv").read_text(encoding="utf-8")
+    assert board.startswith("fomaml,") and board.endswith(",failed\n")
+
+
+def test_report_of_an_inconsistent_leaderboard_is_exit_3(tmp_path, capsys):
+    board = tmp_path / "board.csv"
+    board.write_text("proto,,,,,,,,2.0,completed\n", encoding="utf-8")
+    assert main(["report", "--leaderboard", str(board)]) == EXIT_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: leaderboard line 1: ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "setting", ["phase.budget_seconds=nan", "phase.seeds=-1,2,3", "phase.seeds=1,2,18446744073709551616"]
 )

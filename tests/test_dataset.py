@@ -1,6 +1,7 @@
 """Feature-table parsing/rendering, synthetic pools, class splits, oracle."""
 
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -425,6 +426,21 @@ def test_failed_write_leaves_the_old_file(tmp_path, monkeypatch):
     with open(path, "rb") as fh:
         assert fh.read() == before
     assert os.listdir(tmp_path) == ["table.csv"]
+
+
+def test_unwritable_output_is_argument_error_naming_the_path(tmp_path):
+    table = _writer_table()
+    # the temporary file cannot be created: its directory does not exist
+    missing = str(tmp_path / "missing" / "table.csv")
+    with pytest.raises(ArgumentError, match="missing/table.csv"):
+        write_feature_dataset(table, missing)
+    # the rename fails: the target is a non-empty directory
+    (tmp_path / "dir" / "inner").mkdir(parents=True)
+    target = str(tmp_path / "dir")
+    with pytest.raises(ArgumentError, match=re.escape(f"cannot write {target!r}")):
+        dataset.write_text_atomic(target, "text\n")
+    assert sorted(os.listdir(tmp_path)) == ["dir"]
+    assert os.listdir(tmp_path / "dir") == ["inner"]
 
 
 def test_feature_file_io_memory_is_bounded(tmp_path, monkeypatch):

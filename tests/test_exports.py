@@ -33,3 +33,17 @@ def test_package_reexports_public_names_of_their_modules():
             assert getattr(fewbench, alias.asname or alias.name) is getattr(module, alias.name)
             if hasattr(module, "__all__"):
                 assert alias.name in module.__all__, f"{node.module}.{alias.name}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_modules_import_no_private_names_of_each_other(name):
+    """A ``_``-prefixed name is private to its module, so no other fewbench
+    module imports it."""
+    with open(importlib.import_module(name).__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "fewbench"
+        ):
+            private = [alias.name for alias in node.names if alias.name.startswith("_")]
+            assert private == [], f"{name} imports {private} from {node.module}"

@@ -159,7 +159,11 @@ def test_inner_adapt_zero_steps_is_identity():
 @pytest.mark.parametrize("call", [
     loss_and_grad,
     lambda params, x, y: inner_adapt(params, x, y, InnerConfig(steps=1)),
-], ids=["loss_and_grad", "inner_adapt"])
+    # a consistent support set, so only the query set is wrong
+    lambda params, x, y: fo_meta_step(params, [Episode(
+        support_x=np.zeros((3, 4)), support_y=np.arange(3),
+        query_x=x, query_y=y, class_map=np.arange(3))]),
+], ids=["loss_and_grad", "inner_adapt", "fo_meta_step"])
 def test_batch_shape_mismatch_is_shape_error(call, shape, n_labels):
     params = random_params(np.random.default_rng(22))  # d=4, n=3
     with pytest.raises(ShapeError):
@@ -279,6 +283,9 @@ def test_meta_train_log_file_format(tmp_path):
     log_path = tmp_path / "train.log"
     _, log = meta_train(pool, spec, outer=OuterConfig(epochs=5, meta_batch=2),
                         seed=18, log_path=str(log_path))
+    assert log_path.read_bytes() == "".join(
+        f"{epoch},{loss!r},{acc!r}\n" for epoch, loss, acc in log
+    ).encode("utf-8")
     lines = log_path.read_text().splitlines()
     assert len(lines) == 5
     for line, (epoch, loss, acc) in zip(lines, log):

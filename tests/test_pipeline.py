@@ -274,8 +274,26 @@ def test_ingestion_timeout_leaves_no_artifact(tmp_path):
 
 def test_scoring_requires_artifact(tmp_path):
     cfg = small_cfg(tmp_path)
-    with pytest.raises(ArtifactError):
+    with pytest.raises(ArtifactError, match="cannot read artifact: .*learner_seed101.txt"):
         run_scoring(cfg.artifact_path(101), cfg, seed=101)
+
+
+def test_uncreatable_workdir_is_argument_error(tmp_path):
+    (tmp_path / "file").write_text("")
+    good = small_cfg(tmp_path)
+    artifact = run_ingestion(good, seed=101)
+    cfg = small_cfg(tmp_path, **{"paths.workdir": str(tmp_path / "file" / "work")})
+    with pytest.raises(ArgumentError, match="file/work"):
+        run_ingestion(cfg, seed=101)
+    with pytest.raises(ArgumentError, match="file/work"):
+        run_scoring(artifact, cfg, seed=101)
+
+
+def test_unwritable_leaderboard_is_report_error(tmp_path):
+    (tmp_path / "file").write_text("")
+    with pytest.raises(ReportError, match="board.csv"):
+        append_leaderboard_entry(str(tmp_path / "file" / "board.csv"),
+                                 entry_of("proto", 0.5, 1.0))
 
 
 def test_scoring_writes_report(tmp_path):
@@ -308,7 +326,7 @@ def test_failed_report_write_keeps_earlier_report(tmp_path, monkeypatch):
         raise OSError("rename failed")
 
     monkeypatch.setattr(os, "replace", broken_replace)
-    with pytest.raises(OSError):
+    with pytest.raises(ArgumentError, match="score_seed101.csv.*rename failed"):
         run_scoring(artifact, cfg, seed=101)
     monkeypatch.undo()
     assert open(cfg.report_path(101), "rb").read() == before
@@ -434,6 +452,17 @@ def test_leaderboard_entry_round_trip():
         "proto,0.5,0.5,0.1,0.5,0.1,0.5,0.1,2.0,walking",  # bad status
         "proto,half,,,,,,,2.0,failed",                     # bad float
         "proto,0.5,0.5,0.1,0.5,0.1,0.5,0.1,soon,completed",
+        "proto,,,,,,,,2.0,completed",                      # completed, no final
+        "proto,0.5,0.5,0.1,,,,,2.0,completed",             # one seed result
+        "proto,,0.5,0.1,0.5,0.1,0.5,0.1,2.0,completed",    # three results, no final
+        "proto,0.6,0.5,0.1,0.6,0.1,0.7,0.1,2.0,completed",  # final above the least mean
+        "proto,0.5,,,,,,,2.0,failed",                      # failed with a final
+        "proto,0.5,0.5,0.1,,,,,2.0,timed_out",             # timed out with a final
+        "proto,nan,nan,0.1,nan,0.1,nan,0.1,2.0,completed",  # nan final and means
+        "proto,0.5,0.5,inf,0.5,0.1,0.5,0.1,2.0,completed",  # infinite ci
+        "proto,,,,,,,,-inf,failed",                        # infinite wallclock
+        "qda,,,0.1,,,,,1.5,timed_out",                     # ci without its mean
+        "qda,,,,0.5,0.1,,,1.5,timed_out",                  # a gap before a result
     ],
 )
 def test_parse_leaderboard_entry_rejects(line):

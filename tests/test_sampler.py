@@ -7,15 +7,13 @@ from hypothesis import strategies as st
 
 from fewbench.dataset import SyntheticSpec, generate_synthetic
 from fewbench.dataset import ClassRecord, DatasetTable
-from fewbench.errors import ArgumentError, BenchError, ParseError, SamplingError
+from fewbench.errors import ArgumentError, SamplingError
 from fewbench.rng import RngState
 from fewbench.sampler import (
     ALL_REMAINING,
     Episode,
     EpisodeSpec,
     episode_stream,
-    parse_episode,
-    render_episode,
     sample_batch,
     sample_episode,
 )
@@ -176,76 +174,6 @@ def test_batch_deterministic():
     assert np.array_equal(b1, b2)
 
 
-# ---------------------------------------------------------------------------
-# Episode serialization
-
-
-def test_episode_round_trip():
-    pool = make_pool()
-    ep = sample_episode(pool, EpisodeSpec(n_way=3, k_shot=2), RngState(12))
-    back = parse_episode(render_episode(ep))
-    assert np.array_equal(back.support_x, ep.support_x)
-    assert np.array_equal(back.support_y, ep.support_y)
-    assert np.array_equal(back.query_x, ep.query_x)
-    assert np.array_equal(back.query_y, ep.query_y)
-    assert np.array_equal(back.class_map, ep.class_map)
-    assert render_episode(back) == render_episode(ep)
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "dim=2\n0,S,0,1.0\n",                      # ragged
-        "dim=1\n0,X,0,1.0\n",                      # bad role
-        "dim=1\n0,S,0,1.0\n1,Q,0,2.0\n",           # label maps to two ids
-        "dim=1\n0,S,0,1.0\n",                      # no query rows
-        "dim=1\n0,S,0,1.0\n0,Q,2,2.0\n",           # labels not 0..N-1
-        "nope\n",                                  # bad header
-    ],
-)
-def test_parse_episode_errors(text):
-    with pytest.raises(ParseError):
-        parse_episode(text)
-
-
-@pytest.mark.parametrize(
-    "text,line_no",
-    [
-        ("dim=1\n0,S,0,1.0\nx,Q,0,2.0\n", 3),         # class id
-        ("dim=1\n0,S,0,1.0\n0,Q,zero,2.0\n", 3),      # episode label
-        ("dim=1\n0,S,0,abc\n0,Q,0,2.0\n", 2),         # value
-        ("dim=1\n99999999999999999999,S,0,1.0\n", 2),  # class id beyond int64
-        ("dim=-2\nx\n", 1),                           # dimension below 1
-        ("dim=1_0\n0,S,0,1.0\n0,Q,0,2.0\n", 1),      # digit separator in d
-        ("dim=\u0661\n0,S,0,1.0\n0,Q,0,2.0\n", 1),  # non-ASCII digit in d
-        ("\n0,S,0,1.0\n0,Q,0,2.0\n", 1),             # no header
-    ],
-)
-def test_parse_episode_bad_field_names_the_line(text, line_no):
-    with pytest.raises(ParseError) as err:
-        parse_episode(text)
-    assert err.value.line_no == line_no
-
-
-EPISODE_LINES = st.lists(
-    st.one_of(
-        st.text(alphabet="0123456789.,-+SQXdim=naife_ \t", max_size=20),
-        st.sampled_from(["0,S,0,1.5", "1,Q,1,2", "0,Q,0,nan", "1,S,1,-3",
-                         "99999999999999999999,S,0,1", "dim=1"]),
-    ),
-    max_size=8,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(st.text(), EPISODE_LINES.map(lambda lines: "\n".join(["dim=1", *lines]))))
-def test_parse_episode_fuzz_raises_only_bench_errors(text):
-    try:
-        parse_episode(text)
-    except BenchError:
-        pass
-
-
 def sample_episode_oracle(pool: DatasetTable, spec: EpisodeSpec, rng: RngState):
     """The sampler before its label vectors came from one ``np.repeat``
     each: one ``np.full`` per class and role."""
@@ -300,5 +228,8 @@ def test_sample_episode_matches_oracle(query_per_class):
             rng = RngState(seed, (n_way, k_shot))
             got = sample_episode(pool, spec, rng)
             want = sample_episode_oracle(pool, spec, rng)
-            assert render_episode(got) == render_episode(want)
+            for field in ("support_x", "support_y", "query_x", "query_y", "class_map"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), field
             assert got.support_y.dtype == got.query_y.dtype == np.int64
