@@ -96,16 +96,17 @@ class MethodConfig:
     """Selects one method and carries its hyperparameter overrides.
 
     ``params`` keeps the values as given (config text gives strings), so
-    an artifact records exactly what was configured.
+    an artifact records exactly what was configured.  The name and keys
+    are checked against the registry when the config is built, and
+    ``values`` holds every parameter of the method, coerced to its schema
+    type, defaults filled in, and checked against its choices and bounds.
     """
 
     name: str
     params: dict = field(default_factory=dict)
+    values: dict = field(init=False, repr=False, compare=False)
 
-    def validate(self) -> dict:
-        """Check the name and keys against the registry; return every
-        parameter of the method, coerced to its schema type, defaults
-        filled in."""
+    def __post_init__(self) -> None:
         method = METHODS.get(self.name)
         if method is None:
             raise ConfigError(
@@ -134,7 +135,7 @@ class MethodConfig:
                     and (v <= high if interval[-1] == "]" else v < high)):
                 raise ConfigError(f"method parameter {key}={v!r} for method "
                                   f"{self.name!r} must lie in {interval}")
-        return values
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -179,13 +180,12 @@ class LearnerState:
 
     def fit(self, support_x: np.ndarray, support_y: np.ndarray) -> PredictorState:
         """Adapt to one episode's support set; the learner is not mutated."""
-        params = self.method.validate()
         n_way, _ = heads.support_structure(support_x, support_y)
         support_x = np.asarray(support_x, dtype=np.float64)
         if not np.isfinite(support_x).all():
             raise EpisodeFormatError("support set holds non-finite values")
         state = METHODS[self.method.name].fit(
-            params, self.arrays, support_x, np.asarray(support_y), n_way
+            self.method.values, self.arrays, support_x, np.asarray(support_y), n_way
         )
         return PredictorState(method=self.method, state=state)
 
@@ -366,12 +366,11 @@ def meta_fit(
     fo-MAML runs its outer loop.  ``clock`` (a budget clock with a
     ``check()`` method) is polled inside the long-running loops.
     """
-    params = spec.method.validate()
     run = METHODS[spec.method.name].meta_fit
     if run is None:
         arrays, provenance = {}, Provenance(seed=int(seed))
     else:
-        arrays, provenance = run(params, spec, meta_train, int(seed), clock, log_path)
+        arrays, provenance = run(spec.method.values, spec, meta_train, int(seed), clock, log_path)
     return LearnerState(method=spec.method, arrays=arrays, provenance=provenance)
 
 
@@ -380,7 +379,11 @@ def meta_fit(
 
 
 def render_learner(learner: LearnerState) -> str:
-    """Versioned, lossless text form of a learner (bit-exact floats)."""
+    """Versioned, lossless text form of a learner (bit-exact floats).
+
+    An array that is not 1-d or 2-d, or holds a ``nan`` or ``inf``, raises
+    :class:`ArtifactError` naming it: ``parse_learner`` would refuse it.
+    """
     out = [ARTIFACT_MAGIC, f"method,{learner.method.name}"]
     for key in sorted(learner.method.params):
         out.append(f"config,{key},{learner.method.params[key]!r}")
@@ -392,6 +395,8 @@ def render_learner(learner: LearnerState) -> str:
             raise ArtifactError(
                 f"array {name!r} is {arr.ndim}-d; artifacts hold 1-d or 2-d arrays"
             )
+        if not np.isfinite(arr).all():
+            raise ArtifactError(f"array {name!r} holds non-finite values")
         shape = "x".join(str(s) for s in arr.shape)
         out.append(f"array,{name},{shape}")
         rows = arr.reshape(1, -1) if arr.ndim == 1 else arr
@@ -450,7 +455,6 @@ def parse_learner(text: str) -> LearnerState:
     if method_name is None or provenance is None:
         raise ArtifactError("artifact missing method or provenance line")
     method = MethodConfig(name=method_name, params=params)
-    method.validate()
     return LearnerState(method=method, arrays=arrays, provenance=provenance)
 
 

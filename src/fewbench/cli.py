@@ -120,7 +120,6 @@ def _cmd_gen_synthetic(args: argparse.Namespace) -> int:
         mean_scale=args.mean_scale,
         seed=args.seed,
     )
-    spec.validate()
     write_feature_dataset(generate_synthetic(spec), args.out)
     print(f"wrote {args.classes} classes x {args.samples} samples to {args.out}")
     return EXIT_OK

@@ -143,7 +143,7 @@ class SyntheticSpec:
     mean_scale: float
     seed: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.num_classes < 1 or self.dim < 1 or self.samples_per_class < 1:
             raise ArgumentError(f"non-positive size field in {self}")
         # mean_scale == 0 (all class means coincide) is allowed as a degenerate
@@ -221,9 +221,7 @@ def parse_feature_dataset(source: str | TextIO) -> DatasetTable:
         ClassRecord(int(sorted_ids[starts[g]]), x[order[starts[g]:ends[g]]])
         for g in np.argsort(order[starts], kind="stable")
     ]
-    table = DatasetTable(dim=dim, classes=classes)
-    table.validate()
-    return table
+    return DatasetTable(dim=dim, classes=classes)
 
 
 def _read_blocks(source: TextIO) -> Iterator[str]:
@@ -471,14 +469,12 @@ def split_classes(table: DatasetTable, n_train_classes: int, seed: int) -> MetaS
 
 def synthetic_class_means(spec: SyntheticSpec) -> np.ndarray:
     """True class means of the synthetic pool, shape (num_classes, dim)."""
-    spec.validate()
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(spec.seed))))
     return gen.normal(0.0, spec.mean_scale, size=(spec.num_classes, spec.dim))
 
 
 def generate_synthetic(spec: SyntheticSpec) -> DatasetTable:
     """Synthesize a Gaussian-mixture pool, fully determined by the spec."""
-    spec.validate()
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(spec.seed))))
     means = gen.normal(0.0, spec.mean_scale, size=(spec.num_classes, spec.dim))
     noise = gen.normal(

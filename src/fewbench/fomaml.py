@@ -77,7 +77,7 @@ class InnerConfig:
     steps: int = 5
     lr: float = 0.05
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.steps < 0:
             raise ArgumentError(f"inner steps must be >= 0, got {self.steps}")
         if not self.lr > 0:
@@ -92,7 +92,7 @@ class OuterConfig:
     meta_batch: int = 32
     epochs: int = 300
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.lr > 0:
             raise ArgumentError(f"outer lr must be positive, got {self.lr}")
         if self.meta_batch < 1:
@@ -190,7 +190,6 @@ def inner_adapt(
 ) -> MlpParams:
     """``config.steps`` full-batch gradient steps on the support loss."""
     config = config or InnerConfig()
-    config.validate()
     x = _check_batch(params, support_x, support_y)
     if config.steps == 0:
         return params
@@ -254,7 +253,6 @@ def fo_meta_step(
     for ep in episodes:
         _check_batch(params, ep.query_x, ep.query_y)
     inner = inner or InnerConfig()
-    inner.validate()
     new_params, _, _ = _fo_step_with_stats(params, episodes, inner, outer_lr)
     return new_params
 
@@ -279,9 +277,6 @@ def meta_train(
     """
     inner = inner or InnerConfig()
     outer = outer or OuterConfig()
-    inner.validate()
-    outer.validate()
-    episode_spec.validate()
     root = RngState(int(seed))
     params = init_mlp(pool.dim, hidden, episode_spec.n_way, root.fork(_INIT_STREAM))
     episodes_rng = root.fork(_EPISODE_STREAM)

@@ -193,6 +193,10 @@ class PowerTransformParams:
     epsilon: float = 1e-6
     unit_normalize: bool = True
 
+    def __post_init__(self) -> None:
+        if self.epsilon < 0:
+            raise ArgumentError(f"epsilon must be non-negative, got {self.epsilon}")
+
 
 def power_transform(
     features: np.ndarray, params: PowerTransformParams | None = None
@@ -205,8 +209,6 @@ def power_transform(
     through unshifted.  Rows are then unit-normalized when requested.
     """
     params = params or PowerTransformParams()
-    if params.epsilon < 0:
-        raise ArgumentError(f"epsilon must be non-negative, got {params.epsilon}")
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"expected a (rows, dim) array, got shape {x.shape}")
@@ -240,7 +242,7 @@ class SinkhornConfig:
     max_iters: int = 200
     tol: float = 1e-6
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.reg > 0:
             raise ArgumentError(f"reg must be positive, got {self.reg}")
         if self.max_iters < 1:
@@ -331,7 +333,6 @@ def sinkhorn(
     speed, not the answer: the fixed point is unique.
     """
     config = config or SinkhornConfig()
-    config.validate()
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ShapeError(f"cost must be 2-d, got shape {cost.shape}")

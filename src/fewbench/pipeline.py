@@ -42,7 +42,7 @@ from .errors import (
     ReportError,
 )
 from .evaluation import AggregateScore, RunResult, evaluate_learner, final_score, render_score_report
-from .sampler import ALL_REMAINING, EpisodeSpec
+from .sampler import ALL_REMAINING, EpisodeSpec, check_pool
 
 __all__ = [
     "BudgetClock",
@@ -134,6 +134,16 @@ class PhaseConfig:
     leaderboard_path: str
     train_log: str = ""  # paths.train_log; "{seed}" becomes the seed
 
+    def __post_init__(self) -> None:
+        # NaN fails every comparison, so a NaN budget would never expire;
+        # inf is allowed and means no limit
+        if not self.budget_seconds > 0:
+            raise ConfigError(f"phase.budget_seconds must be positive, got {self.budget_seconds}")
+        if self.episode_count < 1:
+            raise ConfigError(f"phase.episode_count must be >= 1, got {self.episode_count}")
+        if self.split_seed < 0:
+            raise ConfigError(f"data.split_seed must be >= 0, got {self.split_seed}")
+
     def artifact_path(self, seed: int) -> str:
         return os.path.join(self.workdir, f"learner_seed{seed}.txt")
 
@@ -196,7 +206,7 @@ def _method_params(cfg: dict[str, str]) -> dict[str, dict[str, str]]:
             f"method.<name>.<key> for the methods {sorted(METHODS)}"
         )
     for name, params in per_method.items():
-        MethodConfig(name=name, params=params).validate()
+        MethodConfig(name=name, params=params)
     return per_method
 
 
@@ -227,7 +237,6 @@ def load_config(cfg: dict[str, str]) -> PhaseConfig:
             mean_scale=_get_float(cfg, "data.synthetic.mean_scale", 2.0),
             seed=_get_int(cfg, "data.synthetic.seed", 7),
         )
-        synthetic.validate()
     elif train_path is None or test_path is None:
         raise ConfigError("data.train_path and data.test_path must both be set")
 
@@ -248,7 +257,6 @@ def load_config(cfg: dict[str, str]) -> PhaseConfig:
         k_shot=_get_int(cfg, "sampler.k_shot", 1),
         query_per_class=query_per_class,
     )
-    episode_spec.validate()
 
     seeds_raw = cfg.get("phase.seeds", "101,202,303")
     try:
@@ -261,10 +269,9 @@ def load_config(cfg: dict[str, str]) -> PhaseConfig:
 
     method_name = cfg.get("method.name", "proto")
     method = MethodConfig(name=method_name, params=method_params.get(method_name, {}))
-    method.validate()
 
     workdir = cfg.get("paths.workdir", ".")
-    config = PhaseConfig(
+    return PhaseConfig(
         name=name,
         synthetic=synthetic,
         train_path=train_path,
@@ -282,15 +289,6 @@ def load_config(cfg: dict[str, str]) -> PhaseConfig:
         ),
         train_log=cfg.get("paths.train_log", ""),
     )
-    # NaN fails every comparison, so a NaN budget would never expire;
-    # inf is allowed and means no limit
-    if not config.budget_seconds > 0:
-        raise ConfigError(f"phase.budget_seconds must be positive, got {config.budget_seconds}")
-    if config.episode_count < 1:
-        raise ConfigError(f"phase.episode_count must be >= 1, got {config.episode_count}")
-    if config.split_seed < 0:
-        raise ConfigError(f"data.split_seed must be >= 0, got {config.split_seed}")
-    return config
 
 
 def load_split(config: PhaseConfig) -> MetaSplit:
@@ -472,15 +470,16 @@ def run_phase(config: PhaseConfig) -> tuple[RunResult | None, LeaderboardEntry]:
     scores: list[AggregateScore] = []
     status = "completed"
     cause = ""
-    for seed in config.seeds:
-        clock = BudgetClock(limit_seconds=config.budget_seconds)
-        try:
+    try:
+        # a pool too small for the episode shape fails before any training
+        check_pool(split.meta_test, config.episode_spec)
+        for seed in config.seeds:
+            clock = BudgetClock(limit_seconds=config.budget_seconds)
             artifact = run_ingestion(config, seed, clock=clock, split=split)
             scores.append(run_scoring(artifact, config, seed, clock=clock, split=split))
-        except BenchError as exc:
-            status = "timed_out" if isinstance(exc, BudgetExceededError) else "failed"
-            cause = f"{type(exc).__name__}: {exc}"
-            break
+    except BenchError as exc:
+        status = "timed_out" if isinstance(exc, BudgetExceededError) else "failed"
+        cause = f"{type(exc).__name__}: {exc}"
     wallclock = time.monotonic() - t0
 
     result = final_score(scores) if status == "completed" else None

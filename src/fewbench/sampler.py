@@ -24,6 +24,7 @@ __all__ = [
     "EpisodeSpec",
     "Episode",
     "RngState",
+    "check_pool",
     "sample_episode",
     "episode_stream",
     "sample_batch",
@@ -38,14 +39,14 @@ class EpisodeSpec:
 
     ``query_per_class`` is either a positive integer or the string
     ``"all-remaining"`` (the meta-test default: every example not used for
-    support becomes a query).
+    support becomes a query).  The fields are checked when it is built.
     """
 
     n_way: int = 5
     k_shot: int = 1
     query_per_class: int | str = ALL_REMAINING
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_way < 2:
             raise ArgumentError(f"n_way must be >= 2, got {self.n_way}")
         if self.k_shot < 1:
@@ -77,6 +78,35 @@ class Episode:
         return len(self.class_map)
 
 
+def _examples_needed(spec: EpisodeSpec) -> int:
+    """Fewest examples a class must hold: its support set plus one query,
+    or plus ``query_per_class`` queries."""
+    return spec.k_shot + (
+        1 if spec.query_per_class == ALL_REMAINING else spec.query_per_class
+    )
+
+
+def _too_few_classes(pool: DatasetTable, n_way: int) -> SamplingError:
+    return SamplingError(f"pool has {pool.n_classes} classes, episode needs {n_way}")
+
+
+def _too_few_examples(class_id: int, count: int, need: int) -> SamplingError:
+    return SamplingError(f"class {class_id} has {count} examples, episode needs {need}")
+
+
+def check_pool(pool: DatasetTable, spec: EpisodeSpec) -> None:
+    """Raise the :class:`SamplingError` that ``sample_episode`` raises when
+    ``pool`` cannot serve an episode of ``spec``: fewer than ``n_way``
+    classes, or a class too small for the support set and its queries.
+    Every class is checked, since any class can be drawn."""
+    if pool.n_classes < spec.n_way:
+        raise _too_few_classes(pool, spec.n_way)
+    need = _examples_needed(spec)
+    for rec in pool.classes:
+        if len(rec.examples) < need:
+            raise _too_few_examples(rec.class_id, len(rec.examples), need)
+
+
 def sample_episode(pool: DatasetTable, spec: EpisodeSpec, rng: RngState) -> Episode:
     """Draw one episode from the pool under the given substream.
 
@@ -85,24 +115,19 @@ def sample_episode(pool: DatasetTable, spec: EpisodeSpec, rng: RngState) -> Epis
     class (or Q of them).  The query set is shuffled so that position
     carries no label information.
     """
-    spec.validate()
     n, k = spec.n_way, spec.k_shot
     if pool.n_classes < n:
-        raise SamplingError(
-            f"pool has {pool.n_classes} classes, episode needs {n}"
-        )
+        raise _too_few_classes(pool, n)
     gen = rng.generator
     chosen = gen.choice(pool.n_classes, size=n, replace=False)
 
-    need = k + (1 if spec.query_per_class == ALL_REMAINING else spec.query_per_class)
+    need = _examples_needed(spec)
     sup_x, qry_x, ids = [], [], []
     for idx in chosen:
         rec = pool.classes[int(idx)]
         count = len(rec.examples)
         if count < need:
-            raise SamplingError(
-                f"class {rec.class_id} has {count} examples, episode needs {need}"
-            )
+            raise _too_few_examples(rec.class_id, count, need)
         perm = gen.permutation(count)
         sup_x.append(rec.examples[perm[:k]])
         if spec.query_per_class == ALL_REMAINING:

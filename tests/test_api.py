@@ -90,16 +90,16 @@ def test_fomaml_requires_train_episode_spec():
 
 def test_mode_validation():
     with pytest.raises(ConfigError):
-        MethodConfig(name="nonesuch", params={}).validate()
+        MethodConfig(name="nonesuch", params={}).values
 
 
 @pytest.mark.parametrize("name", ["proto", "rect"])
 def test_metric_takes_only_known_values(name):
     for metric in fewbench.heads.METRICS:
-        assert MethodConfig(name=name, params={"metric": metric}).validate() == {
+        assert MethodConfig(name=name, params={"metric": metric}).values == {
             "metric": metric}
     with pytest.raises(ConfigError) as err:
-        MethodConfig(name=name, params={"metric": "bogus"}).validate()
+        MethodConfig(name=name, params={"metric": "bogus"}).values
     assert "'bogus'" in str(err.value)
     for metric in fewbench.heads.METRICS:
         assert repr(metric) in str(err.value)
@@ -108,17 +108,17 @@ def test_metric_takes_only_known_values(name):
 def test_method_config_coercions():
     values = MethodConfig(name="ptmap", params={
         "reg": "0.5", "max_iters": "120", "unit_normalize": "false",
-    }).validate()
+    }).values
     assert values["reg"] == 0.5
     assert values["max_iters"] == 120
     assert values["unit_normalize"] is False
-    assert MethodConfig(name="ptmap").validate()["unit_normalize"] is True
-    assert MethodConfig(name="proto", params={"metric": "cosine"}).validate() == {
+    assert MethodConfig(name="ptmap").values["unit_normalize"] is True
+    assert MethodConfig(name="proto", params={"metric": "cosine"}).values == {
         "metric": "cosine"}
     with pytest.raises(ConfigError):
-        MethodConfig(name="ptmap", params={"reg": "abc"}).validate()
+        MethodConfig(name="ptmap", params={"reg": "abc"}).values
     with pytest.raises(ConfigError):
-        MethodConfig(name="ptmap", params={"unit_normalize": "maybe"}).validate()
+        MethodConfig(name="ptmap", params={"unit_normalize": "maybe"}).values
 
 
 def test_registry_bounds_cover_numeric_keys_only():
@@ -126,7 +126,7 @@ def test_registry_bounds_cover_numeric_keys_only():
         for key, interval in method.bounds.items():
             assert type(method.params[key]) in (int, float), (name, key)
             assert interval[0] in "[(" and interval[-1] in "])", (name, key)
-        MethodConfig(name=name).validate()  # the defaults lie in bounds
+        MethodConfig(name=name).values  # the defaults lie in bounds
 
 
 @pytest.mark.parametrize("name,key,bad,good", [
@@ -151,10 +151,10 @@ def test_registry_bounds_cover_numeric_keys_only():
 def test_method_config_enforces_bounds(name, key, bad, good):
     for value in bad:
         with pytest.raises(ConfigError) as err:
-            MethodConfig(name=name, params={key: value}).validate()
+            MethodConfig(name=name, params={key: value}).values
         assert key in str(err.value) and METHODS[name].bounds[key] in str(err.value)
     for value in good:
-        MethodConfig(name=name, params={key: value}).validate()
+        MethodConfig(name=name, params={key: value}).values
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +261,14 @@ def test_registry_schema_loads_round_trips_and_rejects_misspelling(name):
     )
     method = load_config(parse_config_text(text)).method
     assert set(method.params) == set(schema)
-    values = method.validate()
+    values = method.values
     assert values == schema
     for key, default in schema.items():
         assert type(values[key]) is type(default)
     learner = LearnerState(method=method, arrays={}, provenance=Provenance(seed=0))
     back = parse_learner(render_learner(learner))
     assert back.method.params == method.params
-    assert back.method.validate() == schema
+    assert back.method.values == schema
 
     misspelt = f"{sorted(schema)[0]}z"
     with pytest.raises(ConfigError) as err:
@@ -450,6 +450,21 @@ def test_render_rejects_arrays_not_1d_or_2d(shape):
                            provenance=Provenance(seed=0))
     with pytest.raises(ArtifactError):
         render_learner(learner)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_save_refuses_non_finite_arrays(value, tmp_path):
+    """An array that ``parse_learner`` would refuse is never written."""
+    path = tmp_path / "learner.txt"
+    save_learner(meta_fit(spec_for("linear"), EASY_POOL, seed=15), str(path))
+    before = path.read_bytes()
+    broken = LearnerState(method=MethodConfig(name="proto"),
+                          arrays={"a": np.array([value, 1.0])},
+                          provenance=Provenance(seed=0))
+    with pytest.raises(ArtifactError, match="^array 'a' holds non-finite values$"):
+        save_learner(broken, str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["learner.txt"]
 
 
 def test_artifact_rejects_malformed_values():

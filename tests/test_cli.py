@@ -183,14 +183,17 @@ def test_ingest_timeout_exit_code(config_path):
     assert code == EXIT_TIMED_OUT
 
 
-def test_run_failure_exit_code(config_path, capsys):
-    # 6 samples per class cannot fill a 7-shot episode: scoring fails
+def test_run_failure_exit_code(config_path, tmp_path, capsys):
+    # 6 samples per class cannot fill a 7-shot episode: the pool check
+    # fails before any meta-training
     code = main([
         "run", "--config", config_path,
         "--set", "sampler.k_shot=7",
     ])
     assert code == EXIT_FAILED
     assert "SamplingError" in capsys.readouterr().out
+    # no artifact or score report: only the leaderboard entry
+    assert os.listdir(tmp_path / "work") == ["leaderboard.csv"]
 
 
 def test_unwritable_outputs_are_exit_2(tmp_path, capsys):

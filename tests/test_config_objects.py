@@ -1,0 +1,162 @@
+"""Config objects check their own fields when built.
+
+Every frozen config type, and ``PhaseConfig``, refuses a bad field the
+moment it is constructed, whether directly or through
+``dataclasses.replace``, with the error type and message its old
+``validate()`` method raised.  So no caller has to remember a check.
+"""
+
+import dataclasses
+import math
+
+import pytest
+
+from fewbench.api import METHODS, MethodConfig
+from fewbench.dataset import SyntheticSpec
+from fewbench.errors import ArgumentError, ConfigError
+from fewbench.fomaml import InnerConfig, OuterConfig
+from fewbench.heads import PowerTransformParams, SinkhornConfig
+from fewbench.pipeline import load_config
+from fewbench.sampler import EpisodeSpec
+
+
+def _good(kind):
+    return {
+        "EpisodeSpec": lambda: EpisodeSpec(n_way=5, k_shot=1, query_per_class=3),
+        "SyntheticSpec": lambda: SyntheticSpec(4, 3, 5, 1.0, 2.0, 7),
+        "SinkhornConfig": SinkhornConfig,
+        "PowerTransformParams": PowerTransformParams,
+        "InnerConfig": InnerConfig,
+        "OuterConfig": OuterConfig,
+        "MethodConfig": lambda: MethodConfig("qda", {"shrinkage": "0.25"}),
+        "PhaseConfig": lambda: load_config({}),
+    }[kind]()
+
+
+BAD_FIELDS = [
+    ("EpisodeSpec", "n_way", 1, ArgumentError, "n_way must be >= 2, got 1"),
+    ("EpisodeSpec", "k_shot", 0, ArgumentError, "k_shot must be >= 1, got 0"),
+    ("EpisodeSpec", "query_per_class", 0, ArgumentError,
+     "query_per_class must be 'all-remaining' or a positive integer, got 0"),
+    ("EpisodeSpec", "query_per_class", "some", ArgumentError,
+     "query_per_class must be 'all-remaining' or a positive integer, got 'some'"),
+    ("SyntheticSpec", "num_classes", 0, ArgumentError, "non-positive size field in "),
+    ("SyntheticSpec", "dim", 0, ArgumentError, "non-positive size field in "),
+    ("SyntheticSpec", "samples_per_class", -1, ArgumentError,
+     "non-positive size field in "),
+    ("SyntheticSpec", "class_std", 0.0, ArgumentError,
+     "class_std must be positive and mean_scale non-negative"),
+    ("SyntheticSpec", "class_std", math.nan, ArgumentError,
+     "class_std must be positive and mean_scale non-negative"),
+    ("SyntheticSpec", "mean_scale", -1.0, ArgumentError,
+     "class_std must be positive and mean_scale non-negative"),
+    ("SyntheticSpec", "seed", -1, ArgumentError,
+     "seed must be a 64-bit unsigned integer, got -1"),
+    ("SyntheticSpec", "seed", 2**64, ArgumentError,
+     f"seed must be a 64-bit unsigned integer, got {2**64}"),
+    ("SinkhornConfig", "reg", 0.0, ArgumentError, "reg must be positive, got 0.0"),
+    ("SinkhornConfig", "reg", math.nan, ArgumentError, "reg must be positive, got nan"),
+    ("SinkhornConfig", "max_iters", 0, ArgumentError, "max_iters must be >= 1, got 0"),
+    ("SinkhornConfig", "tol", 0.0, ArgumentError, "tol must be positive, got 0.0"),
+    ("PowerTransformParams", "epsilon", -1e-9, ArgumentError,
+     "epsilon must be non-negative, got -1e-09"),
+    ("InnerConfig", "steps", -1, ArgumentError, "inner steps must be >= 0, got -1"),
+    ("InnerConfig", "lr", 0.0, ArgumentError, "inner lr must be positive, got 0.0"),
+    ("OuterConfig", "lr", -0.1, ArgumentError, "outer lr must be positive, got -0.1"),
+    ("OuterConfig", "meta_batch", 0, ArgumentError, "meta_batch must be >= 1, got 0"),
+    ("OuterConfig", "epochs", -1, ArgumentError, "epochs must be >= 0, got -1"),
+    ("MethodConfig", "name", "nonesuch", ConfigError, "unknown method 'nonesuch'; known: "),
+    ("MethodConfig", "params", {"shrinkagez": "1"}, ConfigError,
+     "unknown parameters ['shrinkagez'] for method 'qda'"),
+    ("MethodConfig", "params", {"shrinkage": "x"}, ConfigError,
+     "method parameter shrinkage='x' is not a valid float"),
+    ("MethodConfig", "params", {"shrinkage": "2"}, ConfigError,
+     "method parameter shrinkage=2.0 for method 'qda' must lie in [0, 1]"),
+    ("PhaseConfig", "budget_seconds", 0.0, ConfigError,
+     "phase.budget_seconds must be positive, got 0.0"),
+    ("PhaseConfig", "budget_seconds", math.nan, ConfigError,
+     "phase.budget_seconds must be positive, got nan"),
+    ("PhaseConfig", "episode_count", 0, ConfigError,
+     "phase.episode_count must be >= 1, got 0"),
+    ("PhaseConfig", "split_seed", -1, ConfigError, "data.split_seed must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("kind,key,bad,error,message", BAD_FIELDS)
+def test_config_refuses_bad_field_when_built(kind, key, bad, error, message):
+    good = _good(kind)
+    init = {f.name: getattr(good, f.name) for f in dataclasses.fields(good) if f.init}
+    with pytest.raises(error) as direct:
+        type(good)(**{**init, key: bad})
+    assert str(direct.value).startswith(message)
+    with pytest.raises(error) as replaced:
+        dataclasses.replace(good, **{key: bad})
+    assert str(replaced.value) == str(direct.value)
+
+
+def test_every_config_type_has_a_bad_field_case():
+    kinds = {kind for kind, *_ in BAD_FIELDS}
+    assert len(kinds) == 8
+    for kind in kinds:
+        assert not hasattr(_good(kind), "validate")
+
+
+# (string overrides, the values they give) per method: the coercions and
+# defaults that ``MethodConfig.validate()`` returned before ``values``.
+# ``sleeper`` is the test session's own registry entry (see conftest.py).
+OVERRIDES = {
+    "sleeper": ({"duration_seconds": "2"}, {"duration_seconds": 2.0}),
+    "proto": ({"metric": "cosine"}, {"metric": "cosine"}),
+    "rect": ({"metric": "cosine"}, {"metric": "cosine"}),
+    "qda": ({"shrinkage": "1"}, {"shrinkage": 1.0}),
+    "linear": (
+        {"pretrain_batches": "2", "step_size": "0.5"},
+        {"pretrain_batches": 2, "batch_size": 256, "epochs": 10, "step_size": 0.5},
+    ),
+    "fomaml": (
+        {"inner_steps": "0", "inner_lr": "1e-3", "meta_batch": "4", "hidden": "8"},
+        {"inner_steps": 0, "inner_lr": 0.001, "outer_lr": 0.005,
+         "meta_batch": 4, "epochs": 300, "hidden": 8},
+    ),
+    "ptmap": (
+        {"beta": "1", "epsilon": "0", "unit_normalize": "off", "reg": "inf",
+         "max_iters": "7", "n_iters": "0"},
+        {"beta": 1.0, "epsilon": 0.0, "unit_normalize": False, "reg": math.inf,
+         "max_iters": 7, "tol": 1e-4, "n_iters": 0, "step_size": 0.2},
+    ),
+}
+
+DEFAULTS = {
+    "sleeper": {"duration_seconds": 10.0},
+    "proto": {"metric": "euclidean"},
+    "rect": {"metric": "euclidean"},
+    "qda": {"shrinkage": 0.5},
+    "linear": {"pretrain_batches": 10, "batch_size": 256, "epochs": 10,
+               "step_size": 0.001},
+    "fomaml": {"inner_steps": 5, "inner_lr": 0.05, "outer_lr": 0.005,
+               "meta_batch": 32, "epochs": 300, "hidden": 64},
+    "ptmap": {"beta": 0.5, "epsilon": 1e-6, "unit_normalize": True, "reg": 0.1,
+              "max_iters": 200, "tol": 1e-4, "n_iters": 20, "step_size": 0.2},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULTS))
+def test_method_config_values(name):
+    overrides, expected = OVERRIDES[name]
+    for params, want in (({}, DEFAULTS[name]), (overrides, expected)):
+        config = MethodConfig(name, params)
+        assert config.values == want
+        assert [type(v) for v in config.values.values()] == [type(v) for v in want.values()]
+        assert config.params == params  # the artifact keeps the raw values
+    assert set(OVERRIDES) == set(DEFAULTS) == set(METHODS)
+
+
+def test_method_config_values_stay_out_of_equality_and_init():
+    a = MethodConfig("ptmap", {"reg": "0.5"})
+    assert a == MethodConfig("ptmap", {"reg": "0.5"})
+    assert a != MethodConfig("ptmap", {"reg": 0.5})
+    assert dataclasses.replace(a, params={}).values == DEFAULTS["ptmap"]
+    with pytest.raises(TypeError):
+        MethodConfig("ptmap", {}, {})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.values = {}

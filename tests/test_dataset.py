@@ -547,13 +547,13 @@ def test_synthetic_class_noise_scale():
 
 def test_spec_validation():
     with pytest.raises(ArgumentError):
-        SyntheticSpec(0, 4, 5, 1.0, 2.0, 1).validate()
+        SyntheticSpec(0, 4, 5, 1.0, 2.0, 1)
     with pytest.raises(ArgumentError):
-        SyntheticSpec(3, 4, 5, 0.0, 2.0, 1).validate()
+        SyntheticSpec(3, 4, 5, 0.0, 2.0, 1)
     with pytest.raises(ArgumentError):
-        SyntheticSpec(3, 4, 5, 1.0, -1.0, 1).validate()
+        SyntheticSpec(3, 4, 5, 1.0, -1.0, 1)
     # degenerate mean_scale=0 stays legal: it pins the oracle at chance level
-    SyntheticSpec(3, 4, 5, 1.0, 0.0, 1).validate()
+    SyntheticSpec(3, 4, 5, 1.0, 0.0, 1)
 
 
 # ---------------------------------------------------------------------------

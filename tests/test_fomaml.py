@@ -216,15 +216,15 @@ def test_fo_step_rejects_empty_batch():
 
 def test_config_validation():
     with pytest.raises(ArgumentError):
-        InnerConfig(steps=-1).validate()
+        InnerConfig(steps=-1)
     with pytest.raises(ArgumentError):
-        InnerConfig(lr=0.0).validate()
+        InnerConfig(lr=0.0)
     with pytest.raises(ArgumentError):
-        OuterConfig(lr=-0.1).validate()
+        OuterConfig(lr=-0.1)
     with pytest.raises(ArgumentError):
-        OuterConfig(meta_batch=0).validate()
+        OuterConfig(meta_batch=0)
     with pytest.raises(ArgumentError):
-        OuterConfig(epochs=-1).validate()
+        OuterConfig(epochs=-1)
 
 
 def test_check_finite():

@@ -119,7 +119,7 @@ def test_load_config_scopes_method_params():
         "method.proto.metric": "cosine",  # other method's knob: ignored
     })
     assert cfg.method.params == {"shrinkage": "0.25"}
-    assert cfg.method.validate()["shrinkage"] == 0.25
+    assert cfg.method.values["shrinkage"] == 0.25
 
 
 @pytest.mark.parametrize(
@@ -389,13 +389,16 @@ def test_run_phase_timeout_marks_timed_out(tmp_path):
 
 
 def test_run_phase_failure_marks_failed(tmp_path):
-    # 6 samples per class cannot fill a 7-shot episode: scoring fails
+    # 6 samples per class cannot fill a 7-shot episode: the pool check
+    # fails before any meta-training
     cfg = small_cfg(tmp_path, **{"sampler.k_shot": "7"})
     result, entry = run_phase(cfg)
     assert result is None
     assert entry.status == "failed"
     assert entry.final is None
     assert entry.cause.startswith("SamplingError: ")
+    # no artifact or score report: only the leaderboard entry
+    assert os.listdir(cfg.workdir) == ["leaderboard.csv"]
     # the cause stays out of the 10-field leaderboard line
     board = open(cfg.leaderboard_path, encoding="utf-8").read()
     assert "SamplingError" not in board

@@ -1,5 +1,7 @@
 """Episode and batch sampling: structure, determinism, substream layout."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from fewbench.sampler import (
     ALL_REMAINING,
     Episode,
     EpisodeSpec,
+    check_pool,
     episode_stream,
     sample_batch,
     sample_episode,
@@ -89,16 +92,44 @@ def test_sampling_errors():
     assert "3 examples" in str(err.value)
 
 
+@pytest.mark.parametrize("spec", [
+    EpisodeSpec(n_way=5, k_shot=1),                     # too few classes
+    EpisodeSpec(n_way=3, k_shot=3),                     # no query left
+    EpisodeSpec(n_way=2, k_shot=1, query_per_class=3),  # too few queries
+])
+def test_check_pool_raises_what_sample_episode_raises(spec):
+    pool = make_pool(num_classes=4, samples=3)
+    with pytest.raises(SamplingError) as sampled:
+        sample_episode(pool, spec, RngState(0))
+    with pytest.raises(SamplingError) as checked:
+        check_pool(pool, spec)
+    # every class of this pool is the same size, so the messages agree up
+    # to which class is named
+    assert re.sub(r"^class \d+ ", "", str(checked.value)) == \
+        re.sub(r"^class \d+ ", "", str(sampled.value))
+
+
+def test_check_pool_checks_every_class():
+    pool = make_pool(num_classes=4, samples=3)
+    pool.classes[2].examples = pool.classes[2].examples[:1]
+    for spec in (EpisodeSpec(n_way=4, k_shot=2),
+                 EpisodeSpec(n_way=2, k_shot=1, query_per_class=2)):
+        check_pool(make_pool(num_classes=4, samples=3), spec)
+        with pytest.raises(SamplingError, match=r"^class 2 has 1 examples, "
+                                                  r"episode needs \d+$"):
+            check_pool(pool, spec)
+
+
 def test_spec_validation():
     with pytest.raises(ArgumentError):
-        EpisodeSpec(n_way=1).validate()
+        EpisodeSpec(n_way=1)
     with pytest.raises(ArgumentError):
-        EpisodeSpec(k_shot=0).validate()
+        EpisodeSpec(k_shot=0)
     with pytest.raises(ArgumentError):
-        EpisodeSpec(query_per_class=0).validate()
+        EpisodeSpec(query_per_class=0)
     with pytest.raises(ArgumentError):
-        EpisodeSpec(query_per_class="some").validate()
-    EpisodeSpec(query_per_class=ALL_REMAINING).validate()
+        EpisodeSpec(query_per_class="some")
+    EpisodeSpec(query_per_class=ALL_REMAINING)
 
 
 def test_stream_deterministic():
@@ -177,7 +208,6 @@ def test_batch_deterministic():
 def sample_episode_oracle(pool: DatasetTable, spec: EpisodeSpec, rng: RngState):
     """The sampler before its label vectors came from one ``np.repeat``
     each: one ``np.full`` per class and role."""
-    spec.validate()
     n, k = spec.n_way, spec.k_shot
     if pool.n_classes < n:
         raise SamplingError(f"pool has {pool.n_classes} classes, episode needs {n}")
