@@ -20,7 +20,7 @@ import numpy as np
 from . import fomaml as fm
 from . import heads
 from .dataset import DatasetTable, read_text, render_value, write_text_atomic
-from .errors import ArtifactError, ConfigError, EpisodeFormatError
+from .errors import ArtifactError, ConfigError, EpisodeFormatError, ShapeError
 from .rng import RngState
 from .sampler import EpisodeSpec, sample_batch
 
@@ -256,6 +256,9 @@ def _linear_fit(p, arrays, support_x, support_y, n_way):
         raise EpisodeFormatError(
             "linear learner lacks feature statistics; run meta_fit first"
         )
+    if mean.shape != (support_x.shape[1],):
+        raise ShapeError(f"learned array 'feat_mean' is {mean.shape[-1]} wide, "
+                         f"the support set {support_x.shape[1]} wide")
     z = (support_x - mean) / std
     head = heads.linear_head_fit(
         z, support_y, epochs=p["epochs"], step_size=p["step_size"]

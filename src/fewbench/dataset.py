@@ -43,7 +43,7 @@ import io
 import os
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterable, Iterator, NoReturn, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -155,25 +155,26 @@ class SyntheticSpec:
 
 
 _BLOCK_CHARS = 1 << 20  # characters per block of feature text read or written
+_NARROW_ROWS = 256  # rows per loadtxt call while narrowing a refused block
 
 
 def parse_feature_dataset(source: str | TextIO) -> DatasetTable:
     """Parse the feature-table format (see the module docstring) from a
     string, or from an open text file starting at its current position.
 
-    The text is read in blocks of whole lines, so besides the table only
-    about one block of text is held at a time.  When a block breaks the
-    format, the text is read again whole to locate the error, so a file
-    must be seekable.
+    The text is read once, in blocks of whole lines, and each block is
+    checked whole before the next one is read, so besides the table only
+    about one block of text is held at a time.  The source is never
+    rewound, so piped input parses too.
 
-    Raises :class:`ParseError` naming the one-based line number of the
-    first line, in file order, that breaks the format.  Within a line the
-    checks run in the order: field count, class id, negative class id,
-    value, non-finite value, duplicated (class, row) pair.  A file that
-    is not text in its encoding raises :class:`ParseError` without a line.
+    Raises :class:`ParseError` naming the one-based line number, counted
+    from where the source stood, of the first line that breaks the
+    format.  Within a line the checks run in the order: field count,
+    class id, negative class id, value, non-finite value, duplicated
+    (class, row) pair.  A file that is not text in its encoding raises
+    :class:`ParseError` without a line.
     """
     source = io.StringIO(source) if isinstance(source, str) else source
-    start = source.tell()
     blocks = _read_blocks(source)
     lines = next(blocks, "").splitlines()
     if not lines:
@@ -192,24 +193,36 @@ def parse_feature_dataset(source: str | TextIO) -> DatasetTable:
     dtype = _record_dtype(dim)
 
     # one loadtxt pass per block, which also rejects a row with the wrong
-    # number of fields
-    parts, hashes = [], []
+    # number of fields; a block it refuses is narrowed to its first bad
+    # row, and nothing after that block is read
+    parts, hashes, skipped = [], [], []  # skipped: lines that are not data rows
+    first_line, message = 2, None
     for lines in chain([lines[1:]], map(str.splitlines, blocks)):
         rows = [line for line in map(str.strip, lines) if line and line[0] != "#"]
-        if not rows:
-            continue
-        records = _load(rows, dtype)
-        if records is None or (records["id"] < 0).any() or not np.isfinite(records["x"]).all():
-            _locate_error(source, start, dim)
-        parts.append(records)
-        hashes.append(_row_hashes(records))
-    if not parts:
+        if len(rows) < len(lines):
+            skipped += [n for n, line in enumerate(map(str.strip, lines), first_line)
+                        if not line or line[0] == "#"]
+        first_line += len(lines)
+        if rows:
+            checked, message = _check_rows(rows, dtype, dim)
+            parts += checked
+            hashes += map(_row_hashes, checked)
+            if message is not None:
+                break
+    n_rows = sum(map(len, parts))
+    if parts:
+        records = np.concatenate(parts)
+        parts.clear()  # the table's arrays below are the second copy, not the third
+        del checked  # it still holds the last block's records
+        ids, x = records["id"], records["x"]
+        # a duplicate before the first bad row is the first error
+        dup = _first_duplicate(np.concatenate(hashes), ids, x)
+        if dup is not None:
+            raise ParseError(f"duplicate row for class {ids[dup]}", line_no=_line_no(dup, skipped))
+    if message is not None:
+        raise ParseError(message, line_no=_line_no(n_rows, skipped))
+    if n_rows == 0:
         return DatasetTable(dim=dim, classes=[])
-    records = np.concatenate(parts)
-    parts.clear()  # the table's arrays below are the second copy, not the third
-    ids, x = records["id"], records["x"]
-    if _has_duplicate(np.concatenate(hashes), ids, x):
-        _locate_error(source, start, dim)
 
     # group by class: a stable sort keeps file order within a class, and
     # each class's first row in file order fixes the class order
@@ -241,11 +254,16 @@ def _read_blocks(source: TextIO) -> Iterator[str]:
         yield block
 
 
-def _locate_error(source: TextIO, start: int, dim: int) -> NoReturn:
-    """Read the whole text of ``source`` again from ``start`` and raise the
-    error of its first bad row."""
-    source.seek(start)
-    _raise_first_error("".join(_read_blocks(source)).splitlines(), dim)
+def _line_no(row: int, skipped: list[int]) -> int:
+    """The line number of data row ``row``, counted from 0, given the
+    ascending numbers of the lines after the header that are not data
+    rows."""
+    line_no = 2 + row
+    for n in skipped:
+        if n > line_no:
+            break
+        line_no += 1
+    return line_no
 
 
 def _record_dtype(dim: int) -> list:
@@ -283,85 +301,67 @@ def _row_hashes(records: np.ndarray) -> np.ndarray:
     return h + records["id"].astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
 
 
-def _has_duplicate(h: np.ndarray, ids: np.ndarray, x: np.ndarray) -> bool:
-    """Whether two rows of one class compare equal as floats, given the
-    rows' :func:`_row_hashes` ``h``.  Only rows that share a hash are
-    compared exactly, so the exact pass is empty unless a duplicate is
-    likely."""
+def _first_duplicate(h: np.ndarray, ids: np.ndarray, x: np.ndarray) -> int | None:
+    """The index of the first row that compares equal as floats to an
+    earlier row of its class, or None, given the rows' :func:`_row_hashes`
+    ``h``.  Only rows that share a hash are compared exactly, so the exact
+    pass is empty unless a duplicate is likely."""
     order = np.argsort(h)
     same = h[order[1:]] == h[order[:-1]]
     if not same.any():
-        return False
+        return None
     seen: set[tuple[int, bytes]] = set()
     for i in np.union1d(order[1:][same], order[:-1][same]).tolist():
         key = (int(ids[i]), (x[i] + 0.0).tobytes())
         if key in seen:
-            return True
+            return i
         seen.add(key)
-    return False
+    return None
 
 
-def _row_facts(records: np.ndarray) -> list[tuple[int, bool, bytes]]:
-    """(class id, all values finite, bits of the values with -0.0 folded
-    into +0.0) of each record, as Python objects."""
-    x = records["x"] + 0.0
-    width = x.itemsize * x.shape[1]
-    bits = x.tobytes()
-    return list(zip(
-        records["id"].tolist(),
-        np.isfinite(x).all(axis=1).tolist(),
-        (bits[o:o + width] for o in range(0, len(bits), width)),
-    ))
+def _check_rows(
+    rows: list[str], dtype, dim: int, step: int = _NARROW_ROWS
+) -> tuple[list[np.ndarray], str | None]:
+    """Read ``rows`` up to the first one that breaks a rule other than
+    duplication: the records of the rows before it, and its error
+    message, or None when no row breaks one.
 
-
-_LOCATOR_BLOCK = 256  # rows per loadtxt call while locating a bad row
-
-
-def _raise_first_error(lines: list[str], dim: int) -> NoReturn:
-    """Raise the :class:`ParseError` of the first data row that breaks the
-    format.
-
-    Runs only after the block pass has rejected the rows of
-    ``lines``: it reads them again with the same reader, a block at a
-    time, and a row at a time inside a block that does not parse, so it
-    never returns.
+    ``rows`` that ``loadtxt`` refuses are read again ``step`` rows at a
+    time, and a part it refuses again a row at a time, so the row-by-row
+    reads stay inside one part.
     """
-    dtype = _record_dtype(dim)
-    numbered = [
-        (line_no, row)
-        for line_no, row in enumerate(map(str.strip, lines[1:]), start=2)
-        if row and row[0] != "#"
-    ]
-    seen: set[tuple[int, bytes]] = set()
-    for start in range(0, len(numbered), _LOCATOR_BLOCK):
-        block = numbered[start:start + _LOCATOR_BLOCK]
-        records = _load([row for _, row in block], dtype)
-        facts = iter(_row_facts(records)) if records is not None else None
-        for line_no, row in block:
-            if facts is not None:
-                class_id, finite, key = next(facts)
-            else:
-                n_values = row.count(",")
-                if n_values != dim:
-                    raise ParseError(f"row has {n_values} values, expected {dim}", line_no=line_no)
-                record = _load([row], dtype)
-                if record is None:
-                    id_text = row.partition(",")[0]
-                    class_id = _load([id_text], np.int64) if id_text.strip() else None
-                    if class_id is None:
-                        raise ParseError(f"bad class id {id_text!r}", line_no=line_no)
-                    if class_id[0] < 0:
-                        raise ParseError(f"negative class id {class_id[0]}", line_no=line_no)
-                    raise ParseError(f"unparseable value in row {row!r}", line_no=line_no)
-                class_id, finite, key = _row_facts(record)[0]
-            if class_id < 0:
-                raise ParseError(f"negative class id {class_id}", line_no=line_no)
-            if not finite:
-                raise ParseError("non-finite value in row", line_no=line_no)
-            if (class_id, key) in seen:
-                raise ParseError(f"duplicate row for class {class_id}", line_no=line_no)
-            seen.add((class_id, key))
-    raise ParseError("feature table rejected, but no row breaks the format")
+    records = _load(rows, dtype)
+    if records is None and len(rows) > 1:
+        parts: list[np.ndarray] = []
+        for start in range(0, len(rows), step):
+            checked, message = _check_rows(rows[start:start + step], dtype, dim, 1)
+            parts += checked
+            if message is not None:
+                return parts, message
+        return parts, None
+    if records is None:
+        return [], _row_error(rows[0], dim)
+    negative = records["id"] < 0
+    bad = negative | ~np.isfinite(records["x"]).all(axis=1)
+    if not bad.any():
+        return [records], None
+    k = int(bad.argmax())
+    message = f"negative class id {records['id'][k]}" if negative[k] else "non-finite value in row"
+    return [records[:k]] if k else [], message
+
+
+def _row_error(row: str, dim: int) -> str:
+    """The error message of a data row that ``loadtxt`` refuses alone."""
+    n_values = row.count(",")
+    if n_values != dim:
+        return f"row has {n_values} values, expected {dim}"
+    id_text = row.partition(",")[0]
+    class_id = _load([id_text], np.int64) if id_text.strip() else None
+    if class_id is None:
+        return f"bad class id {id_text!r}"
+    if class_id[0] < 0:
+        return f"negative class id {class_id[0]}"
+    return f"unparseable value in row {row!r}"
 
 
 def load_feature_dataset(path: str) -> DatasetTable:
@@ -480,8 +480,8 @@ def generate_synthetic(spec: SyntheticSpec) -> DatasetTable:
     noise = gen.normal(
         0.0, spec.class_std, size=(spec.num_classes, spec.samples_per_class, spec.dim)
     )
-    data = means[:, None, :] + noise
-    classes = [ClassRecord(c, data[c]) for c in range(spec.num_classes)]
+    noise += means[:, None, :]  # in place: the noise array becomes the pool
+    classes = [ClassRecord(c, noise[c]) for c in range(spec.num_classes)]
     return DatasetTable(dim=spec.dim, classes=classes)
 
 

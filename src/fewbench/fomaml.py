@@ -22,7 +22,7 @@ import numpy as np
 from .dataset import write_text_atomic
 from .errors import ArgumentError, NumericError, ShapeError
 from .rng import RngState
-from .sampler import Episode, EpisodeSpec, sample_episode
+from .sampler import Episode, EpisodeSpec, check_pool, sample_episode
 
 __all__ = [
     "MlpParams",
@@ -273,8 +273,11 @@ def meta_train(
     substreams of ``seed`` and applies one first-order meta-step.  The log
     holds one ``(epoch, query_loss, query_acc)`` row per epoch, mirroring
     what is written to ``log_path`` as ``epoch,<loss>,<acc>`` lines.  A
-    budget ``clock`` is checked once per epoch.
+    budget ``clock`` is checked once per epoch.  A pool that cannot serve
+    every episode of ``episode_spec`` raises :class:`SamplingError` before
+    any training.
     """
+    check_pool(pool, episode_spec)
     inner = inner or InnerConfig()
     outer = outer or OuterConfig()
     root = RngState(int(seed))

@@ -115,9 +115,10 @@ _PRESETS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhaseConfig:
-    """Everything one phase run needs, resolved from a config mapping."""
+    """Everything one phase run needs, resolved from a config mapping.
+    The fields are checked when it is built."""
 
     name: str
     synthetic: SyntheticSpec | None
@@ -143,6 +144,13 @@ class PhaseConfig:
             raise ConfigError(f"phase.episode_count must be >= 1, got {self.episode_count}")
         if self.split_seed < 0:
             raise ConfigError(f"data.split_seed must be >= 0, got {self.split_seed}")
+        for seed in self.seeds:
+            if not 0 <= seed < 2**64:
+                raise ConfigError(f"phase.seeds must lie in [0, 2**64), got {seed}")
+        if len(self.seeds) != 3 or len(set(self.seeds)) != 3:
+            raise ConfigError(
+                f"phase.seeds must be 3 distinct seeds, got {list(self.seeds)}"
+            )
 
     def artifact_path(self, seed: int) -> str:
         return os.path.join(self.workdir, f"learner_seed{seed}.txt")
@@ -263,9 +271,6 @@ def load_config(cfg: dict[str, str]) -> PhaseConfig:
         seeds = tuple(int(s.strip()) for s in seeds_raw.split(",") if s.strip())
     except ValueError:
         raise ConfigError(f"phase.seeds must be comma-separated integers, got {seeds_raw!r}") from None
-    for seed in seeds:
-        if not 0 <= seed < 2**64:
-            raise ConfigError(f"phase.seeds must lie in [0, 2**64), got {seed}")
 
     method_name = cfg.get("method.name", "proto")
     method = MethodConfig(name=method_name, params=method_params.get(method_name, {}))
@@ -292,12 +297,16 @@ def load_config(cfg: dict[str, str]) -> PhaseConfig:
 
 
 def load_split(config: PhaseConfig) -> MetaSplit:
-    """Materialize the phase's meta-train/meta-test pools."""
+    """Materialize the phase's meta-train/meta-test pools.  Feature files
+    of different widths raise :class:`ConfigError` before any training."""
     if config.synthetic is not None:
         table = generate_synthetic(config.synthetic)
         return split_classes(table, config.n_train_classes, config.split_seed)
     train = load_feature_dataset(config.train_path)
     test = load_feature_dataset(config.test_path)
+    if train.dim != test.dim:
+        raise ConfigError(f"data.train_path holds {train.dim}-wide features, "
+                          f"data.test_path {test.dim}-wide ones")
     return MetaSplit(meta_train=train, meta_test=test)
 
 
@@ -458,13 +467,6 @@ def run_phase(config: PhaseConfig) -> tuple[RunResult | None, LeaderboardEntry]:
     scoring.  A seed that times out or fails marks the whole entry; the
     competition treats an incomplete submission as having no final score.
     """
-    if len(config.seeds) != 3:
-        raise ConfigError(
-            f"a phase run needs exactly 3 seeds, got {list(config.seeds)}"
-        )
-    if len(set(config.seeds)) != 3:
-        raise ConfigError(f"phase seeds must be distinct, got {list(config.seeds)}")
-
     split = load_split(config)
     t0 = time.monotonic()
     scores: list[AggregateScore] = []

@@ -24,7 +24,7 @@ from fewbench.api import (
     save_learner,
 )
 from fewbench.dataset import SyntheticSpec, generate_synthetic
-from fewbench.errors import ArtifactError, BenchError, ConfigError, EpisodeFormatError
+from fewbench.errors import ArtifactError, BenchError, ConfigError, EpisodeFormatError, ShapeError
 from fewbench.pipeline import load_config, parse_config_text
 from fewbench.rng import RngState
 from fewbench.sampler import EpisodeSpec, sample_episode
@@ -207,6 +207,17 @@ def test_linear_fit_requires_meta_statistics():
     ep = easy_episode()
     with pytest.raises(EpisodeFormatError):
         learner.fit(ep.support_x, ep.support_y)
+
+
+@pytest.mark.parametrize("name,message", [
+    ("linear", r"'feat_mean' is 8 wide, the support set 5 wide"),
+    ("fomaml", r"batch of shape \(10, 5\) .* for a 8-wide MLP"),
+])
+def test_fit_refuses_a_support_set_of_another_width(name, message):
+    learner = meta_fit(spec_for(name, epochs=2), EASY_POOL, seed=9)
+    ep = easy_episode()
+    with pytest.raises(ShapeError, match=message):
+        learner.fit(ep.support_x[:, :5], ep.support_y)
 
 
 def test_sleeper_predicts_lowest_label():

@@ -61,6 +61,36 @@ def test_split_of_an_unreadable_file_is_exit_2(content, tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == (["all.csv"] if content else [])
 
 
+def test_split_reads_piped_input(tmp_path):
+    """A pipe cannot be rewound: valid text splits as from the file, and
+    text with a bad last row is exit 2 naming that line."""
+    raw = tmp_path / "all.csv"
+    assert main(["gen-synthetic", "--classes", "6", "--dim", "3",
+                 "--samples", "4", "--seed", "11", "--out", str(raw)]) == EXIT_OK
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(fewbench.__file__)))
+
+    def split(source, tag, text):
+        return subprocess.run(
+            [sys.executable, "-m", "fewbench.cli", "split", "--input", source,
+             "--train-classes", "4", "--seed", "2",
+             "--out-train", str(tmp_path / f"train_{tag}.csv"),
+             "--out-test", str(tmp_path / f"test_{tag}.csv")],
+            input=text, env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    text = raw.read_text(encoding="utf-8")
+    assert split(str(raw), "file", None).returncode == EXIT_OK
+    assert split("/dev/stdin", "pipe", text).returncode == EXIT_OK
+    for name in ("train", "test"):
+        assert ((tmp_path / f"{name}_pipe.csv").read_bytes()
+                == (tmp_path / f"{name}_file.csv").read_bytes())
+    bad = split("/dev/stdin", "bad", text + "5,1.0,nan,2.0\n")
+    assert bad.returncode == EXIT_CONFIG
+    assert f"line {text.count(chr(10)) + 1}: non-finite value" in bad.stderr
+    assert not (tmp_path / "train_bad.csv").exists()
+
+
 def test_ingest_then_score(config_path, tmp_path, capsys):
     assert main(["ingest", "--config", config_path, "--seed", "101"]) == EXIT_OK
     assert os.path.exists(tmp_path / "work" / "learner_seed101.txt")

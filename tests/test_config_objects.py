@@ -1,7 +1,7 @@
 """Config objects check their own fields when built.
 
-Every frozen config type, and ``PhaseConfig``, refuses a bad field the
-moment it is constructed, whether directly or through
+Every config type is frozen and refuses a bad field the moment it is
+constructed, whether directly or through
 ``dataclasses.replace``, with the error type and message its old
 ``validate()`` method raised.  So no caller has to remember a check.
 """
@@ -79,6 +79,12 @@ BAD_FIELDS = [
     ("PhaseConfig", "episode_count", 0, ConfigError,
      "phase.episode_count must be >= 1, got 0"),
     ("PhaseConfig", "split_seed", -1, ConfigError, "data.split_seed must be >= 0, got -1"),
+    ("PhaseConfig", "seeds", (1, 2), ConfigError,
+     "phase.seeds must be 3 distinct seeds, got [1, 2]"),
+    ("PhaseConfig", "seeds", (1, 2, 1), ConfigError,
+     "phase.seeds must be 3 distinct seeds, got [1, 2, 1]"),
+    ("PhaseConfig", "seeds", (1, 2, 2**64), ConfigError,
+     f"phase.seeds must lie in [0, 2**64), got {2**64}"),
 ]
 
 
@@ -98,7 +104,11 @@ def test_every_config_type_has_a_bad_field_case():
     kinds = {kind for kind, *_ in BAD_FIELDS}
     assert len(kinds) == 8
     for kind in kinds:
-        assert not hasattr(_good(kind), "validate")
+        good = _good(kind)
+        assert not hasattr(good, "validate")
+        # frozen, so no field can change after the check
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(good, dataclasses.fields(good)[0].name, None)
 
 
 # (string overrides, the values they give) per method: the coercions and

@@ -1,5 +1,6 @@
 """Feature-table parsing/rendering, synthetic pools, class splits, oracle."""
 
+import io
 import os
 import re
 import tracemalloc
@@ -307,19 +308,32 @@ def test_whole_table_pass_matches_row_loop_oracle(text):
     _assert_matches_oracle(parse_feature_dataset, text)
 
 
+class _PipeLike(io.StringIO):
+    """Text that can only be read forward, like a pipe."""
+
+    def seekable(self):
+        return False
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+
 @pytest.mark.parametrize("block_chars", [1, 7, 64])
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=feature_texts())
 def test_block_pass_matches_oracle_at_any_block_size(block_chars, text, monkeypatch, tmp_path):
-    """Blocks of one character up to several lines, from a string and
-    from a file, where a rejected block rewinds the file to locate the
-    error."""
+    """Blocks of one character up to several lines, from a string, from a
+    file, and from a stream that cannot be rewound."""
     monkeypatch.setattr(dataset, "_BLOCK_CHARS", block_chars)
     path = tmp_path / "table.csv"
     path.write_text(text, encoding="utf-8", newline="")
     _assert_matches_oracle(parse_feature_dataset, text)
     _assert_matches_oracle(lambda _: load_feature_dataset(str(path)), text)
+    _assert_matches_oracle(lambda _: parse_feature_dataset(_PipeLike(text, newline="")), text)
 
 
 def test_whole_table_pass_matches_oracle_on_a_large_pool():
@@ -343,8 +357,8 @@ def test_whole_table_pass_matches_oracle_on_a_large_pool():
     "dim=2\n0,1.0,2.0\n1,3.0\n",                    # ragged row at line 3
 ])
 def test_open_file_parses_from_its_position(text, tmp_path, monkeypatch):
-    """A file is read from where it stands, and a rejected one is
-    rewound there, so line numbers count from that position."""
+    """A file is read from where it stands, so line numbers count from
+    that position."""
     monkeypatch.setattr(dataset, "_BLOCK_CHARS", 4)
     path = tmp_path / "table.csv"
     path.write_text("# preamble\n" + text, encoding="utf-8")
@@ -445,7 +459,8 @@ def test_unwritable_output_is_argument_error_naming_the_path(tmp_path):
 
 def test_feature_file_io_memory_is_bounded(tmp_path, monkeypatch):
     """Besides the table, reading holds about one block of text and the
-    table's records once more, and writing holds about one block."""
+    table's records once more, and writing holds about one block.  A file
+    whose last row is bad holds no more while its error is found."""
     monkeypatch.setattr(dataset, "_BLOCK_CHARS", 64 * 1024)
     table = generate_synthetic(SyntheticSpec(num_classes=10, dim=16, samples_per_class=300,
                                              class_std=1.0, mean_scale=2.0, seed=4))
@@ -459,12 +474,21 @@ def test_feature_file_io_memory_is_bounded(tmp_path, monkeypatch):
         before, _ = tracemalloc.get_traced_memory()
         loaded = load_feature_dataset(path)
         _, load_peak = tracemalloc.get_traced_memory()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("0" + ",nan" * 16 + "\n")
+        tracemalloc.reset_peak()
+        error_before, _ = tracemalloc.get_traced_memory()
+        with pytest.raises(ParseError, match="non-finite") as err:
+            load_feature_dataset(path)
+        _, error_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert _tables_bitwise_equal(loaded, table)
+    assert err.value.line_no == 1 + table.total_examples + 1
     assert write_peak < 1.0 * table_bytes
     # the loaded table itself is one of the four
     assert load_peak - before < 4.0 * table_bytes
+    assert error_peak - error_before < 4.0 * table_bytes
 
 
 def test_render_parse_round_trip_is_byte_stable():

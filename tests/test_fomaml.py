@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from fewbench import fomaml
 from fewbench.dataset import SyntheticSpec, generate_synthetic
-from fewbench.errors import ArgumentError, NumericError, ShapeError
+from fewbench.errors import ArgumentError, NumericError, SamplingError, ShapeError
 from fewbench.fomaml import (
     InnerConfig,
     MlpParams,
@@ -265,6 +265,17 @@ def test_meta_train_zero_epochs_returns_init():
     assert np.array_equal(params.W1, init.W1)
     assert np.array_equal(params.b2, init.b2)
     assert log == []
+
+
+def test_meta_train_checks_the_whole_pool_before_training(monkeypatch):
+    pool = small_pool()
+    pool.classes[-1].examples = pool.classes[-1].examples[:1]
+    drawn = []
+    monkeypatch.setattr(fomaml, "sample_episode", lambda *args: drawn.append(args))
+    with pytest.raises(SamplingError, match="has 1 examples, episode needs 2"):
+        meta_train(pool, EpisodeSpec(n_way=5, k_shot=1),
+                   outer=OuterConfig(epochs=1, meta_batch=1), seed=0)
+    assert drawn == []
 
 
 def test_meta_train_improves_query_accuracy():

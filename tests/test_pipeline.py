@@ -142,6 +142,8 @@ def test_load_config_scopes_method_params():
         {"method.name": "fomaml", "method.fomaml.meta_batch": "0"},
         {"method.name": "linear", "method.linear.pretrain_batches": "0"},
         {"method.name": "proto", "method.ptmap.step_size": "1.5"},
+        {"phase.seeds": "1,2"},
+        {"phase.seeds": "1,2,2"},
     ],
 )
 def test_load_config_rejects(overrides):
@@ -205,6 +207,25 @@ def test_load_split_from_files(tmp_path):
     split = load_split(cfg)
     assert split.meta_train.n_classes == 4
     assert split.meta_test.total_examples == 20
+
+
+@pytest.mark.parametrize("method", ["linear", "fomaml", "proto"])
+def test_feature_files_of_different_widths_fail_before_training(method, tmp_path):
+    paths = []
+    for dim in (16, 8):
+        paths.append(str(tmp_path / f"pool{dim}.csv"))
+        write_feature_dataset(generate_synthetic(SyntheticSpec(
+            num_classes=6, dim=dim, samples_per_class=6,
+            class_std=1.0, mean_scale=2.0, seed=dim,
+        )), paths[-1])
+    cfg = load_config({
+        "data.train_path": paths[0], "data.test_path": paths[1],
+        "method.name": method, "method.fomaml.epochs": "2",
+        "phase.episode_count": "4", "paths.workdir": str(tmp_path / "work"),
+    })
+    with pytest.raises(ConfigError, match="16-wide .* 8-wide"):
+        run_phase(cfg)
+    assert not os.path.exists(tmp_path / "work")
 
 
 # ---------------------------------------------------------------------------
