@@ -344,7 +344,10 @@ def sinkhorn(
 
     med = _median(cost)
     scaled = cost / med if med > 0 else cost
-    log_kernel = scaled * (-1.0 / config.reg)
+    # divide by -reg rather than multiply by its rounded reciprocal: the log
+    # kernel is then bit for bit -(C / median) / reg, so a caller rebuilding
+    # exp(logK + f + g) from the returned potentials meets this plan exactly
+    log_kernel = scaled / -config.reg
     if init_potentials is not None:
         f = np.asarray(init_potentials[0], dtype=np.float64)
         g = np.asarray(init_potentials[1], dtype=np.float64)
