@@ -155,10 +155,13 @@ class Provenance:
 
 @dataclass
 class PredictorState:
-    """Episode-adapted state; every ``predict`` call recomputes the labels."""
+    """Episode-adapted state; every ``predict`` call recomputes the labels.
+    ``dim`` is the support set's width, which ``predict`` checks the query
+    set against for every method."""
 
     method: MethodConfig
     state: dict
+    dim: int
 
     def predict(self, query_x: np.ndarray) -> np.ndarray:
         """One episode label per query row; pure given the query set."""
@@ -167,6 +170,9 @@ class PredictorState:
             query_x = query_x[None, :]
         if not np.isfinite(query_x).all():
             raise EpisodeFormatError("query set holds non-finite values")
+        if query_x.ndim != 2 or query_x.shape[1] != self.dim:
+            raise ShapeError(f"query shape {query_x.shape} does not match "
+                             f"feature dimension {self.dim}")
         return METHODS[self.method.name].predict(self.state, query_x)
 
 
@@ -187,7 +193,7 @@ class LearnerState:
         state = METHODS[self.method.name].fit(
             self.method.values, self.arrays, support_x, np.asarray(support_y), n_way
         )
-        return PredictorState(method=self.method, state=state)
+        return PredictorState(method=self.method, state=state, dim=support_x.shape[1])
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ __all__ = [
     "MetaSplit",
     "SyntheticSpec",
     "load_feature_dataset",
+    "load_feature_header",
     "parse_feature_dataset",
     "write_feature_dataset",
     "read_text",
@@ -121,7 +122,9 @@ class DatasetTable:
 
 @dataclass
 class MetaSplit:
-    """Class-disjoint meta-train / meta-test pools."""
+    """Class-disjoint meta-train / meta-test pools.  A split loaded from
+    files for a method that does not meta-train holds a meta-train table
+    with no classes: only its file's header was read."""
 
     meta_train: DatasetTable
     meta_test: DatasetTable
@@ -364,18 +367,33 @@ def _row_error(row: str, dim: int) -> str:
     return f"unparseable value in row {row!r}"
 
 
+def _open_feature_file(path: str, errors: str = "strict") -> TextIO:
+    try:
+        return open(path, "r", encoding="utf-8", errors=errors)
+    except OSError as exc:
+        raise ParseError(f"cannot read feature file: {exc}") from None
+
+
 def load_feature_dataset(path: str) -> DatasetTable:
     """Load and validate a feature-table file.  Row order is preserved.
 
     A file that cannot be opened, or is not UTF-8 text, raises
     :class:`ParseError`.
     """
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read feature file: {exc}") from None
-    with fh:
+    with _open_feature_file(path) as fh:
         return parse_feature_dataset(fh)
+
+
+def load_feature_header(path: str) -> DatasetTable:
+    """The ``dim=<d>`` header of a feature-table file, as a table with no
+    classes.  Only line 1 is decoded and checked, with the errors of
+    :func:`load_feature_dataset`; the rows after it are not read."""
+    # a byte that is not UTF-8 reads as a lone surrogate, which ends no
+    # line, so the strict decode below sees line 1's bytes and no others
+    with _open_feature_file(path, errors="surrogateescape") as fh:
+        line = "".join(fh.readline().splitlines(keepends=True)[:1])
+    raw = io.BytesIO(line.encode("utf-8", "surrogateescape"))
+    return parse_feature_dataset(io.TextIOWrapper(raw, encoding="utf-8"))
 
 
 def _feature_chunks(table: DatasetTable) -> Iterator[str]:

@@ -29,6 +29,7 @@ from .dataset import (
     SyntheticSpec,
     generate_synthetic,
     load_feature_dataset,
+    load_feature_header,
     read_text,
     split_classes,
     write_text_atomic,
@@ -298,11 +299,19 @@ def load_config(cfg: dict[str, str]) -> PhaseConfig:
 
 def load_split(config: PhaseConfig) -> MetaSplit:
     """Materialize the phase's meta-train/meta-test pools.  Feature files
-    of different widths raise :class:`ConfigError` before any training."""
+    of different widths raise :class:`ConfigError` before any training.
+
+    Only a method with a ``meta_fit`` reads the meta-train rows; for any
+    other method just the train file's header is read and checked, and
+    ``meta_train`` is a table of that width with no classes.
+    """
     if config.synthetic is not None:
         table = generate_synthetic(config.synthetic)
         return split_classes(table, config.n_train_classes, config.split_seed)
-    train = load_feature_dataset(config.train_path)
+    if METHODS[config.method.name].meta_fit is None:
+        train = load_feature_header(config.train_path)
+    else:
+        train = load_feature_dataset(config.train_path)
     test = load_feature_dataset(config.test_path)
     if train.dim != test.dim:
         raise ConfigError(f"data.train_path holds {train.dim}-wide features, "

@@ -251,6 +251,20 @@ def test_non_finite_inputs_rejected(name):
         predictor.predict(query_x)
 
 
+@pytest.mark.parametrize("name", SIX_METHODS)
+def test_predict_refuses_a_query_set_of_another_width(name):
+    params = {"epochs": 2, "hidden": 8} if name == "fomaml" else {}
+    learner = meta_fit(spec_for(name, **params), EASY_POOL, seed=17)
+    ep = easy_episode()
+    predictor = learner.fit(ep.support_x, ep.support_y)
+    assert predictor.dim == 8
+    with pytest.raises(ShapeError, match=r"query shape \(30, 5\) does not match "
+                                         r"feature dimension 8"):
+        predictor.predict(ep.query_x[:, :5])
+    with pytest.raises(ShapeError, match=r"query shape \(0, 5\)"):
+        predictor.predict(np.zeros((0, 5)))
+
+
 # ---------------------------------------------------------------------------
 # Method registry
 

@@ -18,6 +18,7 @@ from fewbench.dataset import (
     bayes_oracle_accuracy,
     generate_synthetic,
     load_feature_dataset,
+    load_feature_header,
     parse_feature_dataset,
     render_feature_dataset,
     render_value,
@@ -391,6 +392,45 @@ def test_unreadable_feature_files_raise_parse_error(tmp_path, monkeypatch):
     bad.write_bytes(b"dim=1\n" + b"".join(b"0,%d.0\n" % i for i in range(20)) + b"1,\xff\n")
     with pytest.raises(ParseError, match="not utf-8 text"):
         load_feature_dataset(str(bad))
+
+
+def _load_result(load, path):
+    try:
+        table = load(path)
+    except ParseError as exc:
+        return str(exc)
+    return table.dim, table.classes
+
+
+@pytest.mark.parametrize("line1", [
+    b"", b"\n", b"dim=3", b"dim=3\n", b" dim=3 \r\n", b"dim=0\n", b"dim=1_6\n",
+    b"dim=\xff3\n", b"dim=3\xe2\x80\n", b"dim=3\xe2\x80", b"\xef\xbb\xbfdim=3\n",
+    b"x" * 20000 + b"\xff\n",
+])
+def test_header_load_reads_line_one_as_the_full_load_does(line1, tmp_path):
+    path = str(tmp_path / "pool.csv")
+    with open(path, "wb") as fh:
+        fh.write(line1)
+    header = _load_result(load_feature_header, path)
+    full = _load_result(load_feature_dataset, path)
+    assert header == (full if isinstance(full, str) else (full[0], []))
+
+
+def test_header_load_of_unreadable_files(tmp_path):
+    for path in (str(tmp_path / "missing.csv"), str(tmp_path)):
+        message = _load_result(load_feature_dataset, path)
+        assert message.startswith("cannot read feature file")
+        assert _load_result(load_feature_header, path) == message
+
+
+@pytest.mark.parametrize("rest", [b"0,nan,1,2\n", b"\xff\n", b"1,2\n\xff", b"0,1,2,3\n" * 3])
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r", b"\xc2\x85", b"\x1c"])
+def test_header_load_ignores_what_follows_line_one(newline, rest, tmp_path):
+    path = str(tmp_path / "pool.csv")
+    with open(path, "wb") as fh:
+        fh.write(b"dim=3" + newline + rest)
+    table = load_feature_header(path)
+    assert (table.dim, table.classes) == (3, [])
 
 
 def _writer_table() -> DatasetTable:

@@ -203,10 +203,56 @@ def test_load_split_from_files(tmp_path):
     test_path = str(tmp_path / "test.csv")
     write_feature_dataset(table, train_path)
     write_feature_dataset(table, test_path)
-    cfg = load_config({"data.train_path": train_path, "data.test_path": test_path})
-    split = load_split(cfg)
-    assert split.meta_train.n_classes == 4
+    paths = {"data.train_path": train_path, "data.test_path": test_path}
+    # a method that does not meta-train gets only the train file's header
+    split = load_split(load_config({**paths, "method.name": "proto"}))
+    assert split.meta_train.dim == 3
+    assert split.meta_train.classes == []
     assert split.meta_test.total_examples == 20
+    # one that meta-trains gets every train row
+    split = load_split(load_config({**paths, "method.name": "linear"}))
+    assert split.meta_train.dim == 3
+    assert split.meta_train.n_classes == 4
+    assert split.meta_train.total_examples == 20
+    assert split.meta_test.total_examples == 20
+
+
+@pytest.mark.parametrize("method", ["proto", "qda", "rect", "ptmap", "linear", "fomaml"])
+def test_train_rows_are_read_only_by_methods_that_meta_train(method, tmp_path):
+    pool = generate_synthetic(SyntheticSpec(
+        num_classes=6, dim=4, samples_per_class=6,
+        class_std=0.1, mean_scale=3.0, seed=5,
+    ))
+    test_path = str(tmp_path / "test.csv")
+    good_path = str(tmp_path / "good.csv")
+    write_feature_dataset(pool, test_path)
+    write_feature_dataset(pool, good_path)
+    bad_path = str(tmp_path / "bad.csv")
+    with open(bad_path, "wb") as fh:
+        fh.write(b"dim=4\n0,nan,1,2,3\n\xff\n")
+
+    def config(train_path, name):
+        return load_config({
+            "data.train_path": train_path, "data.test_path": test_path,
+            "method.name": method, "method.fomaml.epochs": "2",
+            "phase.episode_count": "3", "paths.workdir": str(tmp_path / name),
+        })
+
+    cfg = config(bad_path, "bad")
+    if METHODS[method].meta_fit is not None:
+        # the split loads before any seed runs, so its error is raised
+        # and no leaderboard entry is written
+        with pytest.raises(ParseError, match="not utf-8 text"):
+            run_phase(cfg)
+        assert not os.path.exists(tmp_path / "bad")
+        return
+    assert run_phase(cfg)[1].status == "completed"
+    good_cfg = config(good_path, "good")
+    assert run_phase(good_cfg)[1].status == "completed"
+    for seed in cfg.seeds:
+        with open(cfg.report_path(seed), "rb") as fh, \
+                open(good_cfg.report_path(seed), "rb") as good_fh:
+            assert fh.read() == good_fh.read()
 
 
 @pytest.mark.parametrize("method", ["linear", "fomaml", "proto"])
