@@ -33,8 +33,10 @@ A class's rows keep their file order, and classes are ordered by their
 first row.  Whatever breaks a rule raises :class:`ParseError` naming the
 line.
 
-Files are read and written in blocks of about a mebibyte of text, so
-besides the table itself only about one block is held at a time.
+Files are read and written in blocks of 64 KiB of text.  A write holds
+one chunk of rows at a time; a load holds one block of text while it
+parses it, and peaks at about 2.3x the table's arrays on large tables,
+when it copies the parsed records into one array per class.
 """
 
 from __future__ import annotations
@@ -157,7 +159,7 @@ class SyntheticSpec:
             raise ArgumentError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
-_BLOCK_CHARS = 1 << 20  # characters per block of feature text read or written
+_BLOCK_CHARS = 1 << 16  # characters per block of feature text read or written
 _NARROW_ROWS = 256  # rows per loadtxt call while narrowing a refused block
 
 
@@ -165,10 +167,12 @@ def parse_feature_dataset(source: str | TextIO) -> DatasetTable:
     """Parse the feature-table format (see the module docstring) from a
     string, or from an open text file starting at its current position.
 
-    The text is read once, in blocks of whole lines, and each block is
-    checked whole before the next one is read, so besides the table only
-    about one block of text is held at a time.  The source is never
-    rewound, so piped input parses too.
+    The text is read once, in blocks of whole lines of about 64 KiB, and
+    each block is checked whole before the next one is read.  Besides one
+    block, the parse holds the records read so far, and its traced peak
+    is about 2.3x the table's arrays on large tables: 3.3 MiB for 12,000
+    rows of 16 values.  The source is never rewound, so piped input
+    parses too.
 
     Raises :class:`ParseError` naming the one-based line number, counted
     from where the source stood, of the first line that breaks the
@@ -212,6 +216,7 @@ def parse_feature_dataset(source: str | TextIO) -> DatasetTable:
             hashes += map(_row_hashes, checked)
             if message is not None:
                 break
+    del lines, rows  # the last block's lines are not kept through the copies below
     n_rows = sum(map(len, parts))
     if parts:
         records = np.concatenate(parts)
@@ -474,6 +479,8 @@ def split_classes(table: DatasetTable, n_train_classes: int, seed: int) -> MetaS
         raise ArgumentError(
             f"n_train_classes must be in [1, {total - 1}], got {n_train_classes}"
         )
+    if int(seed) < 0:
+        raise ArgumentError(f"seed must be >= 0, got {seed}")
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
     perm = gen.permutation(total)
     train_idx = set(perm[:n_train_classes].tolist())

@@ -303,16 +303,26 @@ def load_split(config: PhaseConfig) -> MetaSplit:
 
     Only a method with a ``meta_fit`` reads the meta-train rows; for any
     other method just the train file's header is read and checked, and
-    ``meta_train`` is a table of that width with no classes.
+    ``meta_train`` is a table of that width with no classes.  A standalone
+    :func:`run_ingestion` or :func:`run_scoring` loads less: ingestion
+    reads only the test file's header, scoring only the train file's.
     """
+    return _load_split(config, train_rows=_meta_trains(config), test_rows=True)
+
+
+def _meta_trains(config: PhaseConfig) -> bool:
+    return METHODS[config.method.name].meta_fit is not None
+
+
+def _load_split(config: PhaseConfig, *, train_rows: bool, test_rows: bool) -> MetaSplit:
+    """:func:`load_split`, reading the rows of the train and the test file
+    only where asked; of a file whose rows are not read just the header is
+    read and checked, giving a table of its width with no classes."""
     if config.synthetic is not None:
         table = generate_synthetic(config.synthetic)
         return split_classes(table, config.n_train_classes, config.split_seed)
-    if METHODS[config.method.name].meta_fit is None:
-        train = load_feature_header(config.train_path)
-    else:
-        train = load_feature_dataset(config.train_path)
-    test = load_feature_dataset(config.test_path)
+    train = (load_feature_dataset if train_rows else load_feature_header)(config.train_path)
+    test = (load_feature_dataset if test_rows else load_feature_header)(config.test_path)
     if train.dim != test.dim:
         raise ConfigError(f"data.train_path holds {train.dim}-wide features, "
                           f"data.test_path {test.dim}-wide ones")
@@ -337,10 +347,12 @@ def run_ingestion(
     split: MetaSplit | None = None,
 ) -> str:
     """Meta-train under the budget clock and save the learner artifact.
+    Without ``split`` it loads its own, reading of the test file only the
+    header that the width check needs.
 
     On timeout the budget error propagates and no artifact is written.
     """
-    split = split or load_split(config)
+    split = split or _load_split(config, train_rows=_meta_trains(config), test_rows=False)
     clock.check() if clock is not None else None
     learner = meta_fit(
         MetaLearnerSpec(method=config.method, train_episode_spec=config.episode_spec),
@@ -364,9 +376,11 @@ def run_scoring(
     clock: BudgetClock | None = None,
     split: MetaSplit | None = None,
 ) -> AggregateScore:
-    """Load the artifact, evaluate on meta-test, write the score report."""
+    """Load the artifact, evaluate on meta-test, write the score report.
+    Without ``split`` it loads its own, reading of the train file only the
+    header that the width check needs."""
     learner = load_learner(artifact_path)
-    split = split or load_split(config)
+    split = split or _load_split(config, train_rows=False, test_rows=True)
     score = evaluate_learner(
         learner,
         split.meta_test,

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ArgumentError
+
 _MAX_SEED = 2**64
 
 
@@ -27,7 +29,7 @@ class RngState:
 
     def __post_init__(self):
         if not 0 <= int(self.seed) < _MAX_SEED:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+            raise ArgumentError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
     @property
     def generator(self) -> np.random.Generator:
@@ -43,5 +45,5 @@ class RngState:
     def fork(self, index: int) -> "RngState":
         """The ``index``-th child substream of this state."""
         if index < 0:
-            raise ValueError(f"fork index must be non-negative, got {index}")
+            raise ArgumentError(f"fork index must be non-negative, got {index}")
         return RngState(self.seed, self.path + (int(index),))

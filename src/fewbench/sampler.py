@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 ALL_REMAINING = "all-remaining"
+_INTEGERS = (int, np.integer)
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,8 @@ class EpisodeSpec:
 
     ``query_per_class`` is either a positive integer or the string
     ``"all-remaining"`` (the meta-test default: every example not used for
-    support becomes a query).  The fields are checked when it is built.
+    support becomes a query).  The counts may be Python or NumPy integers,
+    never floats.  The fields are checked when it is built.
     """
 
     n_way: int = 5
@@ -47,16 +49,17 @@ class EpisodeSpec:
     query_per_class: int | str = ALL_REMAINING
 
     def __post_init__(self) -> None:
-        if self.n_way < 2:
-            raise ArgumentError(f"n_way must be >= 2, got {self.n_way}")
-        if self.k_shot < 1:
-            raise ArgumentError(f"k_shot must be >= 1, got {self.k_shot}")
-        if self.query_per_class != ALL_REMAINING:
-            if not isinstance(self.query_per_class, int) or self.query_per_class < 1:
-                raise ArgumentError(
-                    f"query_per_class must be '{ALL_REMAINING}' or a positive "
-                    f"integer, got {self.query_per_class!r}"
-                )
+        for name, value, least in (("n_way", self.n_way, 2), ("k_shot", self.k_shot, 1)):
+            if not isinstance(value, _INTEGERS):
+                raise ArgumentError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ArgumentError(f"{name} must be >= {least}, got {value}")
+        qpc = self.query_per_class
+        if qpc != ALL_REMAINING and not (isinstance(qpc, _INTEGERS) and qpc >= 1):
+            raise ArgumentError(
+                f"query_per_class must be '{ALL_REMAINING}' or a positive "
+                f"integer, got {qpc!r}"
+            )
 
 
 @dataclass(frozen=True)

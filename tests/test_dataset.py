@@ -497,38 +497,40 @@ def test_unwritable_output_is_argument_error_naming_the_path(tmp_path):
     assert os.listdir(tmp_path / "dir") == ["inner"]
 
 
-def test_feature_file_io_memory_is_bounded(tmp_path, monkeypatch):
+def test_feature_file_io_memory_is_bounded(tmp_path):
     """Besides the table, reading holds about one block of text and the
     table's records once more, and writing holds about one block.  A file
-    whose last row is bad holds no more while its error is found."""
-    monkeypatch.setattr(dataset, "_BLOCK_CHARS", 64 * 1024)
-    table = generate_synthetic(SyntheticSpec(num_classes=10, dim=16, samples_per_class=300,
-                                             class_std=1.0, mean_scale=2.0, seed=4))
-    table_bytes = sum(rec.examples.nbytes for rec in table.classes)
-    path = str(tmp_path / "table.csv")
-    tracemalloc.start()
-    try:
-        write_feature_dataset(table, path)
-        _, write_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        before, _ = tracemalloc.get_traced_memory()
-        loaded = load_feature_dataset(path)
-        _, load_peak = tracemalloc.get_traced_memory()
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write("0" + ",nan" * 16 + "\n")
-        tracemalloc.reset_peak()
-        error_before, _ = tracemalloc.get_traced_memory()
-        with pytest.raises(ParseError, match="non-finite") as err:
-            load_feature_dataset(path)
-        _, error_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert _tables_bitwise_equal(loaded, table)
-    assert err.value.line_no == 1 + table.total_examples + 1
-    assert write_peak < 1.0 * table_bytes
-    # the loaded table itself is one of the four
-    assert load_peak - before < 4.0 * table_bytes
-    assert error_peak - error_before < 4.0 * table_bytes
+    whose last row is bad holds no more while its error is found.  The
+    second shape is that of the large-query benchmark's test file."""
+    for num_classes, samples_per_class in ((10, 300), (20, 600)):
+        table = generate_synthetic(SyntheticSpec(num_classes=num_classes, dim=16,
+                                                 samples_per_class=samples_per_class,
+                                                 class_std=1.0, mean_scale=2.0, seed=4))
+        table_bytes = sum(rec.examples.nbytes for rec in table.classes)
+        path = str(tmp_path / f"table{num_classes}.csv")
+        tracemalloc.start()
+        try:
+            write_feature_dataset(table, path)
+            _, write_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            loaded = load_feature_dataset(path)
+            _, load_peak = tracemalloc.get_traced_memory()
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write("0" + ",nan" * 16 + "\n")
+            tracemalloc.reset_peak()
+            error_before, _ = tracemalloc.get_traced_memory()
+            with pytest.raises(ParseError, match="non-finite") as err:
+                load_feature_dataset(path)
+            _, error_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert _tables_bitwise_equal(loaded, table)
+        assert err.value.line_no == 1 + table.total_examples + 1
+        assert write_peak < 1.0 * table_bytes
+        # the loaded table itself is one of the four
+        assert load_peak - before < 4.0 * table_bytes
+        assert error_peak - error_before < 4.0 * table_bytes
 
 
 def test_render_parse_round_trip_is_byte_stable():
@@ -655,6 +657,8 @@ def test_split_classes_bounds():
         split_classes(table, 0, seed=1)
     with pytest.raises(ArgumentError):
         split_classes(table, 4, seed=1)
+    with pytest.raises(ArgumentError, match="seed must be >= 0, got -1"):
+        split_classes(table, 3, seed=-1)
 
 
 # ---------------------------------------------------------------------------

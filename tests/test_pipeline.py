@@ -255,6 +255,62 @@ def test_train_rows_are_read_only_by_methods_that_meta_train(method, tmp_path):
             assert fh.read() == good_fh.read()
 
 
+def _file_config(tmp_path, method):
+    pool = generate_synthetic(SyntheticSpec(
+        num_classes=6, dim=4, samples_per_class=6,
+        class_std=0.1, mean_scale=3.0, seed=5,
+    ))
+    paths = [str(tmp_path / "train.csv"), str(tmp_path / "test.csv")]
+    for path in paths:
+        write_feature_dataset(pool, path)
+    return load_config({
+        "data.train_path": paths[0], "data.test_path": paths[1],
+        "method.name": method, "phase.episode_count": "3",
+        "paths.workdir": str(tmp_path / "work"),
+    })
+
+
+def test_standalone_scoring_reads_only_the_header_of_the_train_file(tmp_path):
+    cfg = _file_config(tmp_path, "linear")
+    seed = cfg.seeds[0]
+    artifact = run_ingestion(cfg, seed)
+    first = run_scoring(artifact, cfg, seed)
+    with open(cfg.report_path(seed), "rb") as fh:
+        report = fh.read()
+    with open(cfg.train_path, "a", encoding="utf-8") as fh:
+        fh.write("0,nan,1,2,3\n")
+    with pytest.raises(ParseError, match="non-finite"):
+        run_ingestion(cfg, seed)
+    assert run_scoring(artifact, cfg, seed) == first
+    with open(cfg.report_path(seed), "rb") as fh:
+        assert fh.read() == report
+
+
+@pytest.mark.parametrize("method", ["linear", "proto"])
+def test_standalone_ingestion_reads_only_the_header_of_the_test_file(method, tmp_path):
+    cfg = _file_config(tmp_path, method)
+    with open(cfg.test_path, "a", encoding="utf-8") as fh:
+        fh.write("0,1,2\n")
+    artifact = run_ingestion(cfg, cfg.seeds[0])
+    with pytest.raises(ParseError, match="row has 2 values, expected 4"):
+        run_scoring(artifact, cfg, cfg.seeds[0])
+
+
+@pytest.mark.parametrize("stage", ["ingest", "score"])
+def test_standalone_stages_check_the_widths_of_both_files(stage, tmp_path):
+    cfg = _file_config(tmp_path, "linear")
+    artifact = run_ingestion(cfg, cfg.seeds[0])
+    write_feature_dataset(generate_synthetic(SyntheticSpec(
+        num_classes=6, dim=3, samples_per_class=6,
+        class_std=0.1, mean_scale=3.0, seed=5,
+    )), cfg.test_path if stage == "ingest" else cfg.train_path)
+    with pytest.raises(ConfigError, match=r"holds \d-wide features, data.test_path \d-wide"):
+        if stage == "ingest":
+            run_ingestion(cfg, cfg.seeds[0])
+        else:
+            run_scoring(artifact, cfg, cfg.seeds[0])
+
+
 @pytest.mark.parametrize("method", ["linear", "fomaml", "proto"])
 def test_feature_files_of_different_widths_fail_before_training(method, tmp_path):
     paths = []

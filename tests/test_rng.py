@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fewbench.errors import ArgumentError
 from fewbench.rng import RngState
 
 
@@ -54,11 +55,11 @@ def test_fork_order_does_not_matter():
 def test_seed_bounds():
     RngState(0)
     RngState(2**64 - 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ArgumentError):
         RngState(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ArgumentError):
         RngState(2**64)
-    with pytest.raises(ValueError):
+    with pytest.raises(ArgumentError):
         RngState(1).fork(-1)
 
 

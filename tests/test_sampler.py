@@ -132,6 +132,27 @@ def test_spec_validation():
     EpisodeSpec(query_per_class=ALL_REMAINING)
 
 
+@pytest.mark.parametrize("fields", [
+    (2, 1.5), (2.0, 1), (2, 1, 2.0), (np.float64(5), 1), (5, 1, np.float64(3)), ("5", 1),
+])
+def test_spec_refuses_counts_that_are_not_integers(fields):
+    with pytest.raises(ArgumentError, match="integer"):
+        EpisodeSpec(*fields)
+
+
+def test_spec_takes_numpy_integers():
+    spec = EpisodeSpec(np.int64(3), np.int32(2), np.int64(2))
+    ep = sample_episode(make_pool(), spec, RngState(4))
+    plain = sample_episode(make_pool(), EpisodeSpec(3, 2, 2), RngState(4))
+    assert np.array_equal(ep.support_x, plain.support_x)
+    assert np.array_equal(ep.query_x, plain.query_x)
+
+
+def test_stream_refuses_a_negative_seed():
+    with pytest.raises(ArgumentError, match="seed"):
+        next(episode_stream(make_pool(), EpisodeSpec(), 1, seed=-1))
+
+
 def test_stream_deterministic():
     pool = make_pool()
     spec = EpisodeSpec(n_way=5, k_shot=1)
