@@ -95,8 +95,10 @@ from .sampler import (
     ALL_REMAINING,
     Episode,
     EpisodeSpec,
+    episode_shape,
     episode_stream,
     sample_batch,
+    sample_block,
     sample_episode,
 )
 

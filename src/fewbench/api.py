@@ -21,7 +21,7 @@ from . import fomaml as fm
 from . import heads
 from .dataset import DatasetTable, read_text, render_value, write_text_atomic
 from .errors import ArtifactError, ConfigError, EpisodeFormatError, ShapeError
-from .rng import RngState
+from .rng import RngState, check_seed
 from .sampler import EpisodeSpec, sample_batch
 
 __all__ = [
@@ -59,6 +59,12 @@ class Method:
     set of values to that set, and ``bounds`` maps a numeric key to the
     interval its value must lie in, written like ``"(0, 1]"`` with ``inf``
     for an unbounded end.
+
+    ``block_cells`` is the block entry: set for a method whose ``fit`` and
+    ``predict`` also take a block of episodes stacked along a leading axis
+    (see :meth:`LearnerState.predict_block`), it maps an episode's
+    ``(n_way, k_shot, queries, dim)`` to the float64 cells of the largest
+    array the method holds per episode.
     """
 
     params: dict
@@ -67,6 +73,12 @@ class Method:
     meta_fit: Callable[..., tuple] | None = None
     choices: dict = field(default_factory=dict)
     bounds: dict = field(default_factory=dict)
+    block_cells: Callable[[int, int, int, int], int] | None = None
+
+
+#: Float64 cells a block of episodes may hold in its largest array: 128 KiB,
+#: which keeps a block's arrays in cache and the run's peak memory flat.
+_BLOCK_CELLS = 1 << 14
 
 
 def _coerce(key: str, value, default):
@@ -195,6 +207,34 @@ class LearnerState:
         )
         return PredictorState(method=self.method, state=state, dim=support_x.shape[1])
 
+    def block_size(self, n_way: int, k_shot: int, queries: int, dim: int) -> int:
+        """Episodes of this shape per :meth:`predict_block` call, or 0 for a
+        method without a block entry, which scores one episode at a time."""
+        cells = METHODS[self.method.name].block_cells
+        return 0 if cells is None else max(1, _BLOCK_CELLS // cells(n_way, k_shot, queries, dim))
+
+    def predict_block(
+        self, support_x: np.ndarray, support_y: np.ndarray, query_x: np.ndarray
+    ) -> np.ndarray:
+        """Labels ``(E, Q)`` for E episodes at once: support rows
+        ``(E, N*K, d)`` that all carry the labels ``support_y``, and query
+        rows ``(E, Q, d)``.  Each episode gets the labels that ``fit`` and
+        ``predict`` give it alone; the checks are theirs, made once per
+        block.  Only for a method with a block entry."""
+        method = METHODS[self.method.name]
+        if method.block_cells is None:
+            raise ConfigError(f"method {self.method.name!r} has no block entry")
+        n_way, _ = heads.support_structure(support_x, support_y)
+        support_x = np.asarray(support_x, dtype=np.float64)
+        query_x = np.asarray(query_x, dtype=np.float64)
+        if not np.isfinite(support_x).all():
+            raise EpisodeFormatError("support set holds non-finite values")
+        if not np.isfinite(query_x).all():
+            raise EpisodeFormatError("query set holds non-finite values")
+        state = method.fit(self.method.values, self.arrays, support_x,
+                           np.asarray(support_y), n_way)
+        return method.predict(state, query_x)
+
 
 # ---------------------------------------------------------------------------
 # Built-in methods.  Heads and fo-MAML functions are looked up on their
@@ -316,12 +356,23 @@ def _fomaml_predict(st, query_x):
     return np.argmax(fm.mlp_forward(st["adapted"], query_x), axis=1)
 
 
+def _row_cells(n, k, q, d):
+    """Support and query rows, or the (Q, N) distances when N > d."""
+    return (n * k + q) * max(d, n)
+
+
+def _qda_cells(n, k, q, d):
+    """The (Q, N d) whitened queries, or the (N, d, d) covariances."""
+    return n * d * max(q, d)
+
+
 #: method name -> registry entry; the one place each method is defined
 METHODS: dict[str, Method] = {
     "proto": Method(
         params={"metric": "euclidean"},
         fit=_proto_fit, predict=_proto_predict,
         choices={"metric": heads.METRICS},
+        block_cells=_row_cells,
     ),
     "fomaml": Method(
         params={"inner_steps": 5, "inner_lr": 0.05, "outer_lr": 0.005,
@@ -347,15 +398,18 @@ METHODS: dict[str, Method] = {
         fit=_keep_support, predict=_ptmap_predict,
         bounds={"epsilon": "[0, inf)", "reg": "(0, inf]", "max_iters": "[1, inf)",
                 "tol": "(0, inf]", "n_iters": "[0, inf)", "step_size": "(0, 1]"},
+        block_cells=_row_cells,
     ),
     "qda": Method(
         params={"shrinkage": 0.5},
         fit=_qda_fit, predict=_qda_predict, bounds={"shrinkage": "[0, 1]"},
+        block_cells=_qda_cells,
     ),
     "rect": Method(
         params={"metric": "euclidean"},
         fit=_keep_support, predict=_rect_predict,
         choices={"metric": heads.METRICS},
+        block_cells=_row_cells,
     ),
 }
 
@@ -375,11 +429,12 @@ def meta_fit(
     fo-MAML runs its outer loop.  ``clock`` (a budget clock with a
     ``check()`` method) is polled inside the long-running loops.
     """
+    seed = check_seed(seed)
     run = METHODS[spec.method.name].meta_fit
     if run is None:
-        arrays, provenance = {}, Provenance(seed=int(seed))
+        arrays, provenance = {}, Provenance(seed=seed)
     else:
-        arrays, provenance = run(spec.method.values, spec, meta_train, int(seed), clock, log_path)
+        arrays, provenance = run(spec.method.values, spec, meta_train, seed, clock, log_path)
     return LearnerState(method=spec.method, arrays=arrays, provenance=provenance)
 
 

@@ -50,6 +50,7 @@ from typing import Iterable, Iterator, TextIO
 import numpy as np
 
 from .errors import ArgumentError, BenchError, ParseError
+from .rng import INTEGERS, check_seed
 
 __all__ = [
     "ClassRecord",
@@ -155,8 +156,7 @@ class SyntheticSpec:
         # case so the Bayes oracle can be checked against chance level.
         if not (self.class_std > 0 and self.mean_scale >= 0):
             raise ArgumentError("class_std must be positive and mean_scale non-negative")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ArgumentError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        check_seed(self.seed)
 
 
 _BLOCK_CHARS = 1 << 16  # characters per block of feature text read or written
@@ -479,9 +479,11 @@ def split_classes(table: DatasetTable, n_train_classes: int, seed: int) -> MetaS
         raise ArgumentError(
             f"n_train_classes must be in [1, {total - 1}], got {n_train_classes}"
         )
-    if int(seed) < 0:
+    if not isinstance(seed, INTEGERS):
+        raise ArgumentError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
         raise ArgumentError(f"seed must be >= 0, got {seed}")
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     perm = gen.permutation(total)
     train_idx = set(perm[:n_train_classes].tolist())
     train = [rec for i, rec in enumerate(table.classes) if i in train_idx]
@@ -494,13 +496,13 @@ def split_classes(table: DatasetTable, n_train_classes: int, seed: int) -> MetaS
 
 def synthetic_class_means(spec: SyntheticSpec) -> np.ndarray:
     """True class means of the synthetic pool, shape (num_classes, dim)."""
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(spec.seed))))
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.seed)))
     return gen.normal(0.0, spec.mean_scale, size=(spec.num_classes, spec.dim))
 
 
 def generate_synthetic(spec: SyntheticSpec) -> DatasetTable:
     """Synthesize a Gaussian-mixture pool, fully determined by the spec."""
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(spec.seed))))
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.seed)))
     means = gen.normal(0.0, spec.mean_scale, size=(spec.num_classes, spec.dim))
     noise = gen.normal(
         0.0, spec.class_std, size=(spec.num_classes, spec.samples_per_class, spec.dim)
@@ -529,7 +531,7 @@ def bayes_oracle_accuracy(
         raise ArgumentError(f"trials must be >= 1, got {trials}")
     means = synthetic_class_means(spec)
     table = generate_synthetic(spec)
-    root = RngState(int(seed))
+    root = RngState(seed)
     correct = 0
     total = 0
     for i in range(trials):

@@ -21,7 +21,8 @@ from .errors import (
     ProtocolError,
     ShapeError,
 )
-from .sampler import EpisodeSpec, episode_stream
+from .rng import RngState
+from .sampler import EpisodeSpec, episode_shape, episode_stream, sample_block
 
 __all__ = [
     "EpisodeScore",
@@ -98,30 +99,47 @@ def evaluate_learner(
     the call.  Any episode failure aborts, naming the episode index; a
     budget ``clock`` is checked before each episode and the raised
     timeout records how many episodes completed.
+
+    A learner with a block entry (a :class:`~fewbench.api.LearnerState`
+    of ``proto``, ``qda``, ``rect`` or ``ptmap``) is scored over blocks of
+    episodes when every episode of the stream has the same shape (see
+    :func:`~fewbench.sampler.episode_shape`), with the same scores.  The
+    clock is then checked before each block, so a timeout's count is a
+    whole number of blocks.  A block that fails is scored again one
+    episode at a time, which names the episode and its error.
     """
     if episode_count < 1:
         raise ArgumentError(f"episode_count must be >= 1, got {episode_count}")
 
+    root = RngState(seed)
+    size = _block_size(learner, pool, spec)
     scores: list[EpisodeScore] = []
-    for i, episode in enumerate(episode_stream(pool, spec, episode_count, seed)):
-        if clock is not None:
+    if size:
+        for start in range(0, episode_count, size):
+            _check_clock(clock, start)
+            stop = min(start + size, episode_count)
+            block = sample_block(pool, spec, [root.fork(i) for i in range(start, stop)])
             try:
-                clock.check()
-            except BudgetExceededError as exc:
-                raise BudgetExceededError(str(exc), completed=i) from None
-        try:
-            predictor = learner.fit(episode.support_x, episode.support_y)
-            predicted = predictor.predict(episode.query_x)
-            acc = cat_accuracy(np.asarray(predicted), episode.query_y)
-        except BudgetExceededError:
-            raise
-        except Exception as exc:
-            raise EvaluationError(
-                f"episode {i} failed: {exc}", episode_index=i
-            ) from exc
-        scores.append(EpisodeScore(
-            episode_index=i, accuracy=acc, query_count=len(episode.query_y)
-        ))
+                predicted = learner.predict_block(
+                    block.support_x, block.support_y, block.query_x)
+                if predicted.shape != block.query_y.shape:
+                    raise ShapeError(f"block labels of shape {predicted.shape}")
+            except Exception:
+                # one episode at a time, the loop names the episode that
+                # fails and raises its error, as the serial loop does
+                scores.extend(_score_episode(learner, i, block[i - start])
+                              for i in range(start, stop))
+                continue
+            queries = block.query_y.shape[1]
+            # a mean of 0/1 values along a row is bitwise cat_accuracy's
+            accs = (predicted == block.query_y).mean(axis=1)
+            scores.extend(EpisodeScore(episode_index=i, accuracy=float(acc),
+                                       query_count=queries)
+                          for i, acc in enumerate(accs, start))
+    else:
+        for i, episode in enumerate(episode_stream(pool, spec, episode_count, seed)):
+            _check_clock(clock, i)
+            scores.append(_score_episode(learner, i, episode))
 
     accs = [s.accuracy for s in scores]
     return AggregateScore(
@@ -130,6 +148,38 @@ def evaluate_learner(
         episode_count=episode_count,
         seed=int(seed),
         episodes=tuple(scores),
+    )
+
+
+def _block_size(learner, pool, spec: EpisodeSpec) -> int:
+    """Episodes per block for ``learner`` on this stream; 0 scores one
+    episode at a time."""
+    sizer = getattr(learner, "block_size", None)
+    shape = None if sizer is None else episode_shape(pool, spec)
+    return 0 if shape is None else sizer(*shape, pool.dim)
+
+
+def _check_clock(clock, completed: int) -> None:
+    if clock is not None:
+        try:
+            clock.check()
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(str(exc), completed=completed) from None
+
+
+def _score_episode(learner, i: int, episode) -> EpisodeScore:
+    try:
+        predictor = learner.fit(episode.support_x, episode.support_y)
+        predicted = predictor.predict(episode.query_x)
+        acc = cat_accuracy(np.asarray(predicted), episode.query_y)
+    except BudgetExceededError:
+        raise
+    except Exception as exc:
+        raise EvaluationError(
+            f"episode {i} failed: {exc}", episode_index=i
+        ) from exc
+    return EpisodeScore(
+        episode_index=i, accuracy=acc, query_count=len(episode.query_y)
     )
 
 

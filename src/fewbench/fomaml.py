@@ -280,7 +280,7 @@ def meta_train(
     check_pool(pool, episode_spec)
     inner = inner or InnerConfig()
     outer = outer or OuterConfig()
-    root = RngState(int(seed))
+    root = RngState(seed)
     params = init_mlp(pool.dim, hidden, episode_spec.n_way, root.fork(_INIT_STREAM))
     episodes_rng = root.fork(_EPISODE_STREAM)
 

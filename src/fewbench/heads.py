@@ -14,6 +14,12 @@ Five methods operate directly on support/query feature vectors:
 All heads break exact ties toward the lowest episode label, are
 label-permutation equivariant, and are pure functions of their inputs.
 
+The prototype, QDA, rectified-prototype and transport heads also take a
+block of E episodes stacked along a leading axis: support rows
+``(E, N*K, d)`` that share one label vector ``(N*K,)``, and query rows
+``(E, Q, d)``.  A 2-d call is the E = 1 case of the same code, and each
+episode of a block gets exactly the arithmetic of its own 2-d call.
+
 Class statistics come from array passes over all of an episode's classes
 at once, not from a loop over classes: the support check counts labels
 with one ``bincount``, class means sum an (N, K, d) block of the
@@ -65,11 +71,13 @@ def support_structure(support_x: np.ndarray, support_y: np.ndarray) -> tuple[int
     """Validate N-way K-shot structure; return (n_way, k_shot).
 
     Labels must be exactly 0..N-1, each appearing the same number of times.
+    ``support_x`` is ``(N*K, d)``, or ``(E, N*K, d)`` for a block of
+    episodes that all carry the labels ``support_y``.
     """
     support_x = np.asarray(support_x, dtype=np.float64)
     support_y = np.asarray(support_y)
-    if (support_x.ndim != 2 or support_y.ndim != 1
-            or len(support_x) != len(support_y)):
+    if (support_x.ndim not in (2, 3) or support_y.ndim != 1
+            or support_x.shape[-2] != len(support_y)):
         raise EpisodeFormatError(
             f"support shapes {support_x.shape} / {support_y.shape} inconsistent"
         )
@@ -95,24 +103,31 @@ def support_structure(support_x: np.ndarray, support_y: np.ndarray) -> tuple[int
 
 
 def _class_blocks(x: np.ndarray, support_y: np.ndarray, n: int, k: int) -> np.ndarray:
-    """The support rows as an (N, K, d) block: class c's rows in support
-    order.  Summing a block over axis 1 and dividing by K is bitwise
-    ``x[y == c].mean(axis=0)``."""
+    """The support rows as an (..., N, K, d) block: class c's rows in
+    support order.  Summing a block over its K axis and dividing by K is
+    bitwise ``x[y == c].mean(axis=0)``."""
     order = np.argsort(support_y, kind="stable")
-    return x[order].reshape(n, k, x.shape[1])
+    # take, not x[..., order, :]: fancy indexing may lay a block out with
+    # the episode axis innermost, and the products that follow would then
+    # sum in another order than a 2-d call does
+    return x.take(order, axis=-2).reshape(x.shape[:-2] + (n, k, x.shape[-1]))
 
 
-def _check_query(query_x: np.ndarray, dim: int) -> np.ndarray:
+def _check_query(query_x: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """The query rows as float64, refused unless they match the episode
+    axis and feature width of ``like`` (the support rows or the fitted
+    per-class arrays)."""
     query_x = np.asarray(query_x, dtype=np.float64)
-    if query_x.ndim != 2 or query_x.shape[1] != dim:
-        raise ShapeError(
-            f"query shape {query_x.shape} does not match feature dimension {dim}"
-        )
+    if (query_x.ndim != like.ndim or query_x.shape[-1] != like.shape[-1]
+            or query_x.shape[:-2] != like.shape[:-2]):
+        episodes = f" over {like.shape[0]} episodes" if like.ndim == 3 else ""
+        raise ShapeError(f"query shape {query_x.shape} does not match feature "
+                         f"dimension {like.shape[-1]}{episodes}")
     return query_x
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return x / norms
 
@@ -127,7 +142,7 @@ METRICS = ("euclidean", "cosine")
 
 @dataclass(frozen=True)
 class Prototypes:
-    centers: np.ndarray  # (N, d)
+    centers: np.ndarray  # (N, d), or (E, N, d) for a block
     metric: str = "euclidean"
 
 
@@ -147,15 +162,24 @@ def compute_prototypes(
     x = np.asarray(support_x, dtype=np.float64)
     if metric == "cosine":
         x = _unit_rows(x)
-    centers = _class_blocks(x, np.asarray(support_y), n, k).sum(axis=1) / k
+    centers = _class_blocks(x, np.asarray(support_y), n, k).sum(axis=-2) / k
     return Prototypes(centers=centers, metric=metric)
 
 
-def _sq_dists(query_x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, (Q, N)."""
-    q_sq = (query_x ** 2).sum(axis=1)[:, None]
-    c_sq = (centers ** 2).sum(axis=1)[None, :]
-    d2 = q_sq - 2.0 * (query_x @ centers.T) + c_sq
+def _sq_norms(query_x: np.ndarray) -> np.ndarray:
+    """Squared row norms as a column, (..., Q, 1)."""
+    return (query_x ** 2).sum(axis=-1)[..., None]
+
+
+def _sq_dists(
+    query_x: np.ndarray, centers: np.ndarray, q_sq: np.ndarray | None = None
+) -> np.ndarray:
+    """Squared Euclidean distances, (..., Q, N).  ``q_sq`` is
+    ``_sq_norms(query_x)`` when the caller already holds it."""
+    if q_sq is None:
+        q_sq = _sq_norms(query_x)
+    c_sq = (centers ** 2).sum(axis=-1)[..., None, :]
+    d2 = q_sq - 2.0 * (query_x @ centers.swapaxes(-1, -2)) + c_sq
     return np.maximum(d2, 0.0)
 
 
@@ -164,23 +188,23 @@ def proto_predict(prototypes: Prototypes, query_x: np.ndarray) -> np.ndarray:
 
     The argmax of each row is the nearest-center label.
     """
-    query_x = _check_query(query_x, prototypes.centers.shape[1])
+    query_x = _check_query(query_x, prototypes.centers)
     if prototypes.metric == "cosine":
         query_x = _unit_rows(query_x)
     d2 = _sq_dists(query_x, prototypes.centers)
     logits = -d2
-    logits -= logits.max(axis=1, keepdims=True)
+    logits -= logits.max(axis=-1, keepdims=True)
     probs = np.exp(logits)
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs /= probs.sum(axis=-1, keepdims=True)
     return probs
 
 
 def proto_labels(prototypes: Prototypes, query_x: np.ndarray) -> np.ndarray:
     """Nearest-center labels (ties to the lowest label)."""
-    query_x = _check_query(query_x, prototypes.centers.shape[1])
+    query_x = _check_query(query_x, prototypes.centers)
     if prototypes.metric == "cosine":
         query_x = _unit_rows(query_x)
-    return np.argmin(_sq_dists(query_x, prototypes.centers), axis=1)
+    return np.argmin(_sq_dists(query_x, prototypes.centers), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +230,14 @@ def power_transform(
     Each coordinate j becomes ``(v_j - min_shift_j + epsilon) ** beta``
     where ``min_shift_j = min(0, column_minimum_j)``: signed inputs are
     shifted up to be non-negative, while already non-negative inputs pass
-    through unshifted.  Rows are then unit-normalized when requested.
+    through unshifted.  Rows are then unit-normalized when requested.  A
+    ``(E, rows, dim)`` block takes its column minima per episode.
     """
     params = params or PowerTransformParams()
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
+    if x.ndim not in (2, 3):
         raise ShapeError(f"expected a (rows, dim) array, got shape {x.shape}")
-    shift = np.minimum(x.min(axis=0), 0.0) if len(x) else 0.0
+    shift = np.minimum(x.min(axis=-2, keepdims=True), 0.0) if x.shape[-2] else 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         out = (x - shift + params.epsilon) ** params.beta
     if not np.isfinite(out).all():
@@ -280,16 +305,16 @@ def _check_marginal(m: np.ndarray, size: int, name: str) -> np.ndarray:
     return m
 
 
-def _median(x: np.ndarray) -> float:
-    """``np.median`` of a finite array, bit for bit, without its generic
-    overhead.  Like its mean, the sums start from +0.0, so a zero median
-    comes out as +0.0."""
-    flat = x.ravel()
-    half = flat.size // 2
-    if flat.size % 2:
-        return float(0.0 + np.partition(flat, half)[half])
-    part = np.partition(flat, (half - 1, half))
-    return float((0.0 + part[half - 1] + part[half]) / 2)
+def _median(x: np.ndarray) -> np.ndarray:
+    """``np.median`` of each problem of a finite (E, R, C) array, bit for
+    bit, as an (E, 1, 1) array, without its generic overhead.  Like its
+    mean, the sums start from +0.0, so a zero median comes out as +0.0."""
+    flat = x.reshape(len(x), -1)
+    half = flat.shape[1] // 2
+    if flat.shape[1] % 2:
+        return 0.0 + np.partition(flat, half, axis=1)[:, half:half + 1, None]
+    part = np.partition(flat, (half - 1, half), axis=1)[:, half - 1:half + 1, None]
+    return (0.0 + part[:, :1] + part[:, 1:]) / 2
 
 
 def _log_sweep(
@@ -341,61 +366,119 @@ def sinkhorn(
     n_rows, n_cols = cost.shape
     a = _check_marginal(row_marginals, n_rows, "row_marginals")
     b = _check_marginal(col_marginals, n_cols, "col_marginals")
+    if init_potentials is not None:
+        init_potentials = tuple(np.asarray(p, dtype=np.float64)[None]
+                                for p in init_potentials)
+    plan, f, g, iterations, err = _sinkhorn_block(cost[None], a, b, config,
+                                                  init_potentials)
+    return TransportPlan(
+        matrix=plan[0],
+        row_marginals=a,
+        col_marginals=b,
+        iterations=int(iterations[0]),
+        marginal_error=float(err[0]),
+        converged=bool(err[0] <= config.tol),
+        log_potentials=(f[0], g[0]),
+    )
 
+
+def _sinkhorn_block(
+    cost: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    config: SinkhornConfig,
+    init_potentials: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`sinkhorn` over a block of E problems that share the marginals
+    ``a`` (R,) and ``b`` (C,): finite costs (E, R, C) and optional warm
+    potentials ((E, R), (E, C)).  Returns the plans, the log potentials f
+    and g, and each problem's iteration count and row-marginal error.
+
+    Every problem runs the serial loop's arithmetic: each stops at its own
+    ``tol`` and leaves the block, and each absorbs its own scaling vectors
+    when they leave the safe range.  Raises :class:`NumericError` when any
+    plan is not finite.
+    """
     med = _median(cost)
-    scaled = cost / med if med > 0 else cost
+    med[med <= 0] = 1.0    # a problem whose median is not positive keeps its cost
     # divide by -reg rather than multiply by its rounded reciprocal: the log
     # kernel is then bit for bit -(C / median) / reg, so a caller rebuilding
     # exp(logK + f + g) from the returned potentials meets this plan exactly
-    log_kernel = scaled / -config.reg
+    log_kernel = cost / med / -config.reg
+    # row quantities are (E, R, 1) columns and column quantities (E, 1, C)
+    # rows, the shapes the matrix-vector products take and give
+    n, rows, cols = cost.shape
+    a = a.reshape(1, rows, 1)
+    b = b.reshape(1, 1, cols)
     if init_potentials is not None:
-        f = np.asarray(init_potentials[0], dtype=np.float64)
-        g = np.asarray(init_potentials[1], dtype=np.float64)
+        f = init_potentials[0].reshape(n, rows, 1)
+        g = init_potentials[1].reshape(n, 1, cols)
     else:
-        f = np.zeros(n_rows)
-        g = np.zeros(n_cols)
+        f = np.zeros((n, rows, 1))
+        g = np.zeros((n, 1, cols))
 
+    done = []   # (block positions, plan, f, g, iterations) of problems that stopped
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         kernel = log_kernel + g
-        kernel += f[:, None]
-        shift = kernel.max()         # the largest kernel entry is exactly 1
+        kernel += f
+        shift = kernel.max(axis=(1, 2), keepdims=True)  # the largest entry is exactly 1
         f = f - shift
         kernel -= shift
         np.exp(kernel, out=kernel)
-        v = np.ones(n_cols)
-        kv = kernel.sum(axis=1)
+        v = np.ones(g.shape)
+        kv = kernel.sum(axis=2, keepdims=True)
+        at = np.arange(n)                   # block position of each working problem
         for it in range(1, config.max_iters + 1):
             u_next = a / kv
-            v_next = b / (u_next @ kernel)
-            if u_next.max() <= _SCALING_BOUND and v_next.max() <= _SCALING_BOUND:
-                u, v = u_next, v_next
-            else:
-                # absorb the last safe v; redo this iteration in the log domain
-                f, g = _log_sweep(log_kernel, g + np.log(v), a, b)
-                kernel = np.exp(log_kernel + f[:, None] + g[None, :])
-                u = np.ones(n_rows)
-                v = np.ones(n_cols)
-            kv = kernel @ v
+            v_next = b / (u_next.swapaxes(1, 2) @ kernel)
+            if not (u_next.max() <= _SCALING_BOUND and v_next.max() <= _SCALING_BOUND):
+                # absorb each unsafe problem's last safe v; redo its
+                # iteration in the log domain
+                unsafe = ~((u_next.max(axis=(1, 2)) <= _SCALING_BOUND)
+                           & (v_next.max(axis=(1, 2)) <= _SCALING_BOUND))
+                g = g.copy()                # never write to a caller's warm start
+                for j in np.flatnonzero(unsafe):
+                    f[j, :, 0], g[j, 0] = _log_sweep(log_kernel[j], g[j, 0] + np.log(v[j, 0]),
+                                                     a[0, :, 0], b[0, 0])
+                    kernel[j] = np.exp(log_kernel[j] + f[j] + g[j])
+                    u_next[j] = 1.0
+                    v_next[j] = 1.0
+            u, v = u_next, v_next
+            kv = kernel @ v.swapaxes(1, 2)
             # the v update fits the columns; u * (K v) carries the row error
-            if np.abs(u * kv - a).max() <= config.tol:
-                break
+            deviation = np.abs(u * kv - a)
+            if it == config.max_iters or deviation.max() <= config.tol:
+                break                       # every problem in the block stops here
+            if len(u) > 1:
+                stop = deviation.max(axis=(1, 2)) <= config.tol
+                if stop.any():              # some stop here: they leave the block
+                    done.append((at[stop], u[stop] * kernel[stop] * v[stop],
+                                 f[stop] + np.log(u[stop]), g[stop] + np.log(v[stop]), it))
+                    go = ~stop
+                    at, u, v, kv = at[go], u[go], v[go], kv[go]
+                    kernel, log_kernel, f, g = kernel[go], log_kernel[go], f[go], g[go]
+        plan = u * kernel * v
+        f, g = f + np.log(u), g + np.log(v)
 
-        plan = u[:, None] * kernel * v[None, :]
-        potentials = (f + np.log(u), g + np.log(v))
-    err = float(np.abs(plan.sum(axis=1) - a).max())
-    if not (np.isfinite(plan).all() and np.isfinite(err)):
+    if done:   # put the problems that stopped early back in their places
+        done.append((at, plan, f, g, it))
+        plan = np.empty_like(cost)
+        f = np.empty((n, rows, 1))
+        g = np.empty((n, 1, cols))
+        iterations = np.empty(n, dtype=np.int64)
+        for positions, *parts, stopped in done:
+            plan[positions], f[positions], g[positions] = parts
+            iterations[positions] = stopped
+    else:
+        iterations = np.full(n, it)
+    # u, v <= 1e30 and K <= 1 bound every entry, so the row sums cannot
+    # overflow: the error is finite exactly when the plan is
+    err = np.abs(plan.sum(axis=2) - a[:, :, 0]).max(axis=1)
+    if not np.isfinite(plan).all():
         raise NumericError(
             "transport kernel underflowed; increase reg (entropic regularization)"
         )
-    return TransportPlan(
-        matrix=plan,
-        row_marginals=a,
-        col_marginals=b,
-        iterations=it,
-        marginal_error=err,
-        converged=err <= config.tol,
-        log_potentials=potentials,
-    )
+    return plan, f[:, :, 0], g[:, 0], iterations, err
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +501,7 @@ def ptmap_fit_predict(
     transport-plan-weighted query mass (uniform row marginals over
     queries, class-balanced column marginals).  Labels are nearest final
     center.  ``n_iters=0`` reduces to nearest-prototype on transformed
-    features.
+    features.  A block of episodes solves its transport problems together.
     """
     if n_iters < 0:
         raise ArgumentError(f"n_iters must be >= 0, got {n_iters}")
@@ -428,34 +511,40 @@ def ptmap_fit_predict(
     pt_params = pt_params or PowerTransformParams()
     sinkhorn_config = sinkhorn_config or PTMAP_SINKHORN
     support_x = np.asarray(support_x, dtype=np.float64)
-    query_x = _check_query(query_x, support_x.shape[1])
-    n_query = len(query_x)
+    query_x = _check_query(query_x, support_x)
+    n_query = query_x.shape[-2]
     if n_query == 0:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(query_x.shape[:-1], dtype=np.int64)
+    one = support_x.ndim == 2      # one episode: a block of one
+    if one:
+        support_x, query_x = support_x[None], query_x[None]
 
-    both = power_transform(np.concatenate([support_x, query_x]), pt_params)
-    t_sup, t_qry = both[: len(support_x)], both[len(support_x):]
+    n_support = support_x.shape[1]
+    both = power_transform(np.concatenate([support_x, query_x], axis=1), pt_params)
+    t_sup, t_qry = both[:, :n_support], both[:, n_support:]
 
     onehot = np.eye(n)[np.asarray(support_y)]
     counts = onehot.sum(axis=0)                  # (N,) = K per class
-    support_sums = onehot.T @ t_sup              # (N, d)
+    support_sums = onehot.T @ t_sup              # (E, N, d)
     centers = support_sums / counts[:, None]
 
     row_m = np.full(n_query, 1.0 / n_query)
     col_m = np.full(n, 1.0 / n)
+    q_sq = _sq_norms(t_qry)
     potentials = None
     for _ in range(n_iters):
-        cost = _sq_dists(t_qry, centers)
-        plan = sinkhorn(cost, row_m, col_m, sinkhorn_config,
-                        init_potentials=potentials)
-        potentials = plan.log_potentials
-        weights = plan.matrix * n_query          # rows now sum to 1
-        weighted = (weights.T @ t_qry + support_sums)
-        mass = weights.sum(axis=0) + counts
-        target = weighted / mass[:, None]
+        cost = _sq_dists(t_qry, centers, q_sq)
+        plan, f, g, _, _ = _sinkhorn_block(cost, row_m, col_m, sinkhorn_config,
+                                           potentials)
+        potentials = (f, g)
+        weights = plan * n_query                 # rows now sum to 1
+        weighted = (weights.swapaxes(1, 2) @ t_qry + support_sums)
+        mass = weights.sum(axis=1) + counts
+        target = weighted / mass[:, :, None]
         centers = centers + step_size * (target - centers)
 
-    return np.argmin(_sq_dists(t_qry, centers), axis=1)
+    labels = np.argmin(_sq_dists(t_qry, centers, q_sq), axis=-1)
+    return labels[0] if one else labels
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +557,9 @@ class QdaModel:
 
     ``whitening[c]`` is the inverse of the lower Cholesky factor of
     ``covariances[c]``: it maps ``x - means[c]`` to a vector whose squared
-    norm is the Mahalanobis distance of ``x`` under class ``c``.
+    norm is the Mahalanobis distance of ``x`` under class ``c``.  A model
+    fitted to a block of E episodes has a leading E axis on every array
+    but ``priors``.
     """
 
     means: np.ndarray        # (N, d)
@@ -497,18 +588,20 @@ def qda_fit(
         raise ArgumentError(f"shrinkage must be in [0, 1], got {shrinkage}")
     n, k = support_structure(support_x, support_y)
     x = np.asarray(support_x, dtype=np.float64)
-    d = x.shape[1]
-    blocks = _class_blocks(x, np.asarray(support_y), n, k)   # (N, K, d)
-    means = blocks.sum(axis=1) / k
+    d = x.shape[-1]
+    blocks = _class_blocks(x, np.asarray(support_y), n, k)   # (..., N, K, d)
+    means = blocks.sum(axis=-2) / k
     priors = np.full(n, 1.0 / n)   # balanced support: K / (N K), bit for bit
 
     if k == 1:
-        covs = np.broadcast_to(np.eye(d), (n, d, d)).copy()
+        covs = np.broadcast_to(np.eye(d), means.shape + (d,)).copy()
     else:
-        centered = blocks - means[:, None, :]
-        empirical = centered.transpose(0, 2, 1) @ centered / k
-        shared_scale = float(np.trace(empirical, axis1=1, axis2=2).mean() / d)
-        covs = (1.0 - shrinkage) * empirical + shrinkage * shared_scale * np.eye(d)
+        centered = blocks - means[..., None, :]
+        empirical = centered.swapaxes(-1, -2) @ centered / k
+        # one shared scale per episode, broadcast over its classes and cells
+        shared_scale = np.trace(empirical, axis1=-2, axis2=-1).mean(axis=-1) / d
+        covs = ((1.0 - shrinkage) * empirical
+                + shrinkage * shared_scale[..., None, None, None] * np.eye(d))
 
     try:
         chol = np.linalg.cholesky(covs)
@@ -517,7 +610,7 @@ def qda_fit(
             "class covariance is singular after shrinkage; "
             "increase lambda (shrinkage > 0)"
         ) from None
-    log_dets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    log_dets = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
     whitening = np.linalg.inv(chol)
     return QdaModel(
         means=means,
@@ -530,29 +623,30 @@ def qda_fit(
 
 
 def qda_log_density(model: QdaModel, query_x: np.ndarray) -> np.ndarray:
-    """Per-class Gaussian log density plus log prior, (Q, N).
+    """Per-class Gaussian log density plus log prior, (..., Q, N).
 
     One product of the queries with all whitening factors stacked as an
     (N d, d) matrix; subtracting the whitened means and summing squares
     over each class's d columns gives the Mahalanobis distances.
     """
-    query_x = _check_query(query_x, model.means.shape[1])
-    n, d = model.means.shape
-    factors = model.whitening.reshape(n * d, d)
-    delta = query_x @ factors.T                   # (Q, N d)
+    query_x = _check_query(query_x, model.means)
+    n, d = model.means.shape[-2:]
+    episodes = model.means.shape[:-2]
+    factors = model.whitening.reshape(episodes + (n * d, d))
+    delta = query_x @ factors.swapaxes(-1, -2)    # (..., Q, N d)
     # in place: a fresh (Q, N d) temporary costs more than the arithmetic
-    delta -= (model.whitening @ model.means[:, :, None]).reshape(n * d)
-    delta = delta.reshape(len(query_x), n, d)
-    quad = np.einsum("qnd,qnd->qn", delta, delta)
+    delta -= (model.whitening @ model.means[..., None]).reshape(episodes + (1, n * d))
+    delta = delta.reshape(query_x.shape[:-1] + (n, d))
+    quad = np.einsum("...qnd,...qnd->...qn", delta, delta)
     return (
-        -0.5 * (quad + model.log_dets + d * np.log(2.0 * np.pi))
+        -0.5 * (quad + model.log_dets[..., None, :] + d * np.log(2.0 * np.pi))
         + np.log(model.priors)
     )
 
 
 def qda_predict(model: QdaModel, query_x: np.ndarray) -> np.ndarray:
     """Labels by highest Gaussian log density plus log prior."""
-    return np.argmax(qda_log_density(model, query_x), axis=1)
+    return np.argmax(qda_log_density(model, query_x), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +726,7 @@ def linear_head_fit(
 
 def linear_head_predict(head: LinearHead, query_x: np.ndarray) -> np.ndarray:
     """Argmax of logits; the all-zero head predicts label 0 everywhere."""
-    query_x = _check_query(query_x, head.weights.shape[1])
+    query_x = _check_query(query_x, head.weights)
     return np.argmax(query_x @ head.weights.T + head.bias, axis=1)
 
 
@@ -655,17 +749,17 @@ def rectified_proto_predict(
     untouched.
     """
     protos = compute_prototypes(support_x, support_y, metric=metric)
-    n = len(protos.centers)
+    n = protos.centers.shape[-2]
     support_x = np.asarray(support_x, dtype=np.float64)
-    query_x = _check_query(query_x, support_x.shape[1])
-    if len(query_x) == 0:
-        return np.zeros(0, dtype=np.int64)
+    query_x = _check_query(query_x, support_x)
+    if query_x.shape[-2] == 0:
+        return np.zeros(query_x.shape[:-1], dtype=np.int64)
     x_sup = _unit_rows(support_x) if metric == "cosine" else support_x
     x_qry = _unit_rows(query_x) if metric == "cosine" else query_x
 
-    confidence = proto_predict(protos, query_x)      # (Q, N)
+    confidence = proto_predict(protos, query_x)      # (..., Q, N)
     onehot = np.eye(n)[np.asarray(support_y)]
-    sums = onehot.T @ x_sup + confidence.T @ x_qry   # (N, d)
-    mass = onehot.sum(axis=0) + confidence.sum(axis=0)
-    rectified = sums / mass[:, None]
-    return np.argmin(_sq_dists(x_qry, rectified), axis=1)
+    sums = onehot.T @ x_sup + confidence.swapaxes(-1, -2) @ x_qry   # (..., N, d)
+    mass = onehot.sum(axis=0) + confidence.sum(axis=-2)
+    rectified = sums / mass[..., None]
+    return np.argmin(_sq_dists(x_qry, rectified), axis=-1)

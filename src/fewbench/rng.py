@@ -19,6 +19,18 @@ from .errors import ArgumentError
 
 _MAX_SEED = 2**64
 
+#: The types a seed, fork index or count may have: never a float, which
+#: ``int()`` would silently truncate.
+INTEGERS = (int, np.integer)
+
+
+def check_seed(seed) -> int:
+    """``seed`` as an ``int``; :class:`ArgumentError` unless it is a Python
+    or NumPy integer in ``[0, 2**64)``."""
+    if not (isinstance(seed, INTEGERS) and 0 <= int(seed) < _MAX_SEED):
+        raise ArgumentError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    return int(seed)
+
 
 @dataclass(frozen=True)
 class RngState:
@@ -28,8 +40,7 @@ class RngState:
     path: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < _MAX_SEED:
-            raise ArgumentError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        check_seed(self.seed)
 
     @property
     def generator(self) -> np.random.Generator:
@@ -44,6 +55,6 @@ class RngState:
 
     def fork(self, index: int) -> "RngState":
         """The ``index``-th child substream of this state."""
-        if index < 0:
-            raise ArgumentError(f"fork index must be non-negative, got {index}")
+        if not isinstance(index, INTEGERS) or index < 0:
+            raise ArgumentError(f"fork index must be a non-negative integer, got {index!r}")
         return RngState(self.seed, self.path + (int(index),))

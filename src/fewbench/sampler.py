@@ -11,13 +11,14 @@ reproducible element-wise and safe to generate in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
 from .dataset import DatasetTable
 from .errors import ArgumentError, SamplingError
-from .rng import RngState
+from .rng import INTEGERS, RngState
 
 __all__ = [
     "ALL_REMAINING",
@@ -25,13 +26,14 @@ __all__ = [
     "Episode",
     "RngState",
     "check_pool",
+    "episode_shape",
+    "sample_block",
     "sample_episode",
     "episode_stream",
     "sample_batch",
 ]
 
 ALL_REMAINING = "all-remaining"
-_INTEGERS = (int, np.integer)
 
 
 @dataclass(frozen=True)
@@ -50,12 +52,12 @@ class EpisodeSpec:
 
     def __post_init__(self) -> None:
         for name, value, least in (("n_way", self.n_way, 2), ("k_shot", self.k_shot, 1)):
-            if not isinstance(value, _INTEGERS):
+            if not isinstance(value, INTEGERS):
                 raise ArgumentError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ArgumentError(f"{name} must be >= {least}, got {value}")
         qpc = self.query_per_class
-        if qpc != ALL_REMAINING and not (isinstance(qpc, _INTEGERS) and qpc >= 1):
+        if qpc != ALL_REMAINING and not (isinstance(qpc, INTEGERS) and qpc >= 1):
             raise ArgumentError(
                 f"query_per_class must be '{ALL_REMAINING}' or a positive "
                 f"integer, got {qpc!r}"
@@ -67,7 +69,10 @@ class Episode:
     """One few-shot task: a labeled support set and a query set.
 
     Labels are episode labels in 0..N-1; ``class_map[label]`` recovers the
-    original class id.  Support and query never share an example.
+    original class id.  Support and query never share an example.  A block
+    from :func:`sample_block` stacks E episodes: every field but
+    ``support_y``, which they share, gains a leading episode axis, and
+    ``block[e]`` is episode ``e``.
     """
 
     support_x: np.ndarray  # (N*K, d)
@@ -78,7 +83,11 @@ class Episode:
 
     @property
     def n_way(self) -> int:
-        return len(self.class_map)
+        return self.class_map.shape[-1]
+
+    def __getitem__(self, e: int) -> "Episode":
+        return Episode(self.support_x[e], self.support_y, self.query_x[e],
+                       self.query_y[e], self.class_map[e])
 
 
 def _examples_needed(spec: EpisodeSpec) -> int:
@@ -110,47 +119,92 @@ def check_pool(pool: DatasetTable, spec: EpisodeSpec) -> None:
             raise _too_few_examples(rec.class_id, len(rec.examples), need)
 
 
-def sample_episode(pool: DatasetTable, spec: EpisodeSpec, rng: RngState) -> Episode:
-    """Draw one episode from the pool under the given substream.
+def episode_shape(pool: DatasetTable, spec: EpisodeSpec) -> tuple[int, int, int] | None:
+    """``(n_way, k_shot, queries)`` shared by every episode ``pool`` can
+    serve under ``spec``, or ``None`` when the query count depends on the
+    classes drawn: ``all-remaining`` over classes of unequal sizes."""
+    n, k, qpc = spec.n_way, spec.k_shot, spec.query_per_class
+    if qpc != ALL_REMAINING:
+        return n, k, n * qpc
+    sizes = {len(rec.examples) for rec in pool.classes}
+    return (n, k, n * (sizes.pop() - k)) if len(sizes) == 1 else None
 
-    Classes are chosen uniformly without replacement; support examples per
-    class without replacement; queries take the remaining examples of each
-    class (or Q of them).  The query set is shuffled so that position
-    carries no label information.
+
+@lru_cache(maxsize=64)
+def _layout(k: int, sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where an episode's rows sit once the rows taken from its classes
+    (``sizes[c]`` of class ``c``, support first) are concatenated: the
+    support positions, the query positions in class order, and the label
+    of each of those queries."""
+    starts = np.cumsum((0,) + sizes[:-1])
+    support = (starts[:, None] + np.arange(k)).ravel()
+    query = np.concatenate([np.arange(s + k, s + m) for s, m in zip(starts, sizes)])
+    labels = np.repeat(np.arange(len(sizes), dtype=np.int64), [m - k for m in sizes])
+    for a in (support, query, labels):
+        a.flags.writeable = False
+    return support, query, labels
+
+
+def sample_block(pool: DatasetTable, spec: EpisodeSpec, rngs) -> Episode:
+    """Draw one episode under each substream of ``rngs``, stacked along a
+    leading episode axis.
+
+    Each episode draws its classes uniformly without replacement, then one
+    permutation per class (its first K entries pick the support rows, the
+    rest the queries, or Q of them), then a shuffle of the query set so
+    that position carries no label information.  Rows are copied from the
+    pool's class arrays, which are never concatenated.  ``support_y`` is
+    shared by every episode; the other fields have a leading axis of
+    ``len(rngs)``.  Every episode must have the same query count (see
+    :func:`episode_shape`).
     """
     n, k = spec.n_way, spec.k_shot
+    if not rngs:
+        raise ArgumentError("a block needs at least one substream")
     if pool.n_classes < n:
         raise _too_few_classes(pool, n)
-    gen = rng.generator
-    chosen = gen.choice(pool.n_classes, size=n, replace=False)
-
     need = _examples_needed(spec)
-    sup_x, qry_x, ids = [], [], []
-    for idx in chosen:
-        rec = pool.classes[int(idx)]
-        count = len(rec.examples)
-        if count < need:
-            raise _too_few_examples(rec.class_id, count, need)
-        perm = gen.permutation(count)
-        sup_x.append(rec.examples[perm[:k]])
-        if spec.query_per_class == ALL_REMAINING:
-            q_idx = perm[k:]
-        else:
-            q_idx = perm[k:k + spec.query_per_class]
-        qry_x.append(rec.examples[q_idx])
-        ids.append(rec.class_id)
-
-    labels = np.arange(n, dtype=np.int64)
-    query_x = np.concatenate(qry_x)
-    query_y = np.repeat(labels, [len(q) for q in qry_x])
-    shuffle = gen.permutation(len(query_y))
+    qpc = None if spec.query_per_class == ALL_REMAINING else spec.query_per_class
+    for e, rng in enumerate(rngs):
+        gen = rng.generator
+        recs = [pool.classes[c] for c in gen.choice(pool.n_classes, size=n, replace=False)]
+        perms = []
+        for rec in recs:
+            if len(rec.examples) < need:
+                raise _too_few_examples(rec.class_id, len(rec.examples), need)
+            perms.append(gen.permutation(len(rec.examples)))
+        sizes = tuple(len(perm) if qpc is None else k + qpc for perm in perms)
+        rows = np.concatenate([rec.examples[perm[:m]]
+                               for rec, perm, m in zip(recs, perms, sizes)])
+        support, query, labels = _layout(k, sizes)
+        shuffle = gen.permutation(len(query))
+        if e == 0:
+            support_x = np.empty((len(rngs), n * k, pool.dim))
+            query_x = np.empty((len(rngs), len(query), pool.dim))
+            query_y = np.empty((len(rngs), len(query)), dtype=np.int64)
+            class_map = np.empty((len(rngs), n), dtype=np.int64)
+        elif len(query) != query_x.shape[1]:
+            raise ArgumentError(f"episode {e} of the block has {len(query)} "
+                                f"queries, episode 0 has {query_x.shape[1]}")
+        # the indices are valid; "clip" only spares the buffered copy that
+        # take makes of ``out`` under the default mode
+        np.take(rows, support, axis=0, out=support_x[e], mode="clip")
+        np.take(rows, query[shuffle], axis=0, out=query_x[e], mode="clip")
+        query_y[e] = labels[shuffle]
+        class_map[e] = [rec.class_id for rec in recs]
     return Episode(
-        support_x=np.concatenate(sup_x),
-        support_y=np.repeat(labels, k),
-        query_x=query_x[shuffle],
-        query_y=query_y[shuffle],
-        class_map=np.asarray(ids, dtype=np.int64),
+        support_x=support_x,
+        support_y=np.repeat(np.arange(n, dtype=np.int64), k),
+        query_x=query_x,
+        query_y=query_y,
+        class_map=class_map,
     )
+
+
+def sample_episode(pool: DatasetTable, spec: EpisodeSpec, rng: RngState) -> Episode:
+    """Draw one episode from the pool under the given substream: the
+    one-episode case of :func:`sample_block`."""
+    return sample_block(pool, spec, (rng,))[0]
 
 
 def episode_stream(
@@ -159,14 +213,19 @@ def episode_stream(
     """Yield ``count`` episodes; episode i comes from substream i of ``seed``."""
     if count < 1:
         raise ArgumentError(f"count must be >= 1, got {count}")
-    root = RngState(int(seed))
+    root = RngState(seed)
     for i in range(count):
         yield sample_episode(pool, spec, root.fork(i))
 
 
 def sample_batch(pool: DatasetTable, batch_size: int, rng: RngState) -> np.ndarray:
     """Draw a flat ``(batch_size, d)`` batch of rows, uniform over all
-    examples of the pool and without replacement within one call."""
+    examples of the pool and without replacement within one call.
+
+    Row ``j`` of the pool is row ``j - offset`` of the class whose rows
+    start at ``offset``, in class order; the rows are copied from the class
+    arrays, never from a concatenated copy of the pool.
+    """
     if batch_size < 1:
         raise ArgumentError(f"batch_size must be >= 1, got {batch_size}")
     total = pool.total_examples
@@ -174,6 +233,13 @@ def sample_batch(pool: DatasetTable, batch_size: int, rng: RngState) -> np.ndarr
         raise ArgumentError(
             f"batch_size {batch_size} exceeds pool size {total}"
         )
-    flat_x = np.concatenate([rec.examples for rec in pool.classes])
     take = rng.generator.permutation(total)[:batch_size]
-    return flat_x[take]
+    sizes = np.array([len(rec.examples) for rec in pool.classes])
+    ends = np.cumsum(sizes)
+    owner = np.searchsorted(ends, take, side="right")   # class of each drawn row
+    rows = take - (ends - sizes)[owner]
+    out = np.empty((batch_size, pool.dim))
+    for c in np.flatnonzero(np.bincount(owner)):
+        pick = owner == c
+        out[pick] = pool.classes[c].examples[rows[pick]]
+    return out

@@ -1,4 +1,5 @@
-"""Acceptance gate: eleven published criteria, one test and verdict line each.
+"""Acceptance gate: eleven published criteria, one test and verdict line each;
+criterion 04 also has a harder case, 04b.
 
 Every test prints ``criterion NN [PASS|FAIL] <name> (detail)`` before
 asserting, so a plain ``pytest -v`` shows one outcome line per criterion and
@@ -31,6 +32,11 @@ FIVE_ONE = EpisodeSpec(n_way=5, k_shot=1)
 # Moderate overlap: class-mean scale twice the class std (16-dim features).
 OVERLAP_SPEC = SyntheticSpec(num_classes=20, dim=16, samples_per_class=20,
                              class_std=0.6, mean_scale=1.2, seed=3)
+
+# Heavy overlap: class-mean scale equal to the class std.  Prototypes score
+# about 0.80 here, so the PT-MAP margin rests on many queries.
+HARD_OVERLAP_SPEC = SyntheticSpec(num_classes=20, dim=16, samples_per_class=20,
+                                  class_std=0.6, mean_scale=0.6, seed=3)
 
 # Near-complete separation: mean scale one hundred times the class std.
 SEPARATED_SPEC = SyntheticSpec(num_classes=20, dim=16, samples_per_class=20,
@@ -124,6 +130,20 @@ def test_criterion_04_method_ordering():
     ok = margins[0] >= 0 and strict >= 19
     verdict(4, "transductive head beats nearest prototype",
             ok, f"margin@42={margins[0]:+.4f}, strict {strict}/20")
+
+
+def test_criterion_04b_method_ordering_under_heavy_overlap():
+    pool = generate_synthetic(HARD_OVERLAP_SPEC)
+    proto = episode_learner("proto")
+    ptmap = episode_learner("ptmap")
+    margins = []
+    for seed in range(42, 47):
+        p = evaluate_learner(proto, pool, FIVE_ONE, 600, seed=seed).mean
+        q = evaluate_learner(ptmap, pool, FIVE_ONE, 600, seed=seed).mean
+        margins.append(q - p)
+    verdict(4, "transductive head beats nearest prototype under heavy overlap",
+            all(m > 0 for m in margins),
+            f"margins {min(margins):+.4f} to {max(margins):+.4f} over 5 seeds")
 
 
 def scaling_oracle(cost, a, b, reg):

@@ -642,3 +642,61 @@ def test_empty_query_of_the_wrong_width_is_a_shape_error(head):
     with pytest.raises(ShapeError):
         head(sx, sy, np.zeros((0, 2)))
     assert len(head(sx, sy, np.zeros((0, sx.shape[1])))) == 0
+
+
+# ---------------------------------------------------------------------------
+# Blocks of episodes
+
+
+def _same(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape \
+        and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 6),
+    k=st.integers(1, 4),
+    q=st.integers(1, 40),
+    dim=st.integers(1, 19),
+    episodes=st.integers(1, 7),
+)
+def test_block_of_episodes_is_each_episode_alone(seed, n, k, q, dim, episodes):
+    """Each head given E stacked episodes returns, for episode e, exactly
+    what its 2-d call on episode e returns.  Odd widths and counts put the
+    episodes' rows at every alignment inside the block."""
+    gen = np.random.default_rng(seed)
+    sy = gen.permutation(np.repeat(np.arange(n), k))
+    sx = gen.normal(size=(episodes, n * k, dim)) + 2.0 * sy[:, None]
+    qx = gen.normal(size=(episodes, q, dim)) + 2.0 * gen.integers(0, n, size=(q, 1))
+    heads = {
+        "prototypes": lambda s, x: compute_prototypes(s, sy).centers,
+        "cosine prototypes": lambda s, x: compute_prototypes(s, sy, "cosine").centers,
+        "proto_predict": lambda s, x: proto_predict(compute_prototypes(s, sy), x),
+        "proto_labels": lambda s, x: proto_labels(compute_prototypes(s, sy, "cosine"), x),
+        "qda_log_density": lambda s, x: qda_log_density(qda_fit(s, sy, 0.4), x),
+        "qda_predict": lambda s, x: qda_predict(qda_fit(s, sy, 0.7), x),
+        "qda whitening": lambda s, x: qda_fit(s, sy).whitening,
+        "rect": lambda s, x: rectified_proto_predict(s, sy, x),
+        "cosine rect": lambda s, x: rectified_proto_predict(s, sy, x, "cosine"),
+        "power_transform": lambda s, x: power_transform(np.concatenate([s, x], axis=-2)),
+        "ptmap": lambda s, x: ptmap_fit_predict(s, sy, x, n_iters=4),
+    }
+    for name, head in heads.items():
+        block = head(sx, qx)
+        for e in range(episodes):
+            assert _same(block[e], head(sx[e], qx[e])), name
+
+
+def test_block_query_must_match_the_support_episodes():
+    sx, sy, qx, _ = make_episode()
+    with pytest.raises(ShapeError, match="over 2 episodes"):
+        proto_labels(compute_prototypes(np.stack([sx, sx]), sy), np.stack([qx] * 3))
+    with pytest.raises(ShapeError):
+        ptmap_fit_predict(np.stack([sx, sx]), sy, qx)
+    with pytest.raises(ShapeError):
+        qda_predict(qda_fit(sx, sy), np.stack([qx]))
+    with pytest.raises(EpisodeFormatError, match="inconsistent"):
+        support_structure(np.stack([sx, sx]), np.stack([sy, sy]))

@@ -76,3 +76,52 @@ def test_reconstructed_state_reproduces_stream(seed, path):
     assert np.array_equal(
         state.generator.uniform(size=4), rebuilt.generator.uniform(size=4)
     )
+
+
+def _pool():
+    from fewbench.dataset import SyntheticSpec, generate_synthetic
+
+    return generate_synthetic(SyntheticSpec(6, 3, 4, 1.0, 1.0, seed=2))
+
+
+def _spec(seed):
+    from fewbench.dataset import SyntheticSpec
+
+    return SyntheticSpec(6, 3, 4, 1.0, 1.0, seed=seed)
+
+
+def _entry_points():
+    """Each place a seed or fork index enters, as ``name -> call(value)``."""
+    from fewbench import api, fomaml
+    from fewbench.dataset import bayes_oracle_accuracy, split_classes
+    from fewbench.sampler import EpisodeSpec, episode_stream
+
+    spec = EpisodeSpec(3, 1)
+    return {
+        "RngState": lambda s: RngState(s),
+        "RngState.fork": lambda s: RngState(1).fork(s),
+        "SyntheticSpec": _spec,
+        "split_classes": lambda s: split_classes(_pool(), 3, s),
+        "episode_stream": lambda s: next(episode_stream(_pool(), spec, 1, s)),
+        "fomaml.meta_train": lambda s: fomaml.meta_train(
+            _pool(), spec, outer=fomaml.OuterConfig(epochs=1, meta_batch=1), seed=s),
+        "api.meta_fit": lambda s: api.meta_fit(
+            api.MetaLearnerSpec(api.MethodConfig("proto")), _pool(), s),
+        "bayes_oracle_accuracy": lambda s: bayes_oracle_accuracy(_spec(1), spec, 2, s),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_entry_points()))
+@pytest.mark.parametrize("value", [1.5, 2.0, np.float64(3.0)])
+def test_float_seeds_are_refused(entry, value):
+    """``int()`` would truncate 1.5 to 1 and draw seed 1's stream; every
+    entry point takes Python or NumPy integers only, like ``EpisodeSpec``."""
+    call = _entry_points()[entry]
+    with pytest.raises(ArgumentError, match="integer"):
+        call(value)
+    call(np.uint8(2))   # NumPy integers pass
+
+
+def test_numpy_integer_seeds_draw_the_python_integer_stream():
+    a = RngState(np.uint64(5)).fork(np.int32(2)).generator.uniform(size=4)
+    assert np.array_equal(a, RngState(5).fork(2).generator.uniform(size=4))

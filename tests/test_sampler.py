@@ -16,8 +16,10 @@ from fewbench.sampler import (
     Episode,
     EpisodeSpec,
     check_pool,
+    episode_shape,
     episode_stream,
     sample_batch,
+    sample_block,
     sample_episode,
 )
 
@@ -284,3 +286,84 @@ def test_sample_episode_matches_oracle(query_per_class):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes(), field
             assert got.support_y.dtype == got.query_y.dtype == np.int64
+
+
+def unequal_pool():
+    gen = np.random.default_rng(3)
+    return DatasetTable(3, [ClassRecord(5 * c + 2, gen.normal(size=(n, 3)))
+                            for c, n in enumerate((7, 4, 12, 4, 9, 5))])
+
+
+def test_sample_batch_is_the_concatenated_pool_formula():
+    """The rows come from the class arrays, not from a copy of the pool,
+    and equal what indexing the concatenated pool with the same
+    permutation gives, bit for bit."""
+    pool = unequal_pool()
+    flat = np.concatenate([rec.examples for rec in pool.classes])
+    for i, size in enumerate((1, 5, 16, 38)):
+        rng = RngState(9).fork(i)
+        take = rng.generator.permutation(len(flat))[:size]
+        got = sample_batch(pool, size, rng)
+        assert got.dtype == flat.dtype and got.shape == (size, 3)
+        assert got.tobytes() == flat[take].tobytes()
+
+
+def sample_episode_oracle(pool, spec, rng):
+    """The per-class loop the block sampler replaced: the same draws in the
+    same order, with the rows concatenated class by class."""
+    n, k = spec.n_way, spec.k_shot
+    gen = rng.generator
+    chosen = gen.choice(pool.n_classes, size=n, replace=False)
+    sup_x, qry_x, ids = [], [], []
+    for idx in chosen:
+        rec = pool.classes[int(idx)]
+        perm = gen.permutation(len(rec.examples))
+        sup_x.append(rec.examples[perm[:k]])
+        stop = None if spec.query_per_class == ALL_REMAINING else k + spec.query_per_class
+        qry_x.append(rec.examples[perm[k:stop]])
+        ids.append(rec.class_id)
+    labels = np.arange(n, dtype=np.int64)
+    query_x = np.concatenate(qry_x)
+    query_y = np.repeat(labels, [len(q) for q in qry_x])
+    shuffle = gen.permutation(len(query_y))
+    return Episode(np.concatenate(sup_x), np.repeat(labels, k), query_x[shuffle],
+                   query_y[shuffle], np.asarray(ids, dtype=np.int64))
+
+
+@pytest.mark.parametrize("spec", [EpisodeSpec(3, 2, 1), EpisodeSpec(4, 1, 3),
+                                  EpisodeSpec(5, 2), EpisodeSpec(2, 3)])
+def test_block_and_single_episodes_match_the_per_class_loop(spec):
+    """Episode e of a block, and ``sample_episode`` under the same substream,
+    are the per-class loop's episode: every array bit for bit and of the
+    same dtype.  Over unequal class sizes with ``all-remaining`` only single
+    episodes can be drawn."""
+    pool = make_pool() if spec.n_way == 5 else unequal_pool()
+    rngs = [RngState(12).fork(i) for i in range(7)]
+    shape = episode_shape(pool, spec)
+    if shape is not None:
+        block = sample_block(pool, spec, rngs)
+        assert block.query_x.shape == (7, shape[2], pool.dim)
+    for e, rng in enumerate(rngs):
+        want = sample_episode_oracle(pool, spec, rng)
+        for got in [sample_episode(pool, spec, rng)] + ([block[e]] if shape else []):
+            for name in ("support_x", "support_y", "query_x", "query_y", "class_map"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), name
+
+
+def test_episode_shape():
+    assert episode_shape(make_pool(samples=8), EpisodeSpec(5, 2)) == (5, 2, 30)
+    assert episode_shape(unequal_pool(), EpisodeSpec(3, 1, 2)) == (3, 1, 6)
+    assert episode_shape(unequal_pool(), EpisodeSpec(3, 1)) is None
+
+
+def test_block_of_unequal_query_counts_is_refused():
+    pool = DatasetTable(2, [ClassRecord(c, np.arange(2.0 * n).reshape(n, 2) + 100 * c)
+                            for c, n in enumerate((3, 4, 5))])
+    spec = EpisodeSpec(2, 1)
+    rngs = [RngState(1).fork(i) for i in range(20)]
+    counts = {len(sample_episode(pool, spec, r).query_y) for r in rngs}
+    assert len(counts) > 1
+    with pytest.raises(ArgumentError, match="queries"):
+        sample_block(pool, spec, rngs)

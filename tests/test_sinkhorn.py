@@ -335,30 +335,102 @@ def test_small_reg_with_outlier_row_converges():
     assert np.max(np.abs(plan.matrix - expected.matrix)) <= 1e-9
 
 
+def log_domain_block_oracle(cost, a, b, config, init_potentials=None):
+    """``heads._sinkhorn_block``'s contract, one log-domain oracle solve
+    per problem of the block."""
+    plans = [log_domain_oracle(c, a, b, config, None if init_potentials is None
+                               else (init_potentials[0][e], init_potentials[1][e]))
+             for e, c in enumerate(cost)]
+    return (np.stack([p.matrix for p in plans]),
+            np.stack([p.log_potentials[0] for p in plans]),
+            np.stack([p.log_potentials[1] for p in plans]),
+            np.array([p.iterations for p in plans]),
+            np.array([p.marginal_error for p in plans]))
+
+
 def test_ptmap_labels_match_log_domain_oracle(monkeypatch):
     """PT-MAP on 20 default-preset episodes gives the same labels, and the
-    same iteration count per Sinkhorn call, with the oracle patched in."""
+    same iteration count per Sinkhorn solve, with the oracle patched in.
+    One block of all 20 episodes gives each episode the same labels and
+    the same iteration counts again."""
     split = load_split(load_config({}))
     episodes = list(episode_stream(
         split.meta_test, EpisodeSpec(n_way=5, k_shot=1), 20, seed=5
     ))
 
-    def run(solver):
+    def run(solver, block=False):
         iterations = []
 
         def counted(*args, **kwargs):
-            plan = solver(*args, **kwargs)
-            iterations.append(plan.iterations)
-            return plan
+            out = solver(*args, **kwargs)
+            iterations.append(out[3].tolist())
+            return out
 
-        monkeypatch.setattr(heads, "sinkhorn", counted)
-        labels = [heads.ptmap_fit_predict(ep.support_x, ep.support_y, ep.query_x)
-                  for ep in episodes]
+        monkeypatch.setattr(heads, "_sinkhorn_block", counted)
+        if block:
+            labels = heads.ptmap_fit_predict(
+                np.stack([ep.support_x for ep in episodes]), episodes[0].support_y,
+                np.stack([ep.query_x for ep in episodes]))
+        else:
+            labels = [heads.ptmap_fit_predict(ep.support_x, ep.support_y, ep.query_x)
+                      for ep in episodes]
         return labels, iterations
 
-    labels, iterations = run(sinkhorn)
-    oracle_labels, oracle_iterations = run(log_domain_oracle)
+    solver = heads._sinkhorn_block
+    labels, iterations = run(solver)
+    oracle_labels, oracle_iterations = run(log_domain_block_oracle)
     assert len(iterations) == 20 * 20
     assert iterations == oracle_iterations
     for got, want in zip(labels, oracle_labels):
         assert np.array_equal(got, want)
+
+    block_labels, block_iterations = run(solver, block=True)
+    assert len(block_iterations) == 20
+    # solve i of episode e is entry e of the block's solve i
+    assert [[it] for per_episode in zip(*block_iterations) for it in per_episode] \
+        == iterations
+    for got, want in zip(block_labels, labels):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_block_solver_gives_each_problem_its_serial_solve(warm, monkeypatch):
+    """Every problem of a block gets its own serial solve bit for bit: the
+    plan, the potentials and the iteration count.  The block mixes problems
+    that stop at different iterations, run out of iterations, and absorb
+    their scaling vectors (small reg with far rows and columns)."""
+    gen = np.random.default_rng(8)
+    rows, cols = 40, 5
+    a = gen.uniform(0.1, 1.0, rows)
+    b = gen.uniform(0.1, 1.0, cols)
+    a, b = a / a.sum(), b / b.sum()
+    costs = gen.uniform(0.05, 4.0, size=(12, rows, cols))
+    for e in range(0, 12, 3):
+        costs[e, gen.integers(rows)] += gen.uniform(10.0, 100.0)
+    for e in range(0, 12, 4):
+        costs[e, :, gen.integers(cols)] += gen.uniform(10.0, 100.0)
+    cfg = SinkhornConfig(reg=0.01, max_iters=900, tol=1e-6)
+    init = None
+    if warm:
+        near = [sinkhorn(c + gen.uniform(0.0, 0.3, c.shape), a, b, cfg) for c in costs]
+        init = (np.stack([p.log_potentials[0] for p in near]),
+                np.stack([p.log_potentials[1] for p in near]))
+    sweeps = []
+    log_sweep = heads._log_sweep
+    monkeypatch.setattr(heads, "_log_sweep",
+                        lambda *args: sweeps.append(1) or log_sweep(*args))
+    given = None if init is None else tuple(x.copy() for x in init)
+    plan, f, g, iterations, err = heads._sinkhorn_block(costs, a, b, cfg, init)
+    assert sweeps, "no problem absorbed its scaling vectors"
+    if warm:   # the warm start is read, never written
+        assert all(np.array_equal(x, y) for x, y in zip(init, given))
+    assert 900 in iterations and len(set(iterations.tolist())) > 2
+
+    serial = [sinkhorn(c, a, b, cfg, None if init is None else (init[0][e], init[1][e]))
+              for e, c in enumerate(costs)]
+    assert iterations.tolist() == [p.iterations for p in serial]
+    for e, p in enumerate(serial):
+        assert plan[e].tobytes() == p.matrix.tobytes()
+        assert f[e].tobytes() == p.log_potentials[0].tobytes()
+        assert g[e].tobytes() == p.log_potentials[1].tobytes()
+        assert err[e] == p.marginal_error
