@@ -62,9 +62,9 @@ class Method:
 
     ``block_cells`` is the block entry: set for a method whose ``fit`` and
     ``predict`` also take a block of episodes stacked along a leading axis
-    (see :meth:`LearnerState.predict_block`), it maps an episode's
-    ``(n_way, k_shot, queries, dim)`` to the float64 cells of the largest
-    array the method holds per episode.
+    (see :meth:`LearnerState.predict_block`), it maps the learned arrays
+    and an episode's ``(n_way, k_shot, queries, dim)`` to the float64 cells
+    of the largest array the method holds per episode.
     """
 
     params: dict
@@ -73,7 +73,7 @@ class Method:
     meta_fit: Callable[..., tuple] | None = None
     choices: dict = field(default_factory=dict)
     bounds: dict = field(default_factory=dict)
-    block_cells: Callable[[int, int, int, int], int] | None = None
+    block_cells: Callable[[dict, int, int, int, int], int] | None = None
 
 
 #: Float64 cells a block of episodes may hold in its largest array: 128 KiB,
@@ -211,7 +211,8 @@ class LearnerState:
         """Episodes of this shape per :meth:`predict_block` call, or 0 for a
         method without a block entry, which scores one episode at a time."""
         cells = METHODS[self.method.name].block_cells
-        return 0 if cells is None else max(1, _BLOCK_CELLS // cells(n_way, k_shot, queries, dim))
+        return 0 if cells is None else max(
+            1, _BLOCK_CELLS // cells(self.arrays, n_way, k_shot, queries, dim))
 
     def predict_block(
         self, support_x: np.ndarray, support_y: np.ndarray, query_x: np.ndarray
@@ -353,15 +354,22 @@ def _fomaml_fit(p, arrays, support_x, support_y, n_way):
 
 
 def _fomaml_predict(st, query_x):
-    return np.argmax(fm.mlp_forward(st["adapted"], query_x), axis=1)
+    return np.argmax(fm.mlp_forward(st["adapted"], query_x), axis=-1)
 
 
-def _row_cells(n, k, q, d):
+def _fomaml_cells(arrays, n, k, q, d):
+    """The (Q, hidden) hidden layer of the query pass, or a larger input
+    or weight matrix; the hidden width is the learner's.  A learner without
+    ``W1`` fails in its fit, as it does one episode at a time."""
+    return fm.task_cells(max(n * k, q), len(arrays.get("W1", ())), d)
+
+
+def _row_cells(arrays, n, k, q, d):
     """Support and query rows, or the (Q, N) distances when N > d."""
     return (n * k + q) * max(d, n)
 
 
-def _qda_cells(n, k, q, d):
+def _qda_cells(arrays, n, k, q, d):
     """The (Q, N d) whitened queries, or the (N, d, d) covariances."""
     return n * d * max(q, d)
 
@@ -381,6 +389,7 @@ METHODS: dict[str, Method] = {
         bounds={"inner_steps": "[0, inf)", "inner_lr": "(0, inf)",
                 "outer_lr": "(0, inf)", "meta_batch": "[1, inf)",
                 "epochs": "[0, inf)", "hidden": "[1, inf)"},
+        block_cells=_fomaml_cells,
     ),
     "linear": Method(
         params={"pretrain_batches": 10, "batch_size": 256,

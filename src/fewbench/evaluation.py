@@ -101,8 +101,8 @@ def evaluate_learner(
     timeout records how many episodes completed.
 
     A learner with a block entry (a :class:`~fewbench.api.LearnerState`
-    of ``proto``, ``qda``, ``rect`` or ``ptmap``) is scored over blocks of
-    episodes when every episode of the stream has the same shape (see
+    of ``proto``, ``qda``, ``rect``, ``ptmap`` or ``fomaml``) is scored over
+    blocks of episodes when every episode of the stream has the same shape (see
     :func:`~fewbench.sampler.episode_shape`), with the same scores.  The
     clock is then checked before each block, so a timeout's count is a
     whole number of blocks.  A block that fails is scored again one

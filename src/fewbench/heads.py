@@ -355,7 +355,9 @@ def sinkhorn(
     back into f, g by one log-domain iteration and K is rebuilt
     (Schmitzer 2019), so small ``reg`` neither overflows nor underflows.
     The plan is built once, at the end.  A warm start changes the arrival
-    speed, not the answer: the fixed point is unique.
+    speed, not the answer: the fixed point is unique.  Warm potentials
+    other than finite ``(R,)`` and ``(C,)`` vectors raise
+    :class:`ShapeError` or :class:`ArgumentError`.
     """
     config = config or SinkhornConfig()
     cost = np.asarray(cost, dtype=np.float64)
@@ -367,8 +369,15 @@ def sinkhorn(
     a = _check_marginal(row_marginals, n_rows, "row_marginals")
     b = _check_marginal(col_marginals, n_cols, "col_marginals")
     if init_potentials is not None:
-        init_potentials = tuple(np.asarray(p, dtype=np.float64)[None]
-                                for p in init_potentials)
+        init_potentials = [np.asarray(p, dtype=np.float64) for p in init_potentials]
+        shapes = [p.shape for p in init_potentials]
+        if shapes != [(n_rows,), (n_cols,)]:
+            raise ShapeError(f"init_potentials of shapes {shapes} for a "
+                             f"{n_rows}x{n_cols} cost; a warm start is "
+                             f"({n_rows},) and ({n_cols},)")
+        if not all(np.isfinite(p).all() for p in init_potentials):
+            raise ArgumentError("init_potentials hold non-finite values")
+        init_potentials = tuple(p[None] for p in init_potentials)
     plan, f, g, iterations, err = _sinkhorn_block(cost[None], a, b, config,
                                                   init_potentials)
     return TransportPlan(

@@ -37,10 +37,10 @@ from .dataset import (
 )
 from .errors import ParseError
 from .evaluation import cat_accuracy, ci95, evaluate_learner
-from .fomaml import MlpParams, loss_and_grad
+from .fomaml import InnerConfig, MlpParams, fo_meta_step, init_mlp, loss_and_grad
 from .heads import SinkhornConfig, compute_prototypes, proto_labels, sinkhorn
 from .rng import RngState
-from .sampler import EpisodeSpec, episode_stream
+from .sampler import EpisodeSpec, episode_stream, sample_block
 
 __all__ = ["run_selftest"]
 
@@ -89,6 +89,23 @@ def _check_fomaml_gradient() -> None:
                 moved.append(loss_and_grad(replace(params, **{name: arr}), x, y)[0])
             fd = (moved[0] - moved[1]) / 2e-6
             assert abs(fd - getattr(grads, name)[idx]) < 1e-7, (name, idx, fd)
+
+
+def _check_stacked_fomaml_step() -> None:
+    # one meta-step over a block of three stacked tasks, against the step
+    # over the same three tasks one at a time, summed in episode order
+    table = generate_synthetic(
+        SyntheticSpec(num_classes=8, dim=4, samples_per_class=6, class_std=1.0,
+                      mean_scale=2.0, seed=3)
+    )
+    block = sample_block(table, EpisodeSpec(n_way=3, k_shot=2),
+                         [RngState(4).fork(i) for i in range(3)])
+    params = init_mlp(4, 8, 3, RngState(5))
+    inner = InnerConfig(steps=3, lr=0.1)
+    stacked = fo_meta_step(params, [block], inner, outer_lr=0.01)
+    serial = fo_meta_step(params, [block[i] for i in range(3)], inner, outer_lr=0.01)
+    for name in ("W1", "b1", "W2", "b2"):
+        assert getattr(stacked, name).tobytes() == getattr(serial, name).tobytes(), name
 
 
 def _check_single_shot_prototypes() -> None:
@@ -177,6 +194,7 @@ _CHECKS = [
     ("sinkhorn marginals", _check_sinkhorn_marginals),
     ("sinkhorn small reg", _check_sinkhorn_small_reg),
     ("fo-MAML gradient", _check_fomaml_gradient),
+    ("stacked fo-MAML step", _check_stacked_fomaml_step),
     ("single-shot prototypes", _check_single_shot_prototypes),
     ("ci95 formula", _check_ci95_formula),
     ("episode determinism", _check_episode_determinism),

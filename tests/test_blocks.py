@@ -1,7 +1,7 @@
 """Scoring over blocks of episodes: the same reports as one episode at a time.
 
-A built-in ``LearnerState`` of ``proto``, ``qda``, ``rect`` or ``ptmap`` is
-scored over blocks of episodes stacked along a leading axis.  Wrapping the
+A built-in ``LearnerState`` of ``proto``, ``qda``, ``rect``, ``ptmap`` or
+``fomaml`` is scored over blocks of episodes stacked along a leading axis.  Wrapping the
 learner in an object that exposes only ``fit``/``predict`` hides its block
 entry, which gives the serial loop to compare against.
 """
@@ -43,9 +43,13 @@ def pool(seed=4, classes=12, samples=10, dim=6):
                                             mean_scale=0.8, seed=seed))
 
 
-def learner(name, **params):
+def learner(name, data=None, n_way=5, **params):
+    """A learner meta-fitted on ``data``; fo-MAML trains briefly on
+    ``n_way``-way tasks."""
+    if name == "fomaml":
+        params = {"epochs": 3, **params}
     method = MethodConfig(name, {k: str(v) for k, v in params.items()})
-    return meta_fit(MetaLearnerSpec(method), pool(), 0)
+    return meta_fit(MetaLearnerSpec(method, EpisodeSpec(n_way, 1)), data or pool(), 0)
 
 
 @pytest.fixture
@@ -71,6 +75,9 @@ CASES = [
     ("rect", {"metric": "cosine"}, 2),
     ("ptmap", {}, 1),
     ("ptmap", {"reg": 0.03}, 5),
+    ("fomaml", {}, 1),
+    ("fomaml", {"hidden": 16, "inner_steps": 2}, 2),
+    ("fomaml", {"inner_steps": 0}, 1),   # every episode keeps the learner's weights
 ]
 
 
@@ -92,12 +99,14 @@ def test_block_reports_equal_serial_reports(name, params, k_shot, block_calls):
 def test_block_size_follows_the_cell_cap():
     """2**14 cells over the largest per-episode array: 10 episodes per block
     for proto, rect and PT-MAP on the default 5-way 1-shot 95-query shape, 2
-    for QDA, and 1 for everything at 2,975 queries."""
+    for QDA and for fo-MAML's (95, 64) hidden layer, and 1 for everything at
+    2,975 queries.  fo-MAML's hidden width is the learner's."""
     sizes = {name: learner(name).block_size(5, 1, 95, 16)
-             for name in ("proto", "qda", "rect", "ptmap")}
-    assert sizes == {"proto": 10, "qda": 2, "rect": 10, "ptmap": 10}
+             for name in ("proto", "qda", "rect", "ptmap", "fomaml")}
+    assert sizes == {"proto": 10, "qda": 2, "rect": 10, "ptmap": 10, "fomaml": 2}
+    assert learner("fomaml", hidden=16).block_size(5, 1, 95, 16) == 10
     assert {learner(name).block_size(5, 5, 2975, 16)
-            for name in ("proto", "qda", "rect", "ptmap")} == {1}
+            for name in ("proto", "qda", "rect", "ptmap", "fomaml")} == {1}
     assert learner("linear").block_size(5, 1, 95, 16) == 0
 
 
@@ -107,9 +116,10 @@ def unequal_pool():
                             for c, n in enumerate((7, 9, 6, 11, 8, 6, 10))])
 
 
-@pytest.mark.parametrize("name", ["proto", "qda", "rect", "ptmap"])
+@pytest.mark.parametrize("name", ["proto", "qda", "rect", "ptmap", "fomaml"])
 def test_unequal_class_sizes_fall_back_to_the_serial_loop(name, block_calls):
-    data, fitted = unequal_pool(), learner(name)
+    data = unequal_pool()
+    fitted = learner(name, data, n_way=3)
     spec = EpisodeSpec(3, 2)            # all-remaining: the query count varies
     assert episode_shape(data, spec) is None
     report = render_score_report(evaluate_learner(fitted, data, spec, 30, seed=8))
@@ -127,7 +137,12 @@ def test_unequal_class_sizes_fall_back_to_the_serial_loop(name, block_calls):
 def test_non_finite_support_row_names_the_serial_episode():
     """Poison a pool row that first appears in the support set of an episode
     j inside a block: the block path raises the serial loop's error."""
-    data, spec, fitted = pool(classes=20), EpisodeSpec(5, 1), learner("proto")
+    for name in ("proto", "fomaml"):
+        check_poisoned_support_row(name)
+
+
+def check_poisoned_support_row(name):
+    data, spec, fitted = pool(classes=20), EpisodeSpec(5, 1), learner(name)
     size = fitted.block_size(*episode_shape(data, spec), data.dim)
     episodes = list(episode_stream(data, spec, 3 * size, seed=3))
     seen = set()
@@ -150,12 +165,24 @@ def test_non_finite_support_row_names_the_serial_episode():
     assert str(block.value) == f"episode {j} failed: support set holds non-finite values"
 
 
+def test_fomaml_learner_without_weights_fails_as_the_serial_loop_does():
+    data, spec, fitted = pool(), EpisodeSpec(5, 1), learner("fomaml")
+    del fitted.arrays["W1"]
+    with pytest.raises(EvaluationError) as serial:
+        evaluate_learner(Serial(fitted), data, spec, 6, seed=3)
+    with pytest.raises(EvaluationError) as block:
+        evaluate_learner(fitted, data, spec, 6, seed=3)
+    assert str(block.value) == str(serial.value) == "episode 0 failed: 'W1'"
+
+
 def test_expired_clock_counts_whole_blocks():
-    data, spec, fitted = pool(), EpisodeSpec(5, 1), learner("ptmap")
-    size = fitted.block_size(*episode_shape(data, spec), data.dim)
-    with pytest.raises(BudgetExceededError) as block:
-        evaluate_learner(fitted, data, spec, 5 * size, seed=3, clock=Clock(2))
-    assert block.value.completed == 2 * size
-    with pytest.raises(BudgetExceededError) as serial:
-        evaluate_learner(Serial(fitted), data, spec, 5 * size, seed=3, clock=Clock(2))
-    assert serial.value.completed == 2
+    data, spec = pool(), EpisodeSpec(5, 1)
+    for name in ("ptmap", "fomaml"):
+        fitted = learner(name)
+        size = fitted.block_size(*episode_shape(data, spec), data.dim)
+        with pytest.raises(BudgetExceededError) as block:
+            evaluate_learner(fitted, data, spec, 5 * size, seed=3, clock=Clock(2))
+        assert block.value.completed == 2 * size, name
+        with pytest.raises(BudgetExceededError) as serial:
+            evaluate_learner(Serial(fitted), data, spec, 5 * size, seed=3, clock=Clock(2))
+        assert serial.value.completed == 2, name

@@ -14,8 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fewbench import fomaml
-from fewbench.dataset import SyntheticSpec, generate_synthetic
-from fewbench.errors import ArgumentError, NumericError, SamplingError, ShapeError
+from fewbench.dataset import ClassRecord, DatasetTable, SyntheticSpec, generate_synthetic
+from fewbench.errors import (
+    ArgumentError,
+    EpisodeFormatError,
+    NumericError,
+    SamplingError,
+    ShapeError,
+)
 from fewbench.fomaml import (
     InnerConfig,
     MlpParams,
@@ -28,7 +34,14 @@ from fewbench.fomaml import (
     mlp_forward,
 )
 from fewbench.rng import RngState
-from fewbench.sampler import ALL_REMAINING, Episode, EpisodeSpec, sample_episode
+from fewbench.sampler import (
+    ALL_REMAINING,
+    Episode,
+    EpisodeSpec,
+    episode_shape,
+    sample_block,
+    sample_episode,
+)
 
 
 def random_params(gen, d=4, h=6, n=3, scale=1.0):
@@ -154,9 +167,7 @@ def test_inner_adapt_zero_steps_is_identity():
     assert adapted is params
 
 
-@pytest.mark.parametrize("shape,n_labels", [((6, 4), 3), ((8, 5), 8)],
-                         ids=["rows-vs-labels", "width"])
-@pytest.mark.parametrize("call", [
+ENTRY_POINTS = pytest.mark.parametrize("call", [
     loss_and_grad,
     lambda params, x, y: inner_adapt(params, x, y, InnerConfig(steps=1)),
     # a consistent support set, so only the query set is wrong
@@ -164,10 +175,49 @@ def test_inner_adapt_zero_steps_is_identity():
         support_x=np.zeros((3, 4)), support_y=np.arange(3),
         query_x=x, query_y=y, class_map=np.arange(3))]),
 ], ids=["loss_and_grad", "inner_adapt", "fo_meta_step"])
+
+
+@pytest.mark.parametrize("shape,n_labels", [((6, 4), 3), ((8, 5), 8)],
+                         ids=["rows-vs-labels", "width"])
+@ENTRY_POINTS
 def test_batch_shape_mismatch_is_shape_error(call, shape, n_labels):
     params = random_params(np.random.default_rng(22))  # d=4, n=3
     with pytest.raises(ShapeError):
         call(params, np.zeros(shape), np.arange(n_labels) % 3)
+
+
+@pytest.mark.parametrize("labels", [[0, -1, 2], [0, 1, 3], [0.0, 1.0, 2.0]],
+                         ids=["negative", "n_way", "float"])
+@ENTRY_POINTS
+def test_labels_outside_the_classes_are_episode_format_errors(call, labels):
+    """Label -1 would train class n_way - 1 and label n_way would index
+    past the one-hot: both, and float labels, are refused."""
+    params = random_params(np.random.default_rng(23))  # d=4, n=3
+    with pytest.raises(EpisodeFormatError, match=r"integers in \[0, 3\)"):
+        call(params, np.zeros((3, 4)), np.array(labels))
+
+
+@ENTRY_POINTS
+def test_labels_of_any_integer_type_are_labels(call):
+    params = random_params(np.random.default_rng(25))  # d=4, n=3
+    x = np.random.default_rng(26).normal(size=(3, 4))
+    want = call(params, x, np.array([2, 0, 1]))
+    for dtype in (np.uint64, np.uint8, np.int32):
+        got = call(params, x, np.array([2, 0, 1], dtype=dtype))
+        assert repr(got) == repr(want), dtype
+
+
+def test_forward_of_the_wrong_width_is_shape_error():
+    params = random_params(np.random.default_rng(24))  # d=4
+    for x in (np.zeros(5), np.zeros((2, 5)), np.zeros((2, 3, 5)), np.zeros((1, 1, 1, 4))):
+        with pytest.raises(ShapeError, match="4-wide MLP"):
+            mlp_forward(params, x)
+    per_task = inner_adapt(params, np.zeros((2, 3, 4)), np.arange(3),
+                           InnerConfig(steps=1))
+    assert mlp_forward(per_task, np.zeros((2, 5, 4))).shape == (2, 5, 3)
+    for x in (np.zeros((3, 5, 4)), np.zeros((5, 4))):   # 2 tasks' parameters
+        with pytest.raises(ShapeError):
+            mlp_forward(per_task, x)
 
 
 def test_fo_step_zero_inner_equals_joint_training():
@@ -271,7 +321,7 @@ def test_meta_train_checks_the_whole_pool_before_training(monkeypatch):
     pool = small_pool()
     pool.classes[-1].examples = pool.classes[-1].examples[:1]
     drawn = []
-    monkeypatch.setattr(fomaml, "sample_episode", lambda *args: drawn.append(args))
+    monkeypatch.setattr(fomaml, "sample_block", lambda *args: drawn.append(args))
     with pytest.raises(SamplingError, match="has 1 examples, episode needs 2"):
         meta_train(pool, EpisodeSpec(n_way=5, k_shot=1),
                    outer=OuterConfig(epochs=1, meta_batch=1), seed=0)
@@ -388,14 +438,39 @@ def assert_same_bits(got, want):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
+def _oracle_meta_train(pool, spec, inner, outer, seed, hidden):
+    """meta_train one task at a time: each task drawn by sample_episode
+    under substream seed->1->epoch->slot, then the per-task oracle step."""
+    root = RngState(seed)
+    params = init_mlp(pool.dim, hidden, spec.n_way, root.fork(0))
+    log = []
+    for epoch in range(outer.epochs):
+        epoch_rng = root.fork(1).fork(epoch)
+        batch = [sample_episode(pool, spec, epoch_rng.fork(j))
+                 for j in range(outer.meta_batch)]
+        params, loss, acc = _oracle_fo_step_with_stats(params, batch, inner, outer.lr)
+        log.append((epoch, loss, acc))
+    return params, log
+
+
+def tasks_per_chunk(tasks, pool, spec, hidden):
+    """The chunk cap at which meta_train stacks ``tasks`` tasks per chunk."""
+    n, k, q = episode_shape(pool, spec)
+    return mock.patch.object(
+        fomaml, "_CHUNK_CELLS",
+        tasks * fomaml.task_cells(max(n * k, q), hidden, pool.dim))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     d=st.integers(1, 3), h=st.integers(1, 3), n_way=st.integers(1, 3),
     k_shot=st.integers(1, 3),
     query=st.one_of(st.integers(1, 3), st.just(ALL_REMAINING)),
     steps=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+    meta_batch=st.sampled_from([1, 3, 9, 32]), chunk=st.integers(1, 5),
 )
-def test_loops_match_per_task_oracle_bitwise(d, h, n_way, k_shot, query, steps, seed):
+def test_loops_match_per_task_oracle_bitwise(d, h, n_way, k_shot, query, steps, seed,
+                                             meta_batch, chunk):
     gen = np.random.default_rng(seed)
     inner = InnerConfig(steps=steps, lr=float(gen.choice([0.05, 0.5, 2.0])))
     params = random_params(gen, d=d, h=h, n=n_way)
@@ -414,12 +489,105 @@ def test_loops_match_per_task_oracle_bitwise(d, h, n_way, k_shot, query, steps, 
     assert_same_bits(fo_meta_step(params, episodes, inner, outer_lr=0.1),
                      _oracle_fo_step_with_stats(params, episodes, inner, 0.1)[0])
 
-    outer = OuterConfig(lr=0.1, meta_batch=2, epochs=3)
-    got, got_log = meta_train(pool, spec, inner, outer, seed=seed, hidden=h)
-    with mock.patch.object(fomaml, "_fo_step_with_stats", _oracle_fo_step_with_stats):
-        want, want_log = meta_train(pool, spec, inner, outer, seed=seed, hidden=h)
+    # chunks of ``chunk`` tasks, the last one partial unless it divides
+    outer = OuterConfig(lr=0.1, meta_batch=meta_batch, epochs=2)
+    with tasks_per_chunk(chunk, pool, spec, h):
+        got, got_log = meta_train(pool, spec, inner, outer, seed=seed, hidden=h)
+    want, want_log = _oracle_meta_train(pool, spec, inner, outer, seed, h)
     assert_same_bits(got, want)
     assert repr(got_log) == repr(want_log)
+
+
+def test_meta_train_at_the_default_chunk_cap_matches_the_oracle():
+    """9 tasks of 95 queries through 64 hidden units: chunks of 8 and 1."""
+    data = generate_synthetic(SyntheticSpec(num_classes=15, dim=16, samples_per_class=20,
+                                            class_std=1.0, mean_scale=1.0, seed=7))
+    spec, inner = EpisodeSpec(5, 1), InnerConfig()
+    outer = OuterConfig(meta_batch=9, epochs=3)
+    sizes = []
+    with mock.patch.object(fomaml, "sample_block",
+                           lambda pool, spec, rngs: sizes.append(len(rngs))
+                           or sample_block(pool, spec, rngs)):
+        got, got_log = meta_train(data, spec, inner, outer, seed=5)
+    assert sizes == [8, 1] * 3
+    want, want_log = _oracle_meta_train(data, spec, inner, outer, 5, 64)
+    assert_same_bits(got, want)
+    assert repr(got_log) == repr(want_log)
+
+
+def test_meta_train_over_unequal_classes_takes_one_task_per_chunk():
+    """all-remaining over classes of unequal sizes: the query count varies
+    from task to task, so every chunk holds one task."""
+    gen = np.random.default_rng(31)
+    data = DatasetTable(3, [ClassRecord(c, gen.normal(c, 1.0, size=(m, 3)))
+                            for c, m in enumerate((4, 7, 5, 9, 6))])
+    spec = EpisodeSpec(3, 1)
+    assert episode_shape(data, spec) is None
+    inner, outer = InnerConfig(steps=2), OuterConfig(lr=0.1, meta_batch=9, epochs=3)
+    sizes = []
+    with mock.patch.object(fomaml, "sample_block",
+                           lambda pool, spec, rngs: sizes.append(len(rngs))
+                           or sample_block(pool, spec, rngs)):
+        got, got_log = meta_train(data, spec, inner, outer, seed=32, hidden=4)
+    assert sizes == [1] * 27
+    want, want_log = _oracle_meta_train(data, spec, inner, outer, 32, 4)
+    assert_same_bits(got, want)
+    assert repr(got_log) == repr(want_log)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_loss_inside_a_chunk_raises_as_the_oracle_does():
+    """A class whose rows overflow the hidden layer, first drawn by a task
+    that is not the first of its chunk: meta_train raises the per-task
+    loop's NumericError."""
+    data = small_pool()
+    poisoned = data.classes[4].class_id
+    data.classes[4].examples = np.full_like(data.classes[4].examples, 1e308)
+    spec, chunk = EpisodeSpec(n_way=3, k_shot=1, query_per_class=2), 4
+    outer = OuterConfig(meta_batch=12, epochs=1)
+    for seed in range(100):
+        epoch_rng = RngState(seed).fork(1).fork(0)
+        first = next((j for j in range(outer.meta_batch) if poisoned in
+                      sample_episode(data, spec, epoch_rng.fork(j)).class_map), None)
+        if first is not None and first % chunk:
+            break
+    else:
+        pytest.fail("no seed puts the poisoned class inside a chunk first")
+    with pytest.raises(NumericError) as want:
+        _oracle_meta_train(data, spec, InnerConfig(), outer, seed, 8)
+    with tasks_per_chunk(chunk, data, spec, 8), pytest.raises(NumericError) as got:
+        meta_train(data, spec, InnerConfig(), outer, seed=seed, hidden=8)
+    assert str(got.value) == str(want.value) == "non-finite loss in MLP forward pass"
+
+
+def task(params, e):
+    """Task ``e``'s parameters of per-task ``params``."""
+    return MlpParams(params.W1[e], params.b1[e], params.W2[e], params.b2[e])
+
+
+def test_stacked_calls_match_one_task_calls_bitwise():
+    """Rows (E, S, d) under shared or per-task parameters: each task gets
+    the bits of its own 2-d call."""
+    gen = np.random.default_rng(33)
+    params = random_params(gen, d=4, h=6, n=3)
+    x = gen.normal(size=(5, 7, 4))
+    y = gen.integers(0, 3, size=(5, 7))
+    inner = InnerConfig(steps=3, lr=0.3)
+    adapted = inner_adapt(params, x, y, inner)
+    losses, grads = loss_and_grad(adapted, x, y)
+    logits = mlp_forward(adapted, x)
+    shared = mlp_forward(params, x)
+    for e in range(5):
+        one = inner_adapt(params, x[e], y[e], inner)
+        assert_same_bits(task(adapted, e), one)
+        loss, grad = loss_and_grad(one, x[e], y[e])
+        assert losses[e] == loss
+        assert_same_bits(task(grads, e), grad)
+        assert logits[e].tobytes() == mlp_forward(one, x[e]).tobytes()
+        assert shared[e].tobytes() == mlp_forward(params, x[e]).tobytes()
+    # labels (S,) are shared by every task
+    shared_y = inner_adapt(params, x, y[0], inner)
+    assert shared_y.W1[3].tobytes() == inner_adapt(params, x[3], y[0], inner).W1.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

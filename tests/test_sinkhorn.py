@@ -230,6 +230,22 @@ def test_input_validation():
         sinkhorn(cost, a3, b2, SinkhornConfig(tol=0.0))
 
 
+@pytest.mark.parametrize("potentials,error", [
+    ((np.zeros(2), np.zeros(2)), ShapeError),           # rows swapped for columns
+    ((np.zeros((3, 1)), np.zeros(2)), ShapeError),      # a column, not a vector
+    ((np.zeros(3), np.zeros(2), np.zeros(2)), ShapeError),
+    ((np.array([0.0, np.nan, 0.0]), np.zeros(2)), ArgumentError),
+    ((np.zeros(3), np.array([-np.inf, 0.0])), ArgumentError),
+], ids=["wrong-length", "column", "three", "nan", "inf"])
+def test_warm_start_potentials_are_checked(potentials, error):
+    """A warm start must be finite (R,) and (C,) vectors: a wrong shape
+    neither reaches a reshape nor broadcasts, and a NaN is named as the
+    input's fault, not as a too-small reg."""
+    with pytest.raises(error, match="init_potentials"):
+        sinkhorn(np.ones((3, 2)), np.full(3, 1 / 3), np.full(2, 1 / 2),
+                 init_potentials=potentials)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32),
