@@ -9,7 +9,6 @@ pipeline with a leaderboard.
 
 from .api import (
     LearnerState,
-    MetaLearnerSpec,
     MethodConfig,
     PredictorState,
     Provenance,

@@ -20,7 +20,7 @@ import numpy as np
 from . import fomaml as fm
 from . import heads
 from .dataset import DatasetTable, read_text, render_value, write_text_atomic
-from .errors import ArtifactError, ConfigError, EpisodeFormatError, ShapeError
+from .errors import ArgumentError, ArtifactError, ConfigError, EpisodeFormatError, ShapeError
 from .rng import RngState, check_seed
 from .sampler import EpisodeSpec, sample_batch
 
@@ -28,7 +28,6 @@ __all__ = [
     "METHODS",
     "Method",
     "MethodConfig",
-    "MetaLearnerSpec",
     "Provenance",
     "LearnerState",
     "PredictorState",
@@ -51,20 +50,20 @@ class Method:
 
     ``params`` maps every accepted ``method.<name>.<key>`` to its default;
     the default's type is the type a given value is coerced to.
-    ``meta_fit(params, spec, meta_train, seed, clock, log_path)`` returns
-    ``(arrays, provenance)``; methods with nothing to learn from meta-train
-    data leave it ``None``.  ``fit(params, arrays, support_x, support_y,
+    ``meta_fit(params, episode_spec, meta_train, seed, clock, log_path)``
+    returns ``(arrays, provenance)``; methods with nothing to learn from
+    meta-train data leave it ``None``.  ``fit(params, arrays, support_x, support_y,
     n_way)`` returns the predictor state, and ``predict(state, query_x)``
     labels query rows.  ``choices`` maps a key that takes one of a fixed
     set of values to that set, and ``bounds`` maps a numeric key to the
     interval its value must lie in, written like ``"(0, 1]"`` with ``inf``
     for an unbounded end.
 
-    ``block_cells`` is the block entry: set for a method whose ``fit`` and
-    ``predict`` also take a block of episodes stacked along a leading axis
-    (see :meth:`LearnerState.predict_block`), it maps the learned arrays
-    and an episode's ``(n_way, k_shot, queries, dim)`` to the float64 cells
-    of the largest array the method holds per episode.
+    ``block_cells`` is the block entry, which every built-in method has:
+    for a method whose ``fit`` and ``predict`` also take a block of episodes
+    stacked along a leading axis (see :meth:`LearnerState.predict_block`),
+    it maps the learned arrays and an episode's ``(n_way, k_shot, queries,
+    dim)`` to the float64 cells of the largest array held per episode.
     """
 
     params: dict
@@ -151,14 +150,6 @@ class MethodConfig:
 
 
 @dataclass(frozen=True)
-class MetaLearnerSpec:
-    """What to meta-train: the method and the training episode shape."""
-
-    method: MethodConfig
-    train_episode_spec: EpisodeSpec | None = None
-
-
-@dataclass(frozen=True)
 class Provenance:
     seed: int
     episodes_consumed: int = 0
@@ -177,15 +168,21 @@ class PredictorState:
 
     def predict(self, query_x: np.ndarray) -> np.ndarray:
         """One episode label per query row; pure given the query set."""
-        query_x = np.asarray(query_x, dtype=np.float64)
+        query_x = _finite(query_x, "query")
         if query_x.ndim == 1:
             query_x = query_x[None, :]
-        if not np.isfinite(query_x).all():
-            raise EpisodeFormatError("query set holds non-finite values")
         if query_x.ndim != 2 or query_x.shape[1] != self.dim:
             raise ShapeError(f"query shape {query_x.shape} does not match "
                              f"feature dimension {self.dim}")
         return METHODS[self.method.name].predict(self.state, query_x)
+
+
+def _finite(x, name: str) -> np.ndarray:
+    """``x`` as float64, refused unless every value is finite."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise EpisodeFormatError(f"{name} set holds non-finite values")
+    return x
 
 
 @dataclass
@@ -198,14 +195,15 @@ class LearnerState:
 
     def fit(self, support_x: np.ndarray, support_y: np.ndarray) -> PredictorState:
         """Adapt to one episode's support set; the learner is not mutated."""
+        state = self._fit(support_x, support_y)
+        return PredictorState(method=self.method, state=state, dim=np.shape(support_x)[1])
+
+    def _fit(self, support_x, support_y) -> dict:
+        """The state the method fits to a support set, once it is checked."""
         n_way, _ = heads.support_structure(support_x, support_y)
-        support_x = np.asarray(support_x, dtype=np.float64)
-        if not np.isfinite(support_x).all():
-            raise EpisodeFormatError("support set holds non-finite values")
-        state = METHODS[self.method.name].fit(
-            self.method.values, self.arrays, support_x, np.asarray(support_y), n_way
-        )
-        return PredictorState(method=self.method, state=state, dim=support_x.shape[1])
+        support_x = _finite(support_x, "support")
+        return METHODS[self.method.name].fit(
+            self.method.values, self.arrays, support_x, np.asarray(support_y), n_way)
 
     def block_size(self, n_way: int, k_shot: int, queries: int, dim: int) -> int:
         """Episodes of this shape per :meth:`predict_block` call, or 0 for a
@@ -225,16 +223,8 @@ class LearnerState:
         method = METHODS[self.method.name]
         if method.block_cells is None:
             raise ConfigError(f"method {self.method.name!r} has no block entry")
-        n_way, _ = heads.support_structure(support_x, support_y)
-        support_x = np.asarray(support_x, dtype=np.float64)
-        query_x = np.asarray(query_x, dtype=np.float64)
-        if not np.isfinite(support_x).all():
-            raise EpisodeFormatError("support set holds non-finite values")
-        if not np.isfinite(query_x).all():
-            raise EpisodeFormatError("query set holds non-finite values")
-        state = method.fit(self.method.values, self.arrays, support_x,
-                           np.asarray(support_y), n_way)
-        return method.predict(state, query_x)
+        query_x = _finite(query_x, "query")
+        return method.predict(self._fit(support_x, support_y), query_x)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +270,7 @@ def _qda_predict(st, query_x):
     return heads.qda_predict(st["model"], query_x)
 
 
-def _linear_meta_fit(p, spec, meta_train, seed, clock, log_path):
+def _linear_meta_fit(p, episode_spec, meta_train, seed, clock, log_path):
     """Per-coordinate feature statistics from sampled flat batches."""
     batch_size = min(p["batch_size"], meta_train.total_examples)
     root = RngState(seed).fork(_PRETRAIN_STREAM)
@@ -303,9 +293,9 @@ def _linear_fit(p, arrays, support_x, support_y, n_way):
         raise EpisodeFormatError(
             "linear learner lacks feature statistics; run meta_fit first"
         )
-    if mean.shape != (support_x.shape[1],):
+    if mean.shape != support_x.shape[-1:]:
         raise ShapeError(f"learned array 'feat_mean' is {mean.shape[-1]} wide, "
-                         f"the support set {support_x.shape[1]} wide")
+                         f"the support set {support_x.shape[-1]} wide")
     z = (support_x - mean) / std
     head = heads.linear_head_fit(
         z, support_y, epochs=p["epochs"], step_size=p["step_size"]
@@ -324,16 +314,14 @@ def _rect_predict(st, query_x):
     )
 
 
-def _fomaml_meta_fit(p, spec, meta_train, seed, clock, log_path):
-    """The first-order MAML outer loop over sampled training episodes."""
-    if spec.train_episode_spec is None:
-        raise ConfigError("fomaml meta-training needs train_episode_spec")
+def _fomaml_meta_fit(p, episode_spec, meta_train, seed, clock, log_path):
+    """The first-order MAML outer loop over episodes of ``episode_spec``."""
     outer = fm.OuterConfig(
         lr=p["outer_lr"], meta_batch=p["meta_batch"], epochs=p["epochs"]
     )
     inner = fm.InnerConfig(steps=p["inner_steps"], lr=p["inner_lr"])
     params, _log = fm.meta_train(
-        meta_train, spec.train_episode_spec, inner, outer, seed=seed,
+        meta_train, episode_spec, inner, outer, seed=seed,
         hidden=p["hidden"], log_path=log_path, clock=clock,
     )
     arrays = {"W1": params.W1, "b1": params.b1, "W2": params.W2, "b2": params.b2}
@@ -397,6 +385,7 @@ METHODS: dict[str, Method] = {
         fit=_linear_fit, predict=_linear_predict, meta_fit=_linear_meta_fit,
         bounds={"pretrain_batches": "[1, inf)", "batch_size": "[1, inf)",
                 "epochs": "[1, inf)", "step_size": "(0, inf)"},
+        block_cells=_row_cells,
     ),
     "ptmap": Method(
         params={"beta": 0.5, "epsilon": 1e-6, "unit_normalize": True,
@@ -424,7 +413,8 @@ METHODS: dict[str, Method] = {
 
 
 def meta_fit(
-    spec: MetaLearnerSpec,
+    method: MethodConfig,
+    episode_spec: EpisodeSpec,
     meta_train: DatasetTable,
     seed: int,
     clock=None,
@@ -432,19 +422,24 @@ def meta_fit(
 ) -> LearnerState:
     """Run the configured method's meta-training; deterministic under seed.
 
-    The episode-time heads have nothing to learn from meta-train data at
+    ``episode_spec`` is the shape of the training episodes, refused with
+    :class:`ArgumentError` unless it is an :class:`EpisodeSpec`.  The
+    episode-time heads have nothing to learn from meta-train data at
     this scale and return an empty parameter set.  The transfer head
     learns per-coordinate feature statistics from sampled batches, and
-    fo-MAML runs its outer loop.  ``clock`` (a budget clock with a
-    ``check()`` method) is polled inside the long-running loops.
+    fo-MAML runs its outer loop over episodes of ``episode_spec``.
+    ``clock`` (a budget clock with a ``check()`` method) is polled inside
+    the long-running loops.
     """
     seed = check_seed(seed)
-    run = METHODS[spec.method.name].meta_fit
+    if not isinstance(episode_spec, EpisodeSpec):
+        raise ArgumentError(f"meta_fit needs an EpisodeSpec, got {episode_spec!r}")
+    run = METHODS[method.name].meta_fit
     if run is None:
         arrays, provenance = {}, Provenance(seed=seed)
     else:
-        arrays, provenance = run(spec.method.values, spec, meta_train, seed, clock, log_path)
-    return LearnerState(method=spec.method, arrays=arrays, provenance=provenance)
+        arrays, provenance = run(method.values, episode_spec, meta_train, seed, clock, log_path)
+    return LearnerState(method=method, arrays=arrays, provenance=provenance)
 
 
 # ---------------------------------------------------------------------------

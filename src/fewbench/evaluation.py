@@ -21,8 +21,8 @@ from .errors import (
     ProtocolError,
     ShapeError,
 )
-from .rng import RngState
-from .sampler import EpisodeSpec, episode_shape, episode_stream, sample_block
+from .rng import RngState, check_count
+from .sampler import EpisodeSpec, episode_shape, sample_block
 
 __all__ = [
     "EpisodeScore",
@@ -96,50 +96,36 @@ def evaluate_learner(
 
     Per episode: ``learner.fit(support_x, support_y)`` then
     ``predictor.predict(query_x)``; true query labels stay on this side of
-    the call.  Any episode failure aborts, naming the episode index; a
-    budget ``clock`` is checked before each episode and the raised
-    timeout records how many episodes completed.
+    the call.  Any episode failure aborts, naming the episode index.
 
-    A learner with a block entry (a :class:`~fewbench.api.LearnerState`
-    of ``proto``, ``qda``, ``rect``, ``ptmap`` or ``fomaml``) is scored over
-    blocks of episodes when every episode of the stream has the same shape (see
-    :func:`~fewbench.sampler.episode_shape`), with the same scores.  The
-    clock is then checked before each block, so a timeout's count is a
-    whole number of blocks.  A block that fails is scored again one
-    episode at a time, which names the episode and its error.
+    Episodes are drawn and scored in blocks.  A learner with a block entry
+    (a :class:`~fewbench.api.LearnerState` of any built-in method) scores a
+    block at once, with the scores that ``fit`` and ``predict`` give, when
+    every episode of the stream has the same shape (see
+    :func:`~fewbench.sampler.episode_shape`); a block that fails is scored
+    again one episode at a time, which names the episode and its error.  A
+    learner without a block entry, or a stream of unequal shapes, gets
+    blocks of one episode.  A budget ``clock`` is checked before each
+    block, so a timeout's count of completed episodes is whole blocks.
     """
-    if episode_count < 1:
-        raise ArgumentError(f"episode_count must be >= 1, got {episode_count}")
-
+    episode_count = check_count("episode_count", episode_count)
     root = RngState(seed)
-    size = _block_size(learner, pool, spec)
+    sizer = getattr(learner, "block_size", None)
+    shape = None if sizer is None else episode_shape(pool, spec)
+    size = 0 if shape is None else sizer(*shape, pool.dim)   # 0: blocks of one
     scores: list[EpisodeScore] = []
-    if size:
-        for start in range(0, episode_count, size):
-            _check_clock(clock, start)
-            stop = min(start + size, episode_count)
-            block = sample_block(pool, spec, [root.fork(i) for i in range(start, stop)])
-            try:
-                predicted = learner.predict_block(
-                    block.support_x, block.support_y, block.query_x)
-                if predicted.shape != block.query_y.shape:
-                    raise ShapeError(f"block labels of shape {predicted.shape}")
-            except Exception:
-                # one episode at a time, the loop names the episode that
-                # fails and raises its error, as the serial loop does
-                scores.extend(_score_episode(learner, i, block[i - start])
-                              for i in range(start, stop))
-                continue
-            queries = block.query_y.shape[1]
-            # a mean of 0/1 values along a row is bitwise cat_accuracy's
-            accs = (predicted == block.query_y).mean(axis=1)
-            scores.extend(EpisodeScore(episode_index=i, accuracy=float(acc),
-                                       query_count=queries)
-                          for i, acc in enumerate(accs, start))
-    else:
-        for i, episode in enumerate(episode_stream(pool, spec, episode_count, seed)):
-            _check_clock(clock, i)
-            scores.append(_score_episode(learner, i, episode))
+    for start in range(0, episode_count, size or 1):
+        _check_clock(clock, start)
+        stop = min(start + (size or 1), episode_count)
+        block = sample_block(pool, spec, [root.fork(i) for i in range(start, stop)])
+        accs = _block_accuracies(learner, block) if size else None
+        if accs is None:
+            # one episode at a time, the loop names the episode that
+            # fails and raises its error
+            accs = [_score_episode(learner, i, block[i - start]) for i in range(start, stop)]
+        scores.extend(EpisodeScore(episode_index=i, accuracy=float(acc),
+                                   query_count=block.query_y.shape[1])
+                      for i, acc in enumerate(accs, start))
 
     accs = [s.accuracy for s in scores]
     return AggregateScore(
@@ -151,12 +137,17 @@ def evaluate_learner(
     )
 
 
-def _block_size(learner, pool, spec: EpisodeSpec) -> int:
-    """Episodes per block for ``learner`` on this stream; 0 scores one
-    episode at a time."""
-    sizer = getattr(learner, "block_size", None)
-    shape = None if sizer is None else episode_shape(pool, spec)
-    return 0 if shape is None else sizer(*shape, pool.dim)
+def _block_accuracies(learner, block) -> np.ndarray | None:
+    """Each episode's accuracy from one ``predict_block`` call, or ``None``
+    when the block fails."""
+    try:
+        predicted = learner.predict_block(block.support_x, block.support_y, block.query_x)
+    except Exception:
+        return None
+    if predicted.shape != block.query_y.shape:
+        return None
+    # a mean of 0/1 values along a row is bitwise cat_accuracy's
+    return (predicted == block.query_y).mean(axis=1)
 
 
 def _check_clock(clock, completed: int) -> None:
@@ -167,20 +158,16 @@ def _check_clock(clock, completed: int) -> None:
             raise BudgetExceededError(str(exc), completed=completed) from None
 
 
-def _score_episode(learner, i: int, episode) -> EpisodeScore:
+def _score_episode(learner, i: int, episode) -> float:
+    """The accuracy of one episode, fitted and predicted alone."""
     try:
         predictor = learner.fit(episode.support_x, episode.support_y)
         predicted = predictor.predict(episode.query_x)
-        acc = cat_accuracy(np.asarray(predicted), episode.query_y)
+        return cat_accuracy(np.asarray(predicted), episode.query_y)
     except BudgetExceededError:
         raise
     except Exception as exc:
-        raise EvaluationError(
-            f"episode {i} failed: {exc}", episode_index=i
-        ) from exc
-    return EpisodeScore(
-        episode_index=i, accuracy=acc, query_count=len(episode.query_y)
-    )
+        raise EvaluationError(f"episode {i} failed: {exc}", episode_index=i) from exc
 
 
 def final_score(scores) -> RunResult:

@@ -14,8 +14,8 @@ Five methods operate directly on support/query feature vectors:
 All heads break exact ties toward the lowest episode label, are
 label-permutation equivariant, and are pure functions of their inputs.
 
-The prototype, QDA, rectified-prototype and transport heads also take a
-block of E episodes stacked along a leading axis: support rows
+The prototype, QDA, rectified-prototype, transport and logistic heads also
+take a block of E episodes stacked along a leading axis: support rows
 ``(E, N*K, d)`` that share one label vector ``(N*K,)``, and query rows
 ``(E, Q, d)``.  A 2-d call is the E = 1 case of the same code, and each
 episode of a block gets exactly the arithmetic of its own 2-d call.
@@ -664,26 +664,43 @@ def qda_predict(model: QdaModel, query_x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearHead:
-    weights: np.ndarray   # (N, d)
-    bias: np.ndarray      # (N,)
+    weights: np.ndarray   # (N, d), or (E, N, d) for a block
+    bias: np.ndarray      # (N,), or (E, N)
     epochs: int
     step_size: float
-    loss_history: tuple[float, ...] = ()
+    loss_history: tuple = ()   # per epoch: a float, or an (E,) array
+
+
+def _loss_grad(w, b, x, y):
+    """Losses ``(E,)`` and gradients of heads ``w`` (E, N, d), ``b`` (E, N)
+    on rows ``x`` (E, S, d) with int64 labels ``y`` (S,) in ``[0, N)``."""
+    logits = x @ w.swapaxes(-1, -2) + b[:, None, :]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    episodes, rows, n_way = logits.shape
+    picks = np.arange(0, logits.size, n_way).reshape(episodes, rows) + y   # the true labels
+    loss = -log_probs.take(picks).mean(axis=-1)
+    dz = np.exp(log_probs)
+    dz.reshape(-1)[picks] -= 1.0
+    dz /= rows
+    return loss, dz.swapaxes(-1, -2) @ x, dz.sum(axis=1)
 
 
 def linear_loss_and_grad(
     weights: np.ndarray, bias: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean softmax cross-entropy and its exact gradients."""
-    logits = x @ weights.T + bias
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    n = len(y)
-    loss = float(-log_probs[np.arange(n), y].mean())
-    dz = np.exp(log_probs)
-    dz[np.arange(n), y] -= 1.0
-    dz /= n
-    return loss, dz.T @ x, dz.sum(axis=0)
+    """Mean softmax cross-entropy and its exact gradients.  Rows
+    ``(E, S, d)`` under heads ``(E, N, d)``, ``(E, N)`` give each episode's
+    loss as an ``(E,)`` array and gradients with an episode axis."""
+    one = np.ndim(x) == 2
+    w, b, x, y = (np.asarray(a) for a in (weights, bias, x, y))
+    if y.dtype.kind not in "biu" or (y.size and not 0 <= y.min() <= y.max() < w.shape[-2]):
+        raise EpisodeFormatError(f"labels must be integers in [0, {w.shape[-2]}), got "
+                                 f"{y.dtype} labels {np.unique(y)[:8].tolist()}")
+    if one:
+        w, b, x = w[None], b[None], x[None]
+    loss, g_w, g_b = _loss_grad(w, b, x, y.astype(np.int64))
+    return (float(loss[0]), g_w[0], g_b[0]) if one else (loss, g_w, g_b)
 
 
 def linear_head_fit(
@@ -696,7 +713,10 @@ def linear_head_fit(
 
     Zero-initialized, trained full-batch with the adaptive-moment
     optimizer (beta1=0.9, beta2=0.999, eps=1e-8) for ``epochs`` steps.
-    Deterministic: no randomness enters training.
+    Deterministic: no randomness enters training.  A block of E episodes
+    trains E heads at once; each entry of its ``loss_history`` is then an
+    ``(E,)`` array, and a loss that is not finite in any episode raises
+    :class:`DivergenceError`.
     """
     if epochs < 1:
         raise ArgumentError(f"epochs must be >= 1, got {epochs}")
@@ -704,22 +724,22 @@ def linear_head_fit(
         raise ArgumentError(f"step_size must be positive, got {step_size}")
     n, _ = support_structure(support_x, support_y)
     x = np.asarray(support_x, dtype=np.float64)
-    y = np.asarray(support_y)
-    d = x.shape[1]
+    one = x.ndim == 2
+    if one:
+        x = x[None]
+    y = np.asarray(support_y).astype(np.int64)   # labels 0..N-1, checked above
 
-    w = np.zeros((n, d))
-    b = np.zeros(n)
+    w = np.zeros((len(x), n, x.shape[-1]))
+    b = np.zeros((len(x), n))
     m_w = np.zeros_like(w); v_w = np.zeros_like(w)
     m_b = np.zeros_like(b); v_b = np.zeros_like(b)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     losses = []
     for t in range(1, epochs + 1):
-        loss, g_w, g_b = linear_loss_and_grad(w, b, x, y)
-        if not np.isfinite(loss):
-            raise DivergenceError(
-                f"loss diverged at epoch {t}; reduce step_size"
-            )
-        losses.append(loss)
+        loss, g_w, g_b = _loss_grad(w, b, x, y)
+        if not np.isfinite(loss).all():
+            raise DivergenceError(f"loss diverged at epoch {t}; reduce step_size")
+        losses.append(float(loss[0]) if one else loss)
         m_w = beta1 * m_w + (1 - beta1) * g_w
         v_w = beta2 * v_w + (1 - beta2) * g_w ** 2
         m_b = beta1 * m_b + (1 - beta1) * g_b
@@ -728,15 +748,16 @@ def linear_head_fit(
         w = w - scale * m_w / (np.sqrt(v_w) + eps)
         b = b - scale * m_b / (np.sqrt(v_b) + eps)
     return LinearHead(
-        weights=w, bias=b, epochs=epochs, step_size=step_size,
-        loss_history=tuple(losses),
+        weights=w[0] if one else w, bias=b[0] if one else b, epochs=epochs,
+        step_size=step_size, loss_history=tuple(losses),
     )
 
 
 def linear_head_predict(head: LinearHead, query_x: np.ndarray) -> np.ndarray:
     """Argmax of logits; the all-zero head predicts label 0 everywhere."""
     query_x = _check_query(query_x, head.weights)
-    return np.argmax(query_x @ head.weights.T + head.bias, axis=1)
+    return np.argmax(query_x @ head.weights.swapaxes(-1, -2) + head.bias[..., None, :],
+                     axis=-1)
 
 
 # ---------------------------------------------------------------------------

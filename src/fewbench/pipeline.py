@@ -16,14 +16,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .api import (
-    METHODS,
-    MetaLearnerSpec,
-    MethodConfig,
-    load_learner,
-    meta_fit,
-    save_learner,
-)
+from .api import METHODS, MethodConfig, load_learner, meta_fit, save_learner
 from .dataset import (
     MetaSplit,
     SyntheticSpec,
@@ -354,13 +347,8 @@ def run_ingestion(
     """
     split = split or _load_split(config, train_rows=_meta_trains(config), test_rows=False)
     clock.check() if clock is not None else None
-    learner = meta_fit(
-        MetaLearnerSpec(method=config.method, train_episode_spec=config.episode_spec),
-        split.meta_train,
-        seed,
-        clock=clock,
-        log_path=config.train_log_path(seed),
-    )
+    learner = meta_fit(config.method, config.episode_spec, split.meta_train, seed,
+                       clock=clock, log_path=config.train_log_path(seed))
     if clock is not None:
         clock.check()
     _make_workdir(config.workdir)

@@ -32,6 +32,16 @@ def check_seed(seed) -> int:
     return int(seed)
 
 
+def check_count(name: str, value, least: int = 1) -> int:
+    """``value`` as an ``int``; :class:`ArgumentError` unless it is a Python
+    or NumPy integer of at least ``least``."""
+    if not isinstance(value, INTEGERS):
+        raise ArgumentError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ArgumentError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RngState:
     """One deterministic substream, identified by a 64-bit seed and a fork path."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import DatasetTable
 from .errors import ArgumentError, SamplingError
-from .rng import INTEGERS, RngState
+from .rng import INTEGERS, RngState, check_count
 
 __all__ = [
     "ALL_REMAINING",
@@ -51,11 +51,8 @@ class EpisodeSpec:
     query_per_class: int | str = ALL_REMAINING
 
     def __post_init__(self) -> None:
-        for name, value, least in (("n_way", self.n_way, 2), ("k_shot", self.k_shot, 1)):
-            if not isinstance(value, INTEGERS):
-                raise ArgumentError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ArgumentError(f"{name} must be >= {least}, got {value}")
+        check_count("n_way", self.n_way, 2)
+        check_count("k_shot", self.k_shot)
         qpc = self.query_per_class
         if qpc != ALL_REMAINING and not (isinstance(qpc, INTEGERS) and qpc >= 1):
             raise ArgumentError(
@@ -211,8 +208,7 @@ def episode_stream(
     pool: DatasetTable, spec: EpisodeSpec, count: int, seed: int
 ) -> Iterator[Episode]:
     """Yield ``count`` episodes; episode i comes from substream i of ``seed``."""
-    if count < 1:
-        raise ArgumentError(f"count must be >= 1, got {count}")
+    check_count("count", count)
     root = RngState(seed)
     for i in range(count):
         yield sample_episode(pool, spec, root.fork(i))
@@ -226,8 +222,7 @@ def sample_batch(pool: DatasetTable, batch_size: int, rng: RngState) -> np.ndarr
     start at ``offset``, in class order; the rows are copied from the class
     arrays, never from a concatenated copy of the pool.
     """
-    if batch_size < 1:
-        raise ArgumentError(f"batch_size must be >= 1, got {batch_size}")
+    check_count("batch_size", batch_size)
     total = pool.total_examples
     if batch_size > total:
         raise ArgumentError(

@@ -16,14 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .api import (
-    MetaLearnerSpec,
-    MethodConfig,
-    load_learner,
-    meta_fit,
-    parse_learner,
-    render_learner,
-)
+from .api import MethodConfig, load_learner, meta_fit, parse_learner, render_learner
 from .dataset import (
     ClassRecord,
     DatasetTable,
@@ -38,11 +31,18 @@ from .dataset import (
 from .errors import ParseError
 from .evaluation import cat_accuracy, ci95, evaluate_learner
 from .fomaml import InnerConfig, MlpParams, fo_meta_step, init_mlp, loss_and_grad
-from .heads import SinkhornConfig, compute_prototypes, proto_labels, sinkhorn
+from .heads import (SinkhornConfig, compute_prototypes, linear_head_fit, linear_head_predict,
+                    proto_labels, sinkhorn)
 from .rng import RngState
 from .sampler import EpisodeSpec, episode_stream, sample_block
 
 __all__ = ["run_selftest"]
+
+
+def _small_table() -> DatasetTable:
+    """Eight classes of six 4-wide rows."""
+    return generate_synthetic(SyntheticSpec(num_classes=8, dim=4, samples_per_class=6,
+                                            class_std=1.0, mean_scale=2.0, seed=3))
 
 
 def _check_sinkhorn_marginals() -> None:
@@ -94,11 +94,7 @@ def _check_fomaml_gradient() -> None:
 def _check_stacked_fomaml_step() -> None:
     # one meta-step over a block of three stacked tasks, against the step
     # over the same three tasks one at a time, summed in episode order
-    table = generate_synthetic(
-        SyntheticSpec(num_classes=8, dim=4, samples_per_class=6, class_std=1.0,
-                      mean_scale=2.0, seed=3)
-    )
-    block = sample_block(table, EpisodeSpec(n_way=3, k_shot=2),
+    block = sample_block(_small_table(), EpisodeSpec(n_way=3, k_shot=2),
                          [RngState(4).fork(i) for i in range(3)])
     params = init_mlp(4, 8, 3, RngState(5))
     inner = InnerConfig(steps=3, lr=0.1)
@@ -106,6 +102,22 @@ def _check_stacked_fomaml_step() -> None:
     serial = fo_meta_step(params, [block[i] for i in range(3)], inner, outer_lr=0.01)
     for name in ("W1", "b1", "W2", "b2"):
         assert getattr(stacked, name).tobytes() == getattr(serial, name).tobytes(), name
+
+
+def _check_stacked_linear_head() -> None:
+    # a block of three logistic heads trained at once, against the same
+    # three episodes trained one at a time
+    block = sample_block(_small_table(), EpisodeSpec(n_way=3, k_shot=2),
+                         [RngState(6).fork(i) for i in range(3)])
+    stacked = linear_head_fit(block.support_x, block.support_y, epochs=5, step_size=0.1)
+    labels = linear_head_predict(stacked, block.query_x)
+    for i in range(3):
+        alone = linear_head_fit(block[i].support_x, block.support_y, epochs=5, step_size=0.1)
+        got = (stacked.weights[i], stacked.bias[i], np.array(stacked.loss_history)[:, i],
+               labels[i])
+        want = (alone.weights, alone.bias, np.array(alone.loss_history),
+                linear_head_predict(alone, block[i].query_x))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], i
 
 
 def _check_single_shot_prototypes() -> None:
@@ -124,10 +136,7 @@ def _check_ci95_formula() -> None:
 
 
 def _check_episode_determinism() -> None:
-    table = generate_synthetic(
-        SyntheticSpec(num_classes=8, dim=4, samples_per_class=6, class_std=1.0,
-                      mean_scale=2.0, seed=3)
-    )
+    table = _small_table()
     spec = EpisodeSpec(n_way=5, k_shot=1)
     run1 = list(episode_stream(table, spec, 4, seed=11))
     run2 = list(episode_stream(table, spec, 4, seed=11))
@@ -138,12 +147,7 @@ def _check_episode_determinism() -> None:
 
 
 def _check_artifact_round_trip() -> None:
-    table = generate_synthetic(
-        SyntheticSpec(num_classes=8, dim=4, samples_per_class=6, class_std=1.0,
-                      mean_scale=2.0, seed=3)
-    )
-    spec = MetaLearnerSpec(method=MethodConfig(name="proto", params={}))
-    learner = meta_fit(spec, table, seed=5)
+    learner = meta_fit(MethodConfig(name="proto"), EpisodeSpec(), _small_table(), seed=5)
     text = render_learner(learner)
     again = parse_learner(text)
     assert render_learner(again) == text
@@ -181,8 +185,7 @@ def _check_end_to_end_scoring() -> None:
                       mean_scale=2.0, seed=9)
     )
     split = split_classes(table, 5, seed=2)
-    spec = MetaLearnerSpec(method=MethodConfig(name="proto", params={}))
-    learner = meta_fit(spec, split.meta_train, seed=1)
+    learner = meta_fit(MethodConfig(name="proto"), EpisodeSpec(), split.meta_train, seed=1)
     agg = evaluate_learner(
         learner, split.meta_test, EpisodeSpec(n_way=5, k_shot=1), 20, seed=1
     )
@@ -195,6 +198,7 @@ _CHECKS = [
     ("sinkhorn small reg", _check_sinkhorn_small_reg),
     ("fo-MAML gradient", _check_fomaml_gradient),
     ("stacked fo-MAML step", _check_stacked_fomaml_step),
+    ("stacked linear head", _check_stacked_linear_head),
     ("single-shot prototypes", _check_single_shot_prototypes),
     ("ci95 formula", _check_ci95_formula),
     ("episode determinism", _check_episode_determinism),

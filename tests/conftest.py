@@ -14,7 +14,7 @@ import pytest
 from fewbench import api
 
 
-def _sleeper_meta_fit(p, spec, meta_train, seed, clock, log_path):
+def _sleeper_meta_fit(p, episode_spec, meta_train, seed, clock, log_path):
     t0 = time.monotonic()
     while time.monotonic() - t0 < p["duration_seconds"]:
         if clock is not None:

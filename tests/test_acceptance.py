@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from fewbench.api import MetaLearnerSpec, MethodConfig, meta_fit
+from fewbench.api import MethodConfig, meta_fit
 from fewbench.cli import EXIT_OK, main
 from fewbench.dataset import (
     SyntheticSpec,
@@ -51,12 +51,8 @@ def verdict(num, name, ok, detail=""):
 
 
 def episode_learner(name, **params):
-    spec = MetaLearnerSpec(
-        method=MethodConfig(name=name,
-                            params={k: str(v) for k, v in params.items()}),
-        train_episode_spec=FIVE_ONE,
-    )
-    return meta_fit(spec, generate_synthetic(OVERLAP_SPEC), 0)
+    method = MethodConfig(name=name, params={k: str(v) for k, v in params.items()})
+    return meta_fit(method, FIVE_ONE, generate_synthetic(OVERLAP_SPEC), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -93,11 +89,7 @@ def test_criterion_02_separation_limit():
     t0 = time.monotonic()
     means = {}
     for name in ("proto", "ptmap", "qda", "linear", "rect"):
-        spec = MetaLearnerSpec(
-            method=MethodConfig(name=name, params={}),
-            train_episode_spec=FIVE_ONE,
-        )
-        learner = meta_fit(spec, split.meta_train, 0)
+        learner = meta_fit(MethodConfig(name=name), FIVE_ONE, split.meta_train, 0)
         means[name] = evaluate_learner(
             learner, split.meta_test, FIVE_ONE, 600, seed=11
         ).mean
@@ -231,13 +223,10 @@ def test_criterion_07_meta_learning_effect():
     t0 = time.monotonic()
 
     def fomaml_mean(epochs):
-        spec = MetaLearnerSpec(
-            method=MethodConfig(name="fomaml", params={
-                "epochs": str(epochs), "outer_lr": "0.04",
-            }),
-            train_episode_spec=FIVE_ONE,
-        )
-        learner = meta_fit(spec, split.meta_train, 9)
+        method = MethodConfig(name="fomaml", params={
+            "epochs": str(epochs), "outer_lr": "0.04",
+        })
+        learner = meta_fit(method, FIVE_ONE, split.meta_train, 9)
         return evaluate_learner(learner, split.meta_test, FIVE_ONE,
                                 600, seed=42).mean
 

@@ -14,7 +14,6 @@ from fewbench.api import (
     ARTIFACT_MAGIC,
     METHODS,
     LearnerState,
-    MetaLearnerSpec,
     MethodConfig,
     Provenance,
     load_learner,
@@ -24,7 +23,14 @@ from fewbench.api import (
     save_learner,
 )
 from fewbench.dataset import SyntheticSpec, generate_synthetic
-from fewbench.errors import ArtifactError, BenchError, ConfigError, EpisodeFormatError, ShapeError
+from fewbench.errors import (
+    ArgumentError,
+    ArtifactError,
+    BenchError,
+    ConfigError,
+    EpisodeFormatError,
+    ShapeError,
+)
 from fewbench.pipeline import load_config, parse_config_text
 from fewbench.rng import RngState
 from fewbench.sampler import EpisodeSpec, sample_episode
@@ -38,10 +44,8 @@ SIX_METHODS = ("fomaml", "linear", "proto", "ptmap", "qda", "rect")
 
 
 def spec_for(name, **params):
-    return MetaLearnerSpec(
-        method=MethodConfig(name=name, params=params),
-        train_episode_spec=EpisodeSpec(n_way=5, k_shot=2),
-    )
+    """The method and the training episode shape that ``meta_fit`` takes."""
+    return MethodConfig(name=name, params=params), EpisodeSpec(n_way=5, k_shot=2)
 
 
 def easy_episode(seed=2):
@@ -54,38 +58,41 @@ def easy_episode(seed=2):
 
 @pytest.mark.parametrize("name", ["proto", "qda", "rect", "ptmap"])
 def test_episode_heads_meta_fit_is_a_no_op(name):
-    learner = meta_fit(spec_for(name), EASY_POOL, seed=3)
+    learner = meta_fit(*spec_for(name), EASY_POOL, seed=3)
     assert learner.arrays == {}
     assert learner.provenance == Provenance(seed=3)
 
 
 def test_linear_meta_fit_learns_feature_statistics():
-    learner = meta_fit(spec_for("linear"), EASY_POOL, seed=4)
+    learner = meta_fit(*spec_for("linear"), EASY_POOL, seed=4)
     assert set(learner.arrays) == {"feat_mean", "feat_std"}
     assert learner.arrays["feat_mean"].shape == (8,)
     assert (learner.arrays["feat_std"] > 0).all()
     assert learner.provenance.batches_consumed == 10
-    again = meta_fit(spec_for("linear"), EASY_POOL, seed=4)
+    again = meta_fit(*spec_for("linear"), EASY_POOL, seed=4)
     assert np.array_equal(learner.arrays["feat_mean"], again.arrays["feat_mean"])
 
 
 def test_fomaml_meta_fit_trains_and_counts_episodes():
-    learner = meta_fit(spec_for("fomaml", epochs=4, meta_batch=3, hidden=8),
+    learner = meta_fit(*spec_for("fomaml", epochs=4, meta_batch=3, hidden=8),
                        EASY_POOL, seed=5)
     assert set(learner.arrays) == {"W1", "b1", "W2", "b2"}
     assert learner.arrays["W1"].shape == (8, 8)
     assert learner.arrays["W2"].shape == (5, 8)
     assert learner.provenance.episodes_consumed == 12
-    again = meta_fit(spec_for("fomaml", epochs=4, meta_batch=3, hidden=8),
+    again = meta_fit(*spec_for("fomaml", epochs=4, meta_batch=3, hidden=8),
                      EASY_POOL, seed=5)
     for key in learner.arrays:
         assert np.array_equal(learner.arrays[key], again.arrays[key])
 
 
 def test_fomaml_requires_train_episode_spec():
-    bad = MetaLearnerSpec(method=MethodConfig(name="fomaml", params={}))
-    with pytest.raises(ConfigError):
-        meta_fit(bad, EASY_POOL, seed=0)
+    """Every method's meta_fit takes the training episode shape, and
+    anything but an EpisodeSpec is refused before any training."""
+    for name in ("fomaml", "proto"):
+        for bad in (None, (5, 2), {"n_way": 5, "k_shot": 2}):
+            with pytest.raises(ArgumentError, match="needs an EpisodeSpec"):
+                meta_fit(MethodConfig(name=name), bad, EASY_POOL, seed=0)
 
 
 def test_mode_validation():
@@ -169,7 +176,7 @@ def test_fit_predict_recovers_easy_episode(name):
         params = {"epochs": 60, "hidden": 16, "outer_lr": 0.05}
     elif name == "linear":
         params = {"epochs": 60, "step_size": 0.05}
-    learner = meta_fit(spec_for(name, **params), EASY_POOL, seed=6)
+    learner = meta_fit(*spec_for(name, **params), EASY_POOL, seed=6)
     ep = easy_episode()
     predictor = learner.fit(ep.support_x, ep.support_y)
     got = predictor.predict(ep.query_x)
@@ -177,7 +184,7 @@ def test_fit_predict_recovers_easy_episode(name):
 
 
 def test_fit_does_not_mutate_learner():
-    learner = meta_fit(spec_for("proto"), EASY_POOL, seed=7)
+    learner = meta_fit(*spec_for("proto"), EASY_POOL, seed=7)
     ep1, ep2 = easy_episode(3), easy_episode(4)
     p1a = learner.fit(ep1.support_x, ep1.support_y)
     learner.fit(ep2.support_x, ep2.support_y)
@@ -186,7 +193,7 @@ def test_fit_does_not_mutate_learner():
 
 
 def test_single_vector_query():
-    learner = meta_fit(spec_for("proto"), EASY_POOL, seed=8)
+    learner = meta_fit(*spec_for("proto"), EASY_POOL, seed=8)
     ep = easy_episode()
     predictor = learner.fit(ep.support_x, ep.support_y)
     got = predictor.predict(ep.query_x[0])
@@ -195,7 +202,7 @@ def test_single_vector_query():
 
 
 def test_fomaml_way_mismatch_rejected():
-    learner = meta_fit(spec_for("fomaml", epochs=2, hidden=8), EASY_POOL, seed=9)
+    learner = meta_fit(*spec_for("fomaml", epochs=2, hidden=8), EASY_POOL, seed=9)
     ep = sample_episode(EASY_POOL, EpisodeSpec(n_way=4, k_shot=2), RngState(1))
     with pytest.raises(EpisodeFormatError):
         learner.fit(ep.support_x, ep.support_y)
@@ -214,18 +221,15 @@ def test_linear_fit_requires_meta_statistics():
     ("fomaml", r"batch of shape \(10, 5\) .* for a 8-wide MLP"),
 ])
 def test_fit_refuses_a_support_set_of_another_width(name, message):
-    learner = meta_fit(spec_for(name, epochs=2), EASY_POOL, seed=9)
+    learner = meta_fit(*spec_for(name, epochs=2), EASY_POOL, seed=9)
     ep = easy_episode()
     with pytest.raises(ShapeError, match=message):
         learner.fit(ep.support_x[:, :5], ep.support_y)
 
 
 def test_sleeper_predicts_lowest_label():
-    learner = meta_fit(
-        MetaLearnerSpec(method=MethodConfig(name="sleeper",
-                                            params={"duration_seconds": 0.0})),
-        EASY_POOL, seed=10,
-    )
+    learner = meta_fit(MethodConfig(name="sleeper", params={"duration_seconds": 0.0}),
+                       EP_SPEC, EASY_POOL, seed=10)
     ep = easy_episode()
     predictor = learner.fit(ep.support_x, ep.support_y)
     assert np.array_equal(predictor.predict(ep.query_x),
@@ -235,7 +239,7 @@ def test_sleeper_predicts_lowest_label():
 @pytest.mark.parametrize("name", SIX_METHODS)
 def test_non_finite_inputs_rejected(name):
     params = {"epochs": 2, "hidden": 8} if name == "fomaml" else {}
-    learner = meta_fit(spec_for(name, **params), EASY_POOL, seed=17)
+    learner = meta_fit(*spec_for(name, **params), EASY_POOL, seed=17)
     ep = easy_episode()
     support_x = ep.support_x.copy()
     support_x[0, 0] = np.nan
@@ -254,7 +258,7 @@ def test_non_finite_inputs_rejected(name):
 @pytest.mark.parametrize("name", SIX_METHODS)
 def test_predict_refuses_a_query_set_of_another_width(name):
     params = {"epochs": 2, "hidden": 8} if name == "fomaml" else {}
-    learner = meta_fit(spec_for(name, **params), EASY_POOL, seed=17)
+    learner = meta_fit(*spec_for(name, **params), EASY_POOL, seed=17)
     ep = easy_episode()
     predictor = learner.fit(ep.support_x, ep.support_y)
     assert predictor.dim == 8
@@ -272,7 +276,7 @@ def test_predict_refuses_a_query_set_of_another_width(name):
 @pytest.mark.parametrize("name", SIX_METHODS)
 def test_column_support_labels_rejected(name):
     params = {"epochs": 2, "hidden": 8} if name == "fomaml" else {}
-    learner = meta_fit(spec_for(name, **params), EASY_POOL, seed=17)
+    learner = meta_fit(*spec_for(name, **params), EASY_POOL, seed=17)
     ep = easy_episode()
     with pytest.raises(EpisodeFormatError):
         learner.fit(ep.support_x, ep.support_y[:, None])
@@ -325,7 +329,7 @@ def test_repeat_predict_recomputes_equal_labels(name, monkeypatch):
     writing into one result does not change the next."""
     calls = counting_ptmap(monkeypatch)
     params = {"epochs": 3, "hidden": 8} if name == "fomaml" else {}
-    learner = meta_fit(spec_for(name, **params), EASY_POOL, seed=11)
+    learner = meta_fit(*spec_for(name, **params), EASY_POOL, seed=11)
     ep = easy_episode()
     predictor = learner.fit(ep.support_x, ep.support_y)
     first = predictor.predict(ep.query_x)
@@ -371,7 +375,7 @@ def test_registry_defaults_equal_the_library_defaults():
 
 
 def test_artifact_round_trip_bit_exact():
-    learner = meta_fit(spec_for("fomaml", epochs=3, hidden=8, outer_lr=0.01),
+    learner = meta_fit(*spec_for("fomaml", epochs=3, hidden=8, outer_lr=0.01),
                        EASY_POOL, seed=14)
     text = render_learner(learner)
     back = parse_learner(text)
@@ -407,7 +411,7 @@ def test_artifact_round_trip_preserves_str_param():
 
 
 def test_artifact_file_round_trip(tmp_path):
-    learner = meta_fit(spec_for("linear"), EASY_POOL, seed=15)
+    learner = meta_fit(*spec_for("linear"), EASY_POOL, seed=15)
     path = tmp_path / "learner.txt"
     save_learner(learner, str(path))
     loaded = load_learner(str(path))
@@ -417,7 +421,7 @@ def test_artifact_file_round_trip(tmp_path):
 
 def test_failed_save_keeps_earlier_artifact(tmp_path):
     path = tmp_path / "learner.txt"
-    save_learner(meta_fit(spec_for("linear"), EASY_POOL, seed=15), str(path))
+    save_learner(meta_fit(*spec_for("linear"), EASY_POOL, seed=15), str(path))
     before = path.read_bytes()
     broken = LearnerState(
         method=MethodConfig(name="proto", params={}),
@@ -437,7 +441,7 @@ def test_artifact_rejects_bad_magic():
 
 
 def test_artifact_rejects_truncation():
-    learner = meta_fit(spec_for("fomaml", epochs=2, hidden=8), EASY_POOL, seed=16)
+    learner = meta_fit(*spec_for("fomaml", epochs=2, hidden=8), EASY_POOL, seed=16)
     text = render_learner(learner)
     lines = text.splitlines()
     # drop the end marker
@@ -481,7 +485,7 @@ def test_render_rejects_arrays_not_1d_or_2d(shape):
 def test_save_refuses_non_finite_arrays(value, tmp_path):
     """An array that ``parse_learner`` would refuse is never written."""
     path = tmp_path / "learner.txt"
-    save_learner(meta_fit(spec_for("linear"), EASY_POOL, seed=15), str(path))
+    save_learner(meta_fit(*spec_for("linear"), EASY_POOL, seed=15), str(path))
     before = path.read_bytes()
     broken = LearnerState(method=MethodConfig(name="proto"),
                           arrays={"a": np.array([value, 1.0])},
@@ -505,7 +509,7 @@ def test_artifact_rejects_malformed_values():
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_artifact_rejects_non_finite_array_values(value):
     # with no inner steps, a NaN row of W2 gives every query label 0
-    learner = meta_fit(spec_for("fomaml", epochs=2, hidden=8, inner_steps=0),
+    learner = meta_fit(*spec_for("fomaml", epochs=2, hidden=8, inner_steps=0),
                        EASY_POOL, seed=16)
     lines = render_learner(learner).splitlines()
     row = lines.index("array,W2,5x8") + 1

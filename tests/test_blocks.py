@@ -1,15 +1,16 @@
 """Scoring over blocks of episodes: the same reports as one episode at a time.
 
-A built-in ``LearnerState`` of ``proto``, ``qda``, ``rect``, ``ptmap`` or
-``fomaml`` is scored over blocks of episodes stacked along a leading axis.  Wrapping the
-learner in an object that exposes only ``fit``/``predict`` hides its block
-entry, which gives the serial loop to compare against.
+A built-in ``LearnerState`` of ``proto``, ``qda``, ``rect``, ``ptmap``,
+``linear`` or ``fomaml`` is scored over blocks of episodes stacked along a
+leading axis.  Wrapping the learner in an object that exposes only
+``fit``/``predict`` hides its block entry, which gives blocks of one episode
+to compare against.
 """
 
 import numpy as np
 import pytest
 
-from fewbench.api import LearnerState, MetaLearnerSpec, MethodConfig, meta_fit
+from fewbench.api import METHODS, LearnerState, MethodConfig, meta_fit
 from fewbench.dataset import ClassRecord, DatasetTable, SyntheticSpec, generate_synthetic
 from fewbench.errors import BudgetExceededError, EvaluationError
 from fewbench.evaluation import evaluate_learner, render_score_report
@@ -49,7 +50,7 @@ def learner(name, data=None, n_way=5, **params):
     if name == "fomaml":
         params = {"epochs": 3, **params}
     method = MethodConfig(name, {k: str(v) for k, v in params.items()})
-    return meta_fit(MetaLearnerSpec(method, EpisodeSpec(n_way, 1)), data or pool(), 0)
+    return meta_fit(method, EpisodeSpec(n_way, 1), data or pool(), 0)
 
 
 @pytest.fixture
@@ -78,6 +79,9 @@ CASES = [
     ("fomaml", {}, 1),
     ("fomaml", {"hidden": 16, "inner_steps": 2}, 2),
     ("fomaml", {"inner_steps": 0}, 1),   # every episode keeps the learner's weights
+    ("linear", {}, 1),
+    ("linear", {}, 5),
+    ("linear", {"epochs": 3, "step_size": 0.05}, 2),
 ]
 
 
@@ -98,16 +102,21 @@ def test_block_reports_equal_serial_reports(name, params, k_shot, block_calls):
 
 def test_block_size_follows_the_cell_cap():
     """2**14 cells over the largest per-episode array: 10 episodes per block
-    for proto, rect and PT-MAP on the default 5-way 1-shot 95-query shape, 2
-    for QDA and for fo-MAML's (95, 64) hidden layer, and 1 for everything at
-    2,975 queries.  fo-MAML's hidden width is the learner's."""
-    sizes = {name: learner(name).block_size(5, 1, 95, 16)
-             for name in ("proto", "qda", "rect", "ptmap", "fomaml")}
-    assert sizes == {"proto": 10, "qda": 2, "rect": 10, "ptmap": 10, "fomaml": 2}
+    for proto, rect, PT-MAP and linear on the default 5-way 1-shot 95-query
+    shape, 2 for QDA and for fo-MAML's (95, 64) hidden layer, and 1 for
+    everything at 2,975 queries.  fo-MAML's hidden width is the learner's."""
+    names = ("proto", "qda", "rect", "ptmap", "fomaml", "linear")
+    sizes = {name: learner(name).block_size(5, 1, 95, 16) for name in names}
+    assert sizes == {"proto": 10, "qda": 2, "rect": 10, "ptmap": 10, "fomaml": 2,
+                     "linear": 10}
     assert learner("fomaml", hidden=16).block_size(5, 1, 95, 16) == 10
-    assert {learner(name).block_size(5, 5, 2975, 16)
-            for name in ("proto", "qda", "rect", "ptmap", "fomaml")} == {1}
-    assert learner("linear").block_size(5, 1, 95, 16) == 0
+    assert {learner(name).block_size(5, 5, 2975, 16) for name in names} == {1}
+
+
+def test_every_built_in_method_has_a_block_entry():
+    """Only the test session's ``sleeper`` is scored one episode at a time."""
+    assert sorted(METHODS) == ["fomaml", "linear", "proto", "ptmap", "qda", "rect", "sleeper"]
+    assert [name for name, m in METHODS.items() if m.block_cells is None] == ["sleeper"]
 
 
 def unequal_pool():
@@ -116,7 +125,7 @@ def unequal_pool():
                             for c, n in enumerate((7, 9, 6, 11, 8, 6, 10))])
 
 
-@pytest.mark.parametrize("name", ["proto", "qda", "rect", "ptmap", "fomaml"])
+@pytest.mark.parametrize("name", ["proto", "qda", "rect", "ptmap", "fomaml", "linear"])
 def test_unequal_class_sizes_fall_back_to_the_serial_loop(name, block_calls):
     data = unequal_pool()
     fitted = learner(name, data, n_way=3)
@@ -137,12 +146,24 @@ def test_unequal_class_sizes_fall_back_to_the_serial_loop(name, block_calls):
 def test_non_finite_support_row_names_the_serial_episode():
     """Poison a pool row that first appears in the support set of an episode
     j inside a block: the block path raises the serial loop's error."""
-    for name in ("proto", "fomaml"):
-        check_poisoned_support_row(name)
+    for name in ("proto", "fomaml", "linear"):
+        check_poisoned_support_row(learner(name), np.nan,
+                                   "support set holds non-finite values")
 
 
-def check_poisoned_support_row(name):
-    data, spec, fitted = pool(classes=20), EpisodeSpec(5, 1), learner(name)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_diverging_linear_episode_names_the_serial_episode():
+    """A finite support row whose standardized values overflow makes one
+    episode's logistic head diverge; the block holding it raises the serial
+    loop's error for that episode."""
+    fitted = learner("linear")
+    fitted.arrays["feat_std"] = np.full(6, 0.5)
+    check_poisoned_support_row(fitted, 1e308, "loss diverged at epoch 1; reduce step_size")
+
+
+def check_poisoned_support_row(fitted, value, message):
+    data, spec = pool(classes=20), EpisodeSpec(5, 1)
     size = fitted.block_size(*episode_shape(data, spec), data.dim)
     episodes = list(episode_stream(data, spec, 3 * size, seed=3))
     seen = set()
@@ -154,7 +175,7 @@ def check_poisoned_support_row(name):
     else:
         pytest.fail("no episode inside a block brings a new support row")
     for rec in data.classes:
-        rec.examples[(rec.examples == fresh[0]).all(axis=1)] = np.nan
+        rec.examples[(rec.examples == fresh[0]).all(axis=1)] = value
 
     with pytest.raises(EvaluationError) as serial:
         evaluate_learner(Serial(fitted), data, spec, 3 * size, seed=3)
@@ -162,7 +183,7 @@ def check_poisoned_support_row(name):
         evaluate_learner(fitted, data, spec, 3 * size, seed=3)
     assert serial.value.episode_index == block.value.episode_index == j
     assert str(block.value) == str(serial.value)
-    assert str(block.value) == f"episode {j} failed: support set holds non-finite values"
+    assert str(block.value) == f"episode {j} failed: {message}"
 
 
 def test_fomaml_learner_without_weights_fails_as_the_serial_loop_does():
@@ -177,7 +198,7 @@ def test_fomaml_learner_without_weights_fails_as_the_serial_loop_does():
 
 def test_expired_clock_counts_whole_blocks():
     data, spec = pool(), EpisodeSpec(5, 1)
-    for name in ("ptmap", "fomaml"):
+    for name in ("ptmap", "fomaml", "linear"):
         fitted = learner(name)
         size = fitted.block_size(*episode_shape(data, spec), data.dim)
         with pytest.raises(BudgetExceededError) as block:

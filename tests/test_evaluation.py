@@ -20,7 +20,8 @@ from fewbench.evaluation import (
     render_score_report,
 )
 from fewbench.pipeline import BudgetClock
-from fewbench.sampler import EpisodeSpec
+from fewbench.rng import RngState
+from fewbench.sampler import EpisodeSpec, episode_stream, sample_batch
 
 POOL = generate_synthetic(
     SyntheticSpec(num_classes=8, dim=4, samples_per_class=6,
@@ -171,6 +172,23 @@ def test_single_episode_has_zero_halfwidth():
 def test_argument_validation():
     with pytest.raises(ArgumentError):
         evaluate_learner(ConstantLearner(), POOL, SPEC, 0, seed=1)
+
+
+COUNTED = {
+    "evaluate_learner": lambda n: evaluate_learner(ConstantLearner(), POOL, SPEC, n, seed=1),
+    "episode_stream": lambda n: list(episode_stream(POOL, SPEC, n, seed=1)),
+    "sample_batch": lambda n: sample_batch(POOL, n, RngState(1)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COUNTED))
+@pytest.mark.parametrize("count", [2.5, 2.0, np.float64(3.0), "3"])
+def test_non_integer_counts_are_refused(entry, count):
+    """A count must be a Python or NumPy integer, as ``EpisodeSpec``'s
+    counts are: ``range`` would refuse a float with a bare ``TypeError``."""
+    with pytest.raises(ArgumentError, match="must be an integer"):
+        COUNTED[entry](count)
+    COUNTED[entry](np.int64(3))   # NumPy integers pass
 
 
 # ---------------------------------------------------------------------------

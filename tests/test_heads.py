@@ -683,11 +683,83 @@ def test_block_of_episodes_is_each_episode_alone(seed, n, k, q, dim, episodes):
         "cosine rect": lambda s, x: rectified_proto_predict(s, sy, x, "cosine"),
         "power_transform": lambda s, x: power_transform(np.concatenate([s, x], axis=-2)),
         "ptmap": lambda s, x: ptmap_fit_predict(s, sy, x, n_iters=4),
+        "linear": lambda s, x: linear_head_predict(linear_head_fit(s, sy, 4, 0.1), x),
     }
     for name, head in heads.items():
         block = head(sx, qx)
         for e in range(episodes):
             assert _same(block[e], head(sx[e], qx[e])), name
+
+
+def linear_head_fit_oracle(x, y, epochs, step_size):
+    """One episode's Adam loop written out with fancy indexing: the
+    arithmetic that each head of a block must reproduce bit for bit."""
+    n, rows = y.max() + 1, np.arange(len(y))
+    w, b = np.zeros((n, x.shape[1])), np.zeros(n)
+    m_w, v_w, m_b, v_b = np.zeros_like(w), np.zeros_like(w), np.zeros(n), np.zeros(n)
+    losses = []
+    for t in range(1, epochs + 1):
+        logits = x @ w.T + b
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        losses.append(float(-log_probs[rows, y].mean()))
+        dz = np.exp(log_probs)
+        dz[rows, y] -= 1.0
+        dz /= len(y)
+        g_w, g_b = dz.T @ x, dz.sum(axis=0)
+        m_w = 0.9 * m_w + (1 - 0.9) * g_w
+        v_w = 0.999 * v_w + (1 - 0.999) * g_w ** 2
+        m_b = 0.9 * m_b + (1 - 0.9) * g_b
+        v_b = 0.999 * v_b + (1 - 0.999) * g_b ** 2
+        scale = step_size * np.sqrt(1 - 0.999 ** t) / (1 - 0.9 ** t)
+        w = w - scale * m_w / (np.sqrt(v_w) + 1e-8)
+        b = b - scale * m_b / (np.sqrt(v_b) + 1e-8)
+    return w, b, tuple(losses)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 6),
+    k=st.integers(1, 4),
+    dim=st.integers(1, 19),
+    episodes=st.integers(1, 7),
+    epochs=st.integers(1, 12),
+    step_size=st.floats(1e-4, 1.0),
+    spread=st.floats(0.1, 100.0),
+)
+def test_stacked_linear_head_is_each_head_alone(seed, n, k, dim, episodes, epochs,
+                                                step_size, spread):
+    """The logistic heads of E stacked episodes, trained at once, hold the
+    weights, bias and per-epoch losses of each head trained alone, and of
+    the written-out oracle, bit for bit; so do the stacked loss and
+    gradients."""
+    gen = np.random.default_rng(seed)
+    sy = gen.permutation(np.repeat(np.arange(n), k))
+    sx = spread * gen.normal(size=(episodes, n * k, dim)) + sy[:, None]
+    block = linear_head_fit(sx, sy, epochs, step_size)
+    losses = np.array(block.loss_history)
+    assert losses.shape == (epochs, episodes)
+    grads = linear_loss_and_grad(block.weights, block.bias, sx, sy)
+    for e in range(episodes):
+        alone = linear_head_fit(sx[e], sy, epochs, step_size)
+        assert all(type(loss) is float for loss in alone.loss_history)
+        w, b, oracle_losses = linear_head_fit_oracle(sx[e], sy, epochs, step_size)
+        assert _same(alone.weights, w) and _same(alone.bias, b)
+        assert _same(alone.loss_history, oracle_losses)
+        assert _same(block.weights[e], alone.weights)
+        assert _same(block.bias[e], alone.bias)
+        assert _same(losses[:, e], alone.loss_history)
+        loss, g_w, g_b = linear_loss_and_grad(alone.weights, alone.bias, sx[e], sy)
+        assert type(loss) is float and _same(grads[0][e], loss)
+        assert _same(grads[1][e], g_w) and _same(grads[2][e], g_b)
+
+
+def test_linear_loss_refuses_labels_outside_the_head():
+    w, b, x = np.zeros((3, 2)), np.zeros(3), np.ones((4, 2))
+    for y in ([0, 1, 2, 3], [0, -1, 2, 1], [0.0, 1.0, 2.0, 1.0]):
+        with pytest.raises(EpisodeFormatError, match=r"integers in \[0, 3\)"):
+            linear_loss_and_grad(w, b, x, np.array(y))
 
 
 def test_block_query_must_match_the_support_episodes():

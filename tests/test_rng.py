@@ -106,7 +106,7 @@ def _entry_points():
         "fomaml.meta_train": lambda s: fomaml.meta_train(
             _pool(), spec, outer=fomaml.OuterConfig(epochs=1, meta_batch=1), seed=s),
         "api.meta_fit": lambda s: api.meta_fit(
-            api.MetaLearnerSpec(api.MethodConfig("proto")), _pool(), s),
+            api.MethodConfig("proto"), spec, _pool(), s),
         "bayes_oracle_accuracy": lambda s: bayes_oracle_accuracy(_spec(1), spec, 2, s),
     }
 
