@@ -1,12 +1,13 @@
 """The three-level method contract: meta-learner -> learner -> predictor.
 
 ``meta_fit`` consumes a meta-train pool and produces a ``LearnerState``;
-``LearnerState.fit`` consumes one episode's support set and produces a
-``PredictorState``; ``PredictorState.predict`` labels query vectors.  Six
-built-in methods implement the contract, each declared once in the
-``METHODS`` registry together with its parameter schema.  Learners
-serialize to a versioned text artifact so the ingestion and scoring
-processes can hand off through the filesystem alone.
+``LearnerState.fit`` consumes one episode's support set, or a block of
+episodes stacked along a leading axis, and produces a ``PredictorState``
+whose ``predict`` labels the matching query vectors.  Six built-in methods
+implement the contract, each declared once in the ``METHODS`` registry
+together with its parameter schema.  Learners serialize to a versioned
+text artifact so the ingestion and scoring processes can hand off through
+the filesystem alone.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import fomaml as fm
 from . import heads
 from .dataset import DatasetTable, read_text, render_value, write_text_atomic
 from .errors import ArgumentError, ArtifactError, ConfigError, EpisodeFormatError, ShapeError
-from .rng import RngState, check_seed
+from .rng import INTEGERS, RngState, check_seed
 from .sampler import EpisodeSpec, sample_batch
 
 __all__ = [
@@ -52,27 +53,25 @@ class Method:
     the default's type is the type a given value is coerced to.
     ``meta_fit(params, episode_spec, meta_train, seed, clock, log_path)``
     returns ``(arrays, provenance)``; methods with nothing to learn from
-    meta-train data leave it ``None``.  ``fit(params, arrays, support_x, support_y,
-    n_way)`` returns the predictor state, and ``predict(state, query_x)``
-    labels query rows.  ``choices`` maps a key that takes one of a fixed
-    set of values to that set, and ``bounds`` maps a numeric key to the
-    interval its value must lie in, written like ``"(0, 1]"`` with ``inf``
-    for an unbounded end.
-
-    ``block_cells`` is the block entry, which every built-in method has:
-    for a method whose ``fit`` and ``predict`` also take a block of episodes
-    stacked along a leading axis (see :meth:`LearnerState.predict_block`),
-    it maps the learned arrays and an episode's ``(n_way, k_shot, queries,
-    dim)`` to the float64 cells of the largest array held per episode.
+    meta-train data leave it ``None``.  ``fit(params, arrays, support_x,
+    support_y, n_way)`` returns the predictor state for support rows
+    ``(N*K, d)``, or for a block ``(E, N*K, d)`` of episodes that share the
+    int64 labels ``support_y``, and ``predict(state, query_x)`` labels query
+    rows ``(Q, d)``, or ``(E, Q, d)`` for a block.  ``block_cells`` maps the
+    learned arrays and an episode's ``(n_way, k_shot, queries, dim)`` to the
+    float64 cells of the largest array held per episode, which sizes the
+    blocks.  ``choices`` maps a key that takes one of a fixed set of values
+    to that set, and ``bounds`` maps a numeric key to the interval its value
+    must lie in, written like ``"(0, 1]"`` with ``inf`` for an unbounded end.
     """
 
     params: dict
     fit: Callable[..., dict]
     predict: Callable[[dict, np.ndarray], np.ndarray]
+    block_cells: Callable[[dict, int, int, int, int], int]
     meta_fit: Callable[..., tuple] | None = None
     choices: dict = field(default_factory=dict)
     bounds: dict = field(default_factory=dict)
-    block_cells: Callable[[dict, int, int, int, int], int] | None = None
 
 
 #: Float64 cells a block of episodes may hold in its largest array: 128 KiB,
@@ -80,26 +79,27 @@ class Method:
 _BLOCK_CELLS = 1 << 14
 
 
+#: The values other than strings that a parameter of each type takes: never
+#: a float for an int, which ``int()`` would truncate, nor a bool for a number.
+_TAKES = {bool: (bool, np.bool_), int: INTEGERS, float: INTEGERS + (float, np.floating)}
+
+
 def _coerce(key: str, value, default):
-    if isinstance(default, bool):
+    kind = type(default)
+    if isinstance(value, str) and kind is bool:
         # bool("false") would be True; parse the usual spellings instead
-        if isinstance(value, str):
-            lowered = value.strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ConfigError(
-                f"method parameter {key}={value!r} is not a valid bool"
-            )
-        return bool(value)
-    try:
-        return type(default)(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(
-            f"method parameter {key}={value!r} is not a valid "
-            f"{type(default).__name__}"
-        ) from None
+        lowered = value.strip().lower()
+        if lowered in ("1", "true", "yes", "on"):
+            return True
+        if lowered in ("0", "false", "no", "off"):
+            return False
+    elif isinstance(value, str) or (isinstance(value, _TAKES.get(kind, object))
+                                    and (kind is bool or not isinstance(value, bool))):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"method parameter {key}={value!r} is not a valid {kind.__name__}")
 
 
 @dataclass(frozen=True)
@@ -159,21 +159,27 @@ class Provenance:
 @dataclass
 class PredictorState:
     """Episode-adapted state; every ``predict`` call recomputes the labels.
-    ``dim`` is the support set's width, which ``predict`` checks the query
-    set against for every method."""
+    ``dim`` is the support rows' width and ``episodes`` their leading axes:
+    ``()`` for one episode, ``(E,)`` for a block.  ``predict`` checks the
+    query rows against both for every method."""
 
     method: MethodConfig
     state: dict
     dim: int
+    episodes: tuple[int, ...]
 
     def predict(self, query_x: np.ndarray) -> np.ndarray:
-        """One episode label per query row; pure given the query set."""
+        """Labels ``(Q,)`` of one episode's query rows ``(Q, d)`` (or of one
+        row ``(d,)``), or ``(E, Q)`` of a block's ``(E, Q, d)``; pure given
+        the query set."""
         query_x = _finite(query_x, "query")
-        if query_x.ndim == 1:
+        if query_x.ndim == 1 and not self.episodes:
             query_x = query_x[None, :]
-        if query_x.ndim != 2 or query_x.shape[1] != self.dim:
+        if (query_x.ndim != len(self.episodes) + 2 or query_x.shape[-1] != self.dim
+                or query_x.shape[:-2] != self.episodes):
+            over = f" over {self.episodes[0]} episodes" if self.episodes else ""
             raise ShapeError(f"query shape {query_x.shape} does not match "
-                             f"feature dimension {self.dim}")
+                             f"feature dimension {self.dim}{over}")
         return METHODS[self.method.name].predict(self.state, query_x)
 
 
@@ -194,37 +200,23 @@ class LearnerState:
     provenance: Provenance
 
     def fit(self, support_x: np.ndarray, support_y: np.ndarray) -> PredictorState:
-        """Adapt to one episode's support set; the learner is not mutated."""
-        state = self._fit(support_x, support_y)
-        return PredictorState(method=self.method, state=state, dim=np.shape(support_x)[1])
-
-    def _fit(self, support_x, support_y) -> dict:
-        """The state the method fits to a support set, once it is checked."""
+        """Adapt to one episode's support rows ``(N*K, d)``, or to a block
+        ``(E, N*K, d)`` of episodes that all carry the labels ``support_y``;
+        each episode of a block gets the labels it gets alone.  The learner
+        is not mutated."""
         n_way, _ = heads.support_structure(support_x, support_y)
         support_x = _finite(support_x, "support")
-        return METHODS[self.method.name].fit(
-            self.method.values, self.arrays, support_x, np.asarray(support_y), n_way)
+        # the labels are 0..N-1, checked above; as int64 every head indexes with them
+        state = METHODS[self.method.name].fit(self.method.values, self.arrays, support_x,
+                                              np.asarray(support_y, dtype=np.int64), n_way)
+        return PredictorState(self.method, state, support_x.shape[-1], support_x.shape[:-2])
 
     def block_size(self, n_way: int, k_shot: int, queries: int, dim: int) -> int:
-        """Episodes of this shape per :meth:`predict_block` call, or 0 for a
-        method without a block entry, which scores one episode at a time."""
+        """Episodes of this shape to fit and predict at once: as many as keep
+        the method's largest per-episode array within ``_BLOCK_CELLS``
+        float64 cells, and at least one."""
         cells = METHODS[self.method.name].block_cells
-        return 0 if cells is None else max(
-            1, _BLOCK_CELLS // cells(self.arrays, n_way, k_shot, queries, dim))
-
-    def predict_block(
-        self, support_x: np.ndarray, support_y: np.ndarray, query_x: np.ndarray
-    ) -> np.ndarray:
-        """Labels ``(E, Q)`` for E episodes at once: support rows
-        ``(E, N*K, d)`` that all carry the labels ``support_y``, and query
-        rows ``(E, Q, d)``.  Each episode gets the labels that ``fit`` and
-        ``predict`` give it alone; the checks are theirs, made once per
-        block.  Only for a method with a block entry."""
-        method = METHODS[self.method.name]
-        if method.block_cells is None:
-            raise ConfigError(f"method {self.method.name!r} has no block entry")
-        query_x = _finite(query_x, "query")
-        return method.predict(self._fit(support_x, support_y), query_x)
+        return max(1, _BLOCK_CELLS // cells(self.arrays, n_way, k_shot, queries, dim))
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from typing import Iterable, Iterator, TextIO
 import numpy as np
 
 from .errors import ArgumentError, BenchError, ParseError
-from .rng import INTEGERS, check_seed
+from .rng import INTEGERS, check_count, check_seed
 
 __all__ = [
     "ClassRecord",
@@ -150,7 +150,10 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.num_classes < 1 or self.dim < 1 or self.samples_per_class < 1:
+        sizes = (self.num_classes, self.dim, self.samples_per_class)
+        if not all(isinstance(size, INTEGERS) for size in sizes):
+            raise ArgumentError(f"non-integer size field in {self}")
+        if min(sizes) < 1:
             raise ArgumentError(f"non-positive size field in {self}")
         # mean_scale == 0 (all class means coincide) is allowed as a degenerate
         # case so the Bayes oracle can be checked against chance level.
@@ -475,10 +478,9 @@ def split_classes(table: DatasetTable, n_train_classes: int, seed: int) -> MetaS
     ``n_train_classes`` and ``seed``.
     """
     total = table.n_classes
-    if not 1 <= n_train_classes < total:
-        raise ArgumentError(
-            f"n_train_classes must be in [1, {total - 1}], got {n_train_classes}"
-        )
+    if not (isinstance(n_train_classes, INTEGERS) and 1 <= n_train_classes < total):
+        raise ArgumentError(f"n_train_classes must be an integer in [1, {total - 1}], "
+                            f"got {n_train_classes!r}")
     if not isinstance(seed, INTEGERS):
         raise ArgumentError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
@@ -527,8 +529,7 @@ def bayes_oracle_accuracy(
     """
     from .sampler import RngState, sample_episode  # local import to avoid a cycle
 
-    if trials < 1:
-        raise ArgumentError(f"trials must be >= 1, got {trials}")
+    trials = check_count("trials", trials)
     means = synthetic_class_means(spec)
     table = generate_synthetic(spec)
     root = RngState(seed)

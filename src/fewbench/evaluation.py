@@ -62,17 +62,20 @@ class RunResult:
     final: float
 
 
-def cat_accuracy(predicted: np.ndarray, true: np.ndarray) -> float:
-    """Fraction of positions where the labels agree."""
+def cat_accuracy(predicted: np.ndarray, true: np.ndarray) -> float | np.ndarray:
+    """Fraction of positions where the labels agree: a float for label
+    vectors ``(Q,)``, or each row's fraction, ``(E,)``, for a block's labels
+    ``(E, Q)``.  A mean of 0/1 values is exact, so each row of a block
+    scores bitwise as it does alone."""
     predicted = np.asarray(predicted)
     true = np.asarray(true)
-    if predicted.shape != true.shape or predicted.ndim != 1:
-        raise ShapeError(
-            f"label shapes {predicted.shape} / {true.shape} do not match"
-        )
-    if len(true) == 0:
+    if predicted.shape != true.shape or predicted.ndim not in (1, 2):
+        raise ShapeError(f"label shapes {predicted.shape} / {true.shape} are not "
+                         f"one equal (Q,) or (E, Q) shape")
+    if true.size == 0:
         raise ShapeError("cannot score an empty label vector")
-    return float((predicted == true).mean())
+    hits = (predicted == true).mean(axis=-1)
+    return float(hits) if true.ndim == 1 else hits
 
 
 def ci95(accuracies) -> float:
@@ -92,36 +95,42 @@ def evaluate_learner(
     seed: int,
     clock=None,
 ) -> AggregateScore:
-    """Score a learner over a seeded episode stream.
+    """Score a learner over a seeded stream of episodes of ``spec``.
 
     Per episode: ``learner.fit(support_x, support_y)`` then
     ``predictor.predict(query_x)``; true query labels stay on this side of
     the call.  Any episode failure aborts, naming the episode index.
 
-    Episodes are drawn and scored in blocks.  A learner with a block entry
-    (a :class:`~fewbench.api.LearnerState` of any built-in method) scores a
-    block at once, with the scores that ``fit`` and ``predict`` give, when
-    every episode of the stream has the same shape (see
-    :func:`~fewbench.sampler.episode_shape`); a block that fails is scored
-    again one episode at a time, which names the episode and its error.  A
-    learner without a block entry, or a stream of unequal shapes, gets
-    blocks of one episode.  A budget ``clock`` is checked before each
-    block, so a timeout's count of completed episodes is whole blocks.
+    Episodes are drawn in blocks.  A learner with a ``block_size`` (every
+    :class:`~fewbench.api.LearnerState`) fits and predicts a block in one
+    call each: ``block_size`` episodes when every episode of the stream has
+    the same shape (see :func:`~fewbench.sampler.episode_shape`), one
+    otherwise.  A block that fails is scored again one episode at a time,
+    which names the episode and its error; any other learner is scored one
+    episode at a time.  A budget ``clock`` is checked before each block, so
+    a timeout's count of completed episodes is whole blocks.
     """
     episode_count = check_count("episode_count", episode_count)
+    if not isinstance(spec, EpisodeSpec):
+        raise ArgumentError(f"evaluate_learner needs an EpisodeSpec, got {spec!r}")
     root = RngState(seed)
     sizer = getattr(learner, "block_size", None)
     shape = None if sizer is None else episode_shape(pool, spec)
-    size = 0 if shape is None else sizer(*shape, pool.dim)   # 0: blocks of one
+    size = 1 if shape is None else sizer(*shape, pool.dim)
     scores: list[EpisodeScore] = []
-    for start in range(0, episode_count, size or 1):
+    for start in range(0, episode_count, size):
         _check_clock(clock, start)
-        stop = min(start + (size or 1), episode_count)
+        stop = min(start + size, episode_count)
         block = sample_block(pool, spec, [root.fork(i) for i in range(start, stop)])
-        accs = _block_accuracies(learner, block) if size else None
+        accs = None
+        if sizer is not None:
+            try:
+                # one expression: no predictor or labels outlive the block
+                accs = cat_accuracy(learner.fit(block.support_x, block.support_y)
+                                    .predict(block.query_x), block.query_y)
+            except Exception:
+                pass    # scored again below, which names the failing episode
         if accs is None:
-            # one episode at a time, the loop names the episode that
-            # fails and raises its error
             accs = [_score_episode(learner, i, block[i - start]) for i in range(start, stop)]
         scores.extend(EpisodeScore(episode_index=i, accuracy=float(acc),
                                    query_count=block.query_y.shape[1])
@@ -135,19 +144,6 @@ def evaluate_learner(
         seed=int(seed),
         episodes=tuple(scores),
     )
-
-
-def _block_accuracies(learner, block) -> np.ndarray | None:
-    """Each episode's accuracy from one ``predict_block`` call, or ``None``
-    when the block fails."""
-    try:
-        predicted = learner.predict_block(block.support_x, block.support_y, block.query_x)
-    except Exception:
-        return None
-    if predicted.shape != block.query_y.shape:
-        return None
-    # a mean of 0/1 values along a row is bitwise cat_accuracy's
-    return (predicted == block.query_y).mean(axis=1)
 
 
 def _check_clock(clock, completed: int) -> None:

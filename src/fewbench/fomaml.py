@@ -33,6 +33,7 @@ import numpy as np
 
 from .dataset import write_text_atomic
 from .errors import ArgumentError, EpisodeFormatError, NumericError, ShapeError
+from .evaluation import cat_accuracy
 from .rng import RngState
 from .sampler import Episode, EpisodeSpec, check_pool, episode_shape, sample_block
 # not called here: it stays bound for a run tracer that wraps
@@ -317,8 +318,7 @@ def _fo_step_with_stats(
             *_arrays(adapted), query_x,
             *_one_hot(query_y, params.b2.shape[-1], len(query_x)),
         )
-        # a mean of 0/1 values along a row is bitwise cat_accuracy's
-        accs = (np.argmax(logits, axis=2) == query_y).mean(axis=1)
+        accs = cat_accuracy(np.argmax(logits, axis=2), np.broadcast_to(query_y, logits.shape[:2]))
         for b in range(len(losses)):
             loss_sum += float(losses[b])
             acc_sum += float(accs[b])

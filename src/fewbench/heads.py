@@ -532,7 +532,7 @@ def ptmap_fit_predict(
     both = power_transform(np.concatenate([support_x, query_x], axis=1), pt_params)
     t_sup, t_qry = both[:, :n_support], both[:, n_support:]
 
-    onehot = np.eye(n)[np.asarray(support_y)]
+    onehot = np.eye(n)[np.asarray(support_y).astype(np.intp)]   # 0..N-1, checked above
     counts = onehot.sum(axis=0)                  # (N,) = K per class
     support_sums = onehot.T @ t_sup              # (E, N, d)
     centers = support_sums / counts[:, None]
@@ -788,7 +788,7 @@ def rectified_proto_predict(
     x_qry = _unit_rows(query_x) if metric == "cosine" else query_x
 
     confidence = proto_predict(protos, query_x)      # (..., Q, N)
-    onehot = np.eye(n)[np.asarray(support_y)]
+    onehot = np.eye(n)[np.asarray(support_y).astype(np.intp)]   # 0..N-1, checked above
     sums = onehot.T @ x_sup + confidence.swapaxes(-1, -2) @ x_qry   # (..., N, d)
     mass = onehot.sum(axis=0) + confidence.sum(axis=-2)
     rectified = sums / mass[..., None]

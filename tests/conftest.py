@@ -27,7 +27,8 @@ SLEEPER = api.Method(
     params={"duration_seconds": 10.0},
     meta_fit=_sleeper_meta_fit,
     fit=lambda p, arrays, support_x, support_y, n_way: {},
-    predict=lambda state, query_x: np.zeros(len(query_x), dtype=np.int64),
+    predict=lambda state, query_x: np.zeros(query_x.shape[:-1], dtype=np.int64),
+    block_cells=lambda arrays, n, k, q, d: (n * k + q) * d,
 )
 
 

@@ -269,6 +269,21 @@ def test_predict_refuses_a_query_set_of_another_width(name):
         predictor.predict(np.zeros((0, 5)))
 
 
+@pytest.mark.parametrize("name", SIX_METHODS)
+def test_bool_and_float_labels_give_the_integer_label_result(name):
+    """``fit`` passes int64 labels to every method, so bool and float
+    support labels 0..N-1 give the labels of the integer ones, bit for bit."""
+    for n_way in (2, 3):
+        method = MethodConfig(name, {"epochs": 2, "hidden": 8} if name == "fomaml" else {})
+        learner = meta_fit(method, EpisodeSpec(n_way, 2), EASY_POOL, seed=18)
+        ep = sample_episode(EASY_POOL, EpisodeSpec(n_way, 2, 4), RngState(n_way))
+        want = learner.fit(ep.support_x, ep.support_y).predict(ep.query_x)
+        kinds = [np.float64, np.float32] + [bool] * (n_way == 2)
+        for kind in kinds:
+            got = learner.fit(ep.support_x, ep.support_y.astype(kind)).predict(ep.query_x)
+            assert got.tobytes() == want.tobytes(), (n_way, kind)
+
+
 # ---------------------------------------------------------------------------
 # Method registry
 

@@ -2,23 +2,28 @@
 
 A built-in ``LearnerState`` of ``proto``, ``qda``, ``rect``, ``ptmap``,
 ``linear`` or ``fomaml`` is scored over blocks of episodes stacked along a
-leading axis.  Wrapping the learner in an object that exposes only
-``fit``/``predict`` hides its block entry, which gives blocks of one episode
-to compare against.
+leading axis: one ``LearnerState.fit`` on a block's support rows, one
+``PredictorState.predict`` on its queries.  Wrapping the learner in an
+object that exposes only ``fit`` hides its ``block_size``, which gives
+episodes fitted and predicted one at a time, as 2-d arrays, to compare
+against.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from fewbench.api import METHODS, LearnerState, MethodConfig, meta_fit
+from fewbench.api import METHODS, LearnerState, Method, MethodConfig, meta_fit
 from fewbench.dataset import ClassRecord, DatasetTable, SyntheticSpec, generate_synthetic
-from fewbench.errors import BudgetExceededError, EvaluationError
+from fewbench.errors import BudgetExceededError, EvaluationError, ShapeError
 from fewbench.evaluation import evaluate_learner, render_score_report
-from fewbench.sampler import EpisodeSpec, episode_shape, episode_stream
+from fewbench.rng import RngState
+from fewbench.sampler import EpisodeSpec, episode_shape, episode_stream, sample_block
 
 
 class Serial:
-    """Only ``fit`` and ``predict``: the scoring loop sees no block entry."""
+    """Only ``fit``: the scoring loop sees no ``block_size``."""
 
     def __init__(self, learner):
         self.learner = learner
@@ -55,17 +60,20 @@ def learner(name, data=None, n_way=5, **params):
 
 @pytest.fixture
 def block_calls(monkeypatch):
-    """Counts the calls of ``LearnerState.predict_block``."""
+    """Counts the episodes of each ``LearnerState.fit`` call on a block."""
     calls = []
-    predict_block = LearnerState.predict_block
+    fit = LearnerState.fit
 
-    def counted(self, support_x, support_y, query_x):
-        calls.append(len(support_x))
-        return predict_block(self, support_x, support_y, query_x)
+    def counted(self, support_x, support_y):
+        if np.ndim(support_x) == 3:
+            calls.append(len(support_x))
+        return fit(self, support_x, support_y)
 
-    monkeypatch.setattr(LearnerState, "predict_block", counted)
+    monkeypatch.setattr(LearnerState, "fit", counted)
     return calls
 
+
+NAMES = ("proto", "qda", "rect", "ptmap", "fomaml", "linear")
 
 CASES = [
     ("proto", {}, 1),
@@ -105,18 +113,57 @@ def test_block_size_follows_the_cell_cap():
     for proto, rect, PT-MAP and linear on the default 5-way 1-shot 95-query
     shape, 2 for QDA and for fo-MAML's (95, 64) hidden layer, and 1 for
     everything at 2,975 queries.  fo-MAML's hidden width is the learner's."""
-    names = ("proto", "qda", "rect", "ptmap", "fomaml", "linear")
-    sizes = {name: learner(name).block_size(5, 1, 95, 16) for name in names}
+    sizes = {name: learner(name).block_size(5, 1, 95, 16) for name in NAMES}
     assert sizes == {"proto": 10, "qda": 2, "rect": 10, "ptmap": 10, "fomaml": 2,
                      "linear": 10}
     assert learner("fomaml", hidden=16).block_size(5, 1, 95, 16) == 10
-    assert {learner(name).block_size(5, 5, 2975, 16) for name in names} == {1}
+    assert {learner(name).block_size(5, 5, 2975, 16) for name in NAMES} == {1}
 
 
 def test_every_built_in_method_has_a_block_entry():
-    """Only the test session's ``sleeper`` is scored one episode at a time."""
+    """``block_cells`` is a required field, so no registry entry lacks it and
+    every learner's block size is at least 1."""
     assert sorted(METHODS) == ["fomaml", "linear", "proto", "ptmap", "qda", "rect", "sleeper"]
-    assert [name for name, m in METHODS.items() if m.block_cells is None] == ["sleeper"]
+    assert [name for name, m in METHODS.items() if m.block_cells is None] == []
+    field = {f.name: f for f in dataclasses.fields(Method)}["block_cells"]
+    assert field.default is dataclasses.MISSING
+    with pytest.raises(TypeError, match="block_cells"):
+        Method(params={}, fit=METHODS["proto"].fit, predict=METHODS["proto"].predict)
+    huge = (1000, 50, 10**6, 10**3)
+    assert {learner(name).block_size(*huge) for name in NAMES} == {1}
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("k_shot", [1, 3])
+def test_fit_on_a_block_predicts_each_episode_alone(name, k_shot):
+    """One ``fit`` on a block's stacked support rows, then one ``predict`` on
+    its stacked queries: each episode's own 2-d labels, bit for bit."""
+    data, spec = pool(), EpisodeSpec(5, k_shot, 4)
+    fitted = learner(name)
+    block = sample_block(data, spec, [RngState(2).fork(i) for i in range(4)])
+    predictor = fitted.fit(block.support_x, block.support_y)
+    assert (predictor.dim, predictor.episodes) == (6, (4,))
+    labels = predictor.predict(block.query_x)
+    assert labels.shape == block.query_y.shape
+    for e in range(4):
+        alone = fitted.fit(block[e].support_x, block.support_y)
+        assert (alone.dim, alone.episodes) == (6, ())
+        assert labels[e].tobytes() == alone.predict(block[e].query_x).tobytes(), e
+
+
+@pytest.mark.parametrize("name", ["proto", "ptmap", "linear"])
+def test_predict_refuses_queries_of_another_block(name):
+    data, spec = pool(), EpisodeSpec(5, 1, 4)
+    block = sample_block(data, spec, [RngState(3).fork(i) for i in range(3)])
+    predictor = learner(name).fit(block.support_x, block.support_y)
+    for bad in (block.query_x[:2], block.query_x[:, :, :4], block.query_x[0],
+                block.query_x[None], block.query_x[0, 0]):
+        with pytest.raises(ShapeError, match="does not match feature dimension 6"):
+            predictor.predict(bad)
+    # one episode's predictor refuses a block of its width
+    alone = learner(name).fit(block[0].support_x, block.support_y)
+    with pytest.raises(ShapeError, match="does not match feature dimension 6$"):
+        alone.predict(block.query_x)
 
 
 def unequal_pool():
@@ -125,20 +172,21 @@ def unequal_pool():
                             for c, n in enumerate((7, 9, 6, 11, 8, 6, 10))])
 
 
-@pytest.mark.parametrize("name", ["proto", "qda", "rect", "ptmap", "fomaml", "linear"])
+@pytest.mark.parametrize("name", NAMES)
 def test_unequal_class_sizes_fall_back_to_the_serial_loop(name, block_calls):
     data = unequal_pool()
     fitted = learner(name, data, n_way=3)
     spec = EpisodeSpec(3, 2)            # all-remaining: the query count varies
     assert episode_shape(data, spec) is None
     report = render_score_report(evaluate_learner(fitted, data, spec, 30, seed=8))
-    assert block_calls == []
+    assert block_calls == [1] * 30      # blocks of one, fitted as blocks
     assert report == render_score_report(
         evaluate_learner(Serial(fitted), data, spec, 30, seed=8))
     # a fixed query count gives every episode one shape again
     fixed = EpisodeSpec(3, 2, 4)
+    block_calls.clear()
     report = render_score_report(evaluate_learner(fitted, data, fixed, 30, seed=8))
-    assert block_calls and sum(block_calls) == 30
+    assert len(block_calls) < 30 and sum(block_calls) == 30
     assert report == render_score_report(
         evaluate_learner(Serial(fitted), data, fixed, 30, seed=8))
 

@@ -9,9 +9,11 @@ constructed, whether directly or through
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from fewbench.api import METHODS, MethodConfig
+from fewbench.api import (METHODS, LearnerState, MethodConfig, Provenance, parse_learner,
+                          render_learner)
 from fewbench.dataset import SyntheticSpec
 from fewbench.errors import ArgumentError, ConfigError
 from fewbench.fomaml import InnerConfig, OuterConfig
@@ -85,6 +87,8 @@ BAD_FIELDS = [
      "phase.seeds must be 3 distinct seeds, got [1, 2, 1]"),
     ("PhaseConfig", "seeds", (1, 2, 2**64), ConfigError,
      f"phase.seeds must lie in [0, 2**64), got {2**64}"),
+    ("SyntheticSpec", "num_classes", 2.5, ArgumentError, "non-integer size field in "),
+    ("SyntheticSpec", "dim", 4.0, ArgumentError, "non-integer size field in "),
 ]
 
 
@@ -170,3 +174,54 @@ def test_method_config_values_stay_out_of_equality_and_init():
         MethodConfig("ptmap", {}, {})
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.values = {}
+
+
+# values other than strings that a parameter's type would coerce silently:
+# ``int()`` truncates a float and takes a bool, ``bool()`` takes anything,
+# and ``float()`` takes a bool
+SILENT_COERCIONS = [
+    ("fomaml", "epochs", 2.5),
+    ("fomaml", "epochs", 2.0),
+    ("fomaml", "epochs", np.float64(3.0)),
+    ("fomaml", "hidden", True),
+    ("fomaml", "meta_batch", np.True_),
+    ("ptmap", "unit_normalize", 0.3),
+    ("ptmap", "unit_normalize", 1),
+    ("ptmap", "unit_normalize", None),
+    ("qda", "shrinkage", True),
+    ("ptmap", "beta", np.False_),
+]
+
+
+@pytest.mark.parametrize("name,key,value", SILENT_COERCIONS,
+                         ids=[f"{n}.{k}={v!r}" for n, k, v in SILENT_COERCIONS])
+def test_method_config_refuses_a_value_it_would_coerce_silently(name, key, value):
+    kind = type(METHODS[name].params[key]).__name__
+    with pytest.raises(ConfigError) as err:
+        MethodConfig(name, {key: value})
+    assert str(err.value) == f"method parameter {key}={value!r} is not a valid {kind}"
+
+
+TYPED_VALUES = [
+    ("fomaml", "epochs", 3, 3),
+    ("fomaml", "epochs", np.int64(3), 3),
+    ("fomaml", "epochs", "3", 3),
+    ("fomaml", "inner_lr", 1, 1.0),
+    ("fomaml", "inner_lr", np.float32(0.5), 0.5),
+    ("fomaml", "inner_lr", "1e-3", 0.001),
+    ("ptmap", "unit_normalize", False, False),
+    ("ptmap", "unit_normalize", np.True_, True),
+    ("ptmap", "unit_normalize", "off", False),
+    ("qda", "shrinkage", 0.25, 0.25),
+]
+
+
+@pytest.mark.parametrize("name,key,value,want", TYPED_VALUES,
+                         ids=[f"{n}.{k}={v!r}" for n, k, v, _ in TYPED_VALUES])
+def test_method_config_takes_values_of_its_type(name, key, value, want):
+    config = MethodConfig(name, {key: value})
+    assert config.values[key] == want and type(config.values[key]) is type(want)
+    if not isinstance(value, np.generic):   # an artifact records the repr
+        learner = LearnerState(config, {}, Provenance(seed=1))
+        again = parse_learner(render_learner(learner))
+        assert again.method == config and again.method.values == config.values

@@ -661,6 +661,22 @@ def test_split_classes_bounds():
         split_classes(table, 3, seed=-1)
 
 
+@pytest.mark.parametrize("n_train,seed,message", [
+    (3.0, 1, r"n_train_classes must be an integer in \[1, 3\], got 3.0"),
+    (np.float64(2.0), 1, "n_train_classes must be an integer"),
+    ("2", 1, "n_train_classes must be an integer"),
+    (2, 1.0, "seed must be an integer, got 1.0"),
+])
+def test_split_classes_refuses_counts_and_seeds_it_cannot_use(n_train, seed, message):
+    """A float count would fail as a bare ``TypeError`` in the slice.  The
+    split seed has no upper bound (``data.split_seed`` takes any
+    non-negative integer, see ``test_split_seed_has_no_upper_bound``)."""
+    table = generate_synthetic(SyntheticSpec(4, 2, 2, 1.0, 1.0, 0))
+    with pytest.raises(ArgumentError, match=message):
+        split_classes(table, n_train, seed=seed)
+    split_classes(table, np.int64(2), seed=np.uint64(2**64 - 1))   # NumPy integers pass
+
+
 # ---------------------------------------------------------------------------
 # Bayes oracle
 
@@ -696,3 +712,6 @@ def test_oracle_rejects_bad_trials():
                          class_std=1.0, mean_scale=1.0, seed=0)
     with pytest.raises(ArgumentError):
         bayes_oracle_accuracy(spec, EpisodeSpec(), 0, seed=1)
+    for trials in (2.5, 2.0, "2"):
+        with pytest.raises(ArgumentError, match="trials must be an integer"):
+            bayes_oracle_accuracy(spec, EpisodeSpec(), trials, seed=1)

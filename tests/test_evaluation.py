@@ -77,13 +77,26 @@ def test_cat_accuracy():
     assert cat_accuracy(np.array([3]), np.array([3])) == 1.0
 
 
+def test_cat_accuracy_of_a_block_is_each_row_alone():
+    gen = np.random.default_rng(2)
+    predicted, true = gen.integers(0, 5, size=(2, 7, 95))
+    accs = cat_accuracy(predicted, true)
+    assert accs.shape == (7,)
+    for e in range(7):
+        alone = cat_accuracy(predicted[e], true[e])
+        assert isinstance(alone, float)
+        assert accs[e].tobytes() == np.float64(alone).tobytes()
+
+
 def test_cat_accuracy_errors():
     with pytest.raises(ShapeError):
         cat_accuracy(np.array([1, 2]), np.array([1]))
     with pytest.raises(ShapeError):
         cat_accuracy(np.array([]), np.array([]))
     with pytest.raises(ShapeError):
-        cat_accuracy(np.zeros((2, 2)), np.zeros((2, 2)))
+        cat_accuracy(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
+    with pytest.raises(ShapeError):
+        cat_accuracy(np.zeros((2, 0)), np.zeros((2, 0)))
 
 
 def test_ci95_frozen_oracle():
@@ -172,6 +185,14 @@ def test_single_episode_has_zero_halfwidth():
 def test_argument_validation():
     with pytest.raises(ArgumentError):
         evaluate_learner(ConstantLearner(), POOL, SPEC, 0, seed=1)
+
+
+@pytest.mark.parametrize("spec", [(5, 1), {"n_way": 5}, None])
+def test_a_spec_that_is_not_an_episode_spec_is_refused(spec):
+    """As ``meta_fit`` does: the shape would otherwise fail as a bare
+    ``AttributeError`` deep in the sampler."""
+    with pytest.raises(ArgumentError, match="evaluate_learner needs an EpisodeSpec"):
+        evaluate_learner(ConstantLearner(), POOL, spec, 3, seed=1)
 
 
 COUNTED = {

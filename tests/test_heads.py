@@ -542,6 +542,31 @@ def test_column_labels_are_refused(fit):
         fit(*args)
 
 
+#: each head's result, as arrays, from support rows, labels and queries
+HEAD_RESULTS = {
+    "proto": lambda sx, sy, qx: proto_predict(compute_prototypes(sx, sy, "cosine"), qx),
+    "qda": lambda sx, sy, qx: qda_log_density(qda_fit(sx, sy, shrinkage=0.3), qx),
+    "linear": lambda sx, sy, qx: linear_head_fit(sx, sy, epochs=4, step_size=0.1).weights,
+    "rect": rectified_proto_predict,
+    "ptmap": ptmap_fit_predict,
+}
+
+
+@pytest.mark.parametrize("head", sorted(HEAD_RESULTS))
+@pytest.mark.parametrize("n", [2, 3])
+def test_bool_and_float_labels_give_the_integer_label_result(head, n):
+    """``support_structure`` accepts bool and float labels 0..N-1, so every
+    head gives them the result of the integer labels, bit for bit."""
+    sx, sy, qx, _ = make_episode(n=n, k=3, q=7, dim=4, seed=n, spread=1.0)
+    order = np.random.default_rng(n).permutation(len(sy))
+    sx, sy = sx[order], sy[order]
+    want = HEAD_RESULTS[head](sx, sy, qx)
+    kinds = [sy.astype(np.float64), sy.astype(np.float32)] + [sy.astype(bool)] * (n == 2)
+    for labels in kinds:
+        got = HEAD_RESULTS[head](sx, labels, qx)
+        assert got.tobytes() == want.tobytes(), labels.dtype
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(-3, 8), min_size=0, max_size=12))
 def test_support_structure_matches_oracle_on_random_labels(labels):
