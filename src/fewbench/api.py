@@ -23,7 +23,7 @@ from . import heads
 from .dataset import DatasetTable, read_text, render_value, write_text_atomic
 from .errors import ArgumentError, ArtifactError, ConfigError, EpisodeFormatError, ShapeError
 from .rng import INTEGERS, RngState, check_seed
-from .sampler import EpisodeSpec, sample_batch
+from .sampler import EpisodeSpec, block_episodes, sample_batch
 
 __all__ = [
     "METHODS",
@@ -57,26 +57,25 @@ class Method:
     support_y, n_way)`` returns the predictor state for support rows
     ``(N*K, d)``, or for a block ``(E, N*K, d)`` of episodes that share the
     int64 labels ``support_y``, and ``predict(state, query_x)`` labels query
-    rows ``(Q, d)``, or ``(E, Q, d)`` for a block.  ``block_cells`` maps the
-    learned arrays and an episode's ``(n_way, k_shot, queries, dim)`` to the
-    float64 cells of the largest array held per episode, which sizes the
-    blocks.  ``choices`` maps a key that takes one of a fixed set of values
-    to that set, and ``bounds`` maps a numeric key to the interval its value
-    must lie in, written like ``"(0, 1]"`` with ``inf`` for an unbounded end.
+    rows ``(Q, d)``, or ``(E, Q, d)`` for a block.  ``block_bytes(params,
+    arrays, n_way, k_shot, queries, dim)`` is the bytes one episode of that
+    shape holds while it is sampled, fitted and predicted: its rows and
+    labels, the predictor state and the working arrays at the method's
+    peak, counted from the shape: at least what ``tracemalloc`` sees and at
+    most about twice that on the tested shapes.  Blocks are sized from it
+    against one budget (see :func:`~fewbench.sampler.block_episodes`).
+    ``choices`` maps a key that takes one of a fixed set of values to that
+    set, and ``bounds`` maps a numeric key to the interval its value must
+    lie in, written like ``"(0, 1]"`` with ``inf`` for an unbounded end.
     """
 
     params: dict
     fit: Callable[..., dict]
     predict: Callable[[dict, np.ndarray], np.ndarray]
-    block_cells: Callable[[dict, int, int, int, int], int]
+    block_bytes: Callable[[dict, dict, int, int, int, int], int]
     meta_fit: Callable[..., tuple] | None = None
     choices: dict = field(default_factory=dict)
     bounds: dict = field(default_factory=dict)
-
-
-#: Float64 cells a block of episodes may hold in its largest array: 128 KiB,
-#: which keeps a block's arrays in cache and the run's peak memory flat.
-_BLOCK_CELLS = 1 << 14
 
 
 #: The values other than strings that a parameter of each type takes: never
@@ -212,11 +211,12 @@ class LearnerState:
         return PredictorState(self.method, state, support_x.shape[-1], support_x.shape[:-2])
 
     def block_size(self, n_way: int, k_shot: int, queries: int, dim: int) -> int:
-        """Episodes of this shape to fit and predict at once: as many as keep
-        the method's largest per-episode array within ``_BLOCK_CELLS``
-        float64 cells, and at least one."""
-        cells = METHODS[self.method.name].block_cells
-        return max(1, _BLOCK_CELLS // cells(self.arrays, n_way, k_shot, queries, dim))
+        """Episodes of this shape to fit and predict at once: as many as the
+        method's ``block_bytes`` estimate fits in the shared block budget
+        (see :func:`~fewbench.sampler.block_episodes`), and at least one."""
+        estimate = METHODS[self.method.name].block_bytes
+        return block_episodes(estimate(self.method.values, self.arrays,
+                                       n_way, k_shot, queries, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -337,21 +337,58 @@ def _fomaml_predict(st, query_x):
     return np.argmax(fm.mlp_forward(st["adapted"], query_x), axis=-1)
 
 
-def _fomaml_cells(arrays, n, k, q, d):
-    """The (Q, hidden) hidden layer of the query pass, or a larger input
-    or weight matrix; the hidden width is the learner's.  A learner without
-    ``W1`` fails in its fit, as it does one episode at a time."""
-    return fm.task_cells(max(n * k, q), len(arrays.get("W1", ())), d)
+def _fomaml_bytes(p, arrays, n, k, q, d):
+    """One task's scoring peak (see ``fomaml.task_bytes``); the hidden width
+    is the learner's.  A learner without ``W1`` fails in its fit, as it
+    does one episode at a time."""
+    return fm.task_bytes(n * k, q, n, len(arrays.get("W1", ())), d, p["inner_steps"])
 
 
-def _row_cells(arrays, n, k, q, d):
-    """Support and query rows, or the (Q, N) distances when N > d."""
-    return (n * k + q) * max(d, n)
+def _episode_cells(n, k, q, d):
+    """An episode's sampled support and query rows, its query labels, and the
+    predicted labels with their comparison."""
+    return (n * k + q) * (d + 2)
 
 
-def _qda_cells(arrays, n, k, q, d):
-    """The (Q, N d) whitened queries, or the (N, d, d) covariances."""
-    return n * d * max(q, d)
+def _proto_bytes(p, arrays, n, k, q, d):
+    """The support rows grouped by class, then the squared queries and the
+    (Q, N) distances; the cosine metric adds unit-normalized copies."""
+    cosine = p["metric"] == "cosine"
+    return 8 * (_episode_cells(n, k, q, d) + (1 + cosine) * (n * k + q) * d
+                + q * (3 * n + 2))
+
+
+def _rect_bytes(p, arrays, n, k, q, d):
+    """The kept support rows, the prototypes' working arrays twice over, and
+    the (Q, N) soft assignments; the cosine metric keeps unit-normalized
+    copies of the rows."""
+    cosine = p["metric"] == "cosine"
+    return 8 * (_episode_cells(n, k, q, d) + n * k * d + (1 + 2 * cosine) * (n * k + q) * d
+                + 3 * n * d + q * (3 * n + 4))
+
+
+def _ptmap_bytes(p, arrays, n, k, q, d):
+    """The kept support rows, then the larger of two phases: the copies of
+    the rows the power transform holds at once, or the transformed rows
+    beside the (Q, N) transport costs, kernels and plans."""
+    rows = (n * k + q) * d
+    return 8 * (_episode_cells(n, k, q, d) + n * k * d + max(4 * rows, rows + 12 * q * n))
+
+
+def _qda_bytes(p, arrays, n, k, q, d):
+    """The larger of two phases: the fit's grouped and centered support
+    rows beside the (N, d, d) covariances, factors and whitening matrices,
+    or the prediction's two kept (N, d, d) arrays beside the (Q, N d)
+    whitened queries and the (Q, N) densities."""
+    return 8 * (_episode_cells(n, k, q, d)
+                + max(n * d * (2 * k + 4 * d + 2), 2 * n * d * d + q * n * (d + 5)))
+
+
+def _linear_bytes(p, arrays, n, k, q, d):
+    """The standardized support and query rows, the support logits and
+    their softmax temporaries, and the heads with their moment estimates."""
+    return 8 * (_episode_cells(n, k, q, d) + 2 * (n * k + q) * d
+                + n * (5 * n * k + 2 * q + 8 * d))
 
 
 #: method name -> registry entry; the one place each method is defined
@@ -360,7 +397,7 @@ METHODS: dict[str, Method] = {
         params={"metric": "euclidean"},
         fit=_proto_fit, predict=_proto_predict,
         choices={"metric": heads.METRICS},
-        block_cells=_row_cells,
+        block_bytes=_proto_bytes,
     ),
     "fomaml": Method(
         params={"inner_steps": 5, "inner_lr": 0.05, "outer_lr": 0.005,
@@ -369,7 +406,7 @@ METHODS: dict[str, Method] = {
         bounds={"inner_steps": "[0, inf)", "inner_lr": "(0, inf)",
                 "outer_lr": "(0, inf)", "meta_batch": "[1, inf)",
                 "epochs": "[0, inf)", "hidden": "[1, inf)"},
-        block_cells=_fomaml_cells,
+        block_bytes=_fomaml_bytes,
     ),
     "linear": Method(
         params={"pretrain_batches": 10, "batch_size": 256,
@@ -377,7 +414,7 @@ METHODS: dict[str, Method] = {
         fit=_linear_fit, predict=_linear_predict, meta_fit=_linear_meta_fit,
         bounds={"pretrain_batches": "[1, inf)", "batch_size": "[1, inf)",
                 "epochs": "[1, inf)", "step_size": "(0, inf)"},
-        block_cells=_row_cells,
+        block_bytes=_linear_bytes,
     ),
     "ptmap": Method(
         params={"beta": 0.5, "epsilon": 1e-6, "unit_normalize": True,
@@ -388,18 +425,18 @@ METHODS: dict[str, Method] = {
         fit=_keep_support, predict=_ptmap_predict,
         bounds={"epsilon": "[0, inf)", "reg": "(0, inf]", "max_iters": "[1, inf)",
                 "tol": "(0, inf]", "n_iters": "[0, inf)", "step_size": "(0, 1]"},
-        block_cells=_row_cells,
+        block_bytes=_ptmap_bytes,
     ),
     "qda": Method(
         params={"shrinkage": 0.5},
         fit=_qda_fit, predict=_qda_predict, bounds={"shrinkage": "[0, 1]"},
-        block_cells=_qda_cells,
+        block_bytes=_qda_bytes,
     ),
     "rect": Method(
         params={"metric": "euclidean"},
         fit=_keep_support, predict=_rect_predict,
         choices={"metric": heads.METRICS},
-        block_cells=_row_cells,
+        block_bytes=_rect_bytes,
     ),
 }
 
@@ -446,7 +483,10 @@ def render_learner(learner: LearnerState) -> str:
     """
     out = [ARTIFACT_MAGIC, f"method,{learner.method.name}"]
     for key in sorted(learner.method.params):
-        out.append(f"config,{key},{learner.method.params[key]!r}")
+        value = learner.method.params[key]
+        # a NumPy scalar as its Python value: its NumPy 2 repr does not parse
+        value = value.item() if isinstance(value, np.generic) else value
+        out.append(f"config,{key},{value!r}")
     p = learner.provenance
     out.append(f"provenance,{p.seed},{p.episodes_consumed},{p.batches_consumed}")
     for name in sorted(learner.arrays):

@@ -14,9 +14,9 @@ every task.  A 2-d call is the one-task case of the same code, and each
 task of a stack gets exactly the arithmetic of its own 2-d call.
 Meta-training draws each meta-batch in chunks of tasks with
 :func:`~fewbench.sampler.sample_block` and adapts a whole chunk at once.
-A chunk holds as many tasks as fit ``_CHUNK_CELLS`` float64 cells in the
-largest array a task holds (at the default shape, the query pass's
-``(Q, hidden)`` layer), or a single task when the query count depends on
+A chunk holds as many tasks as the block budget of
+:func:`~fewbench.sampler.block_episodes` takes at :func:`task_bytes` each
+(8 at the default shape), or a single task when the query count depends on
 the classes drawn.
 
 Determinism: initialization and every episode draw come from named
@@ -35,7 +35,8 @@ from .dataset import write_text_atomic
 from .errors import ArgumentError, EpisodeFormatError, NumericError, ShapeError
 from .evaluation import cat_accuracy
 from .rng import RngState
-from .sampler import Episode, EpisodeSpec, check_pool, episode_shape, sample_block
+from .sampler import (Episode, EpisodeSpec, block_episodes, check_pool, episode_shape,
+                      sample_block)
 # not called here: it stays bound for a run tracer that wraps
 # ``fomaml.sample_episode`` (perfbench/tracer.py)
 from .sampler import sample_episode  # noqa: F401
@@ -60,12 +61,6 @@ _max = np.maximum.reduce
 # substream tags under the training seed
 _INIT_STREAM = 0
 _EPISODE_STREAM = 1
-
-#: Float64 cells a chunk of stacked tasks may hold in its largest array:
-#: 384 KiB, eight tasks of 95 queries through 64 hidden units.  A chunk adds
-#: its arrays to the run's peak memory, so the whole meta-batch is not one.
-_CHUNK_CELLS = 48 * 1024
-
 
 @dataclass(frozen=True)
 class MlpParams:
@@ -138,11 +133,21 @@ def init_mlp(dim: int, hidden: int, n_way: int, rng: RngState) -> MlpParams:
     )
 
 
-def task_cells(rows: int, hidden: int, dim: int) -> int:
-    """Float64 cells of the largest array one task of ``rows`` rows holds:
-    its ``(rows, d)`` input, its ``(rows, hidden)`` hidden layer, or its
-    ``(hidden, d)`` weights."""
-    return max(rows * max(hidden, dim), hidden * dim)
+def task_bytes(support: int, queries: int, n_way: int, hidden: int, dim: int,
+               steps: int, train: bool = False) -> int:
+    """Bytes one task of ``support`` support and ``queries`` query rows holds
+    at its peak: its rows and labels, its weights as ``steps`` inner steps
+    replace them, and the hidden layer and logits of its larger pass.  A
+    training task (``train``) also takes the query gradient, which holds the
+    query pass's softmax temporaries and the adapted weights' gradients."""
+    weights = hidden * (dim + n_way + 1)
+    rows = (support + queries) * (dim + 2)
+    adapt = 4 * weights + support * (hidden + 6 * n_way) if steps else 0
+    if train:
+        query = 2 * weights + queries * (hidden + hidden // 8 + 6 * n_way + 4)
+    else:   # the weights adapted, or broadcast from the shared ones
+        query = weights + queries * (hidden + 2 * n_way)
+    return 8 * (rows + max(adapt, query))
 
 
 def _arrays(params: MlpParams) -> tuple[np.ndarray, ...]:
@@ -328,6 +333,8 @@ def _fo_step_with_stats(
                 for t, g in zip(total, grads):
                     t += g[b]
         m += len(losses)
+        # nothing of a chunk outlives it: the next chunk's peak holds only its own
+        del chunk, adapted, query_x, query_y, grads, logits
     if total is None:
         raise ArgumentError("meta-batch must contain at least one episode")
     avg = MlpParams(*(t / m for t in total))
@@ -383,8 +390,9 @@ def meta_train(
     params = init_mlp(pool.dim, hidden, episode_spec.n_way, root.fork(_INIT_STREAM))
     episodes_rng = root.fork(_EPISODE_STREAM)
     shape = episode_shape(pool, episode_spec)
-    size = 1 if shape is None else max(1, _CHUNK_CELLS // task_cells(
-        max(shape[0] * shape[1], shape[2]), hidden, pool.dim))
+    size = 1 if shape is None else block_episodes(task_bytes(
+        shape[0] * shape[1], shape[2], shape[0], hidden, pool.dim, inner.steps,
+        train=True))
 
     log: list[tuple[int, float, float]] = []
     for epoch in range(outer.epochs):

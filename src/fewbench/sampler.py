@@ -127,6 +127,19 @@ def episode_shape(pool: DatasetTable, spec: EpisodeSpec) -> tuple[int, int, int]
     return (n, k, n * (sizes.pop() - k)) if len(sizes) == 1 else None
 
 
+#: Bytes a block of episodes may hold while it is sampled and scored, or a
+#: chunk of fo-MAML tasks while it is meta-trained: 1 MiB, the traced peak
+#: an eight-task training chunk already reached, so larger scoring blocks
+#: leave a run's peak memory where it was.
+_BLOCK_BYTES = 1 << 20
+
+
+def block_episodes(episode_bytes: int) -> int:
+    """Episodes of ``episode_bytes`` each that one block holds within
+    ``_BLOCK_BYTES``, and at least one."""
+    return max(1, _BLOCK_BYTES // episode_bytes)
+
+
 @lru_cache(maxsize=64)
 def _layout(k: int, sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where an episode's rows sit once the rows taken from its classes

@@ -39,6 +39,13 @@ from .sampler import EpisodeSpec, episode_stream, sample_block
 __all__ = ["run_selftest"]
 
 
+def _require(condition, *detail) -> None:
+    """Fail the check unless ``condition`` holds.  Unlike ``assert``, this
+    still checks under ``python -O``."""
+    if not condition:
+        raise AssertionError(*detail)
+
+
 def _small_table() -> DatasetTable:
     """Eight classes of six 4-wide rows."""
     return generate_synthetic(SyntheticSpec(num_classes=8, dim=4, samples_per_class=6,
@@ -51,9 +58,9 @@ def _check_sinkhorn_marginals() -> None:
     a = np.full(12, 1.0 / 12)
     b = np.full(4, 1.0 / 4)
     plan = sinkhorn(cost, a, b, SinkhornConfig(reg=0.5, max_iters=500, tol=1e-9))
-    assert plan.converged
-    assert np.max(np.abs(plan.matrix.sum(axis=1) - a)) < 1e-8
-    assert np.max(np.abs(plan.matrix.sum(axis=0) - b)) < 1e-12
+    _require(plan.converged)
+    _require(np.max(np.abs(plan.matrix.sum(axis=1) - a)) < 1e-8)
+    _require(np.max(np.abs(plan.matrix.sum(axis=0) - b)) < 1e-12)
 
 
 def _check_sinkhorn_small_reg() -> None:
@@ -68,9 +75,9 @@ def _check_sinkhorn_small_reg() -> None:
     b = np.full(4, 1.0 / 4)
     config = SinkhornConfig(reg=0.01, max_iters=2000, tol=1e-9)
     plan = sinkhorn(cost, a, b, config)
-    assert plan.converged
-    assert np.max(np.abs(plan.matrix.sum(axis=1) - a)) <= config.tol
-    assert np.max(np.abs(plan.matrix.sum(axis=0) - b)) <= config.tol
+    _require(plan.converged)
+    _require(np.max(np.abs(plan.matrix.sum(axis=1) - a)) <= config.tol)
+    _require(np.max(np.abs(plan.matrix.sum(axis=0) - b)) <= config.tol)
 
 
 def _check_fomaml_gradient() -> None:
@@ -88,7 +95,7 @@ def _check_fomaml_gradient() -> None:
                 arr[idx] += step
                 moved.append(loss_and_grad(replace(params, **{name: arr}), x, y)[0])
             fd = (moved[0] - moved[1]) / 2e-6
-            assert abs(fd - getattr(grads, name)[idx]) < 1e-7, (name, idx, fd)
+            _require(abs(fd - getattr(grads, name)[idx]) < 1e-7, (name, idx, fd))
 
 
 def _check_stacked_fomaml_step() -> None:
@@ -101,7 +108,7 @@ def _check_stacked_fomaml_step() -> None:
     stacked = fo_meta_step(params, [block], inner, outer_lr=0.01)
     serial = fo_meta_step(params, [block[i] for i in range(3)], inner, outer_lr=0.01)
     for name in ("W1", "b1", "W2", "b2"):
-        assert getattr(stacked, name).tobytes() == getattr(serial, name).tobytes(), name
+        _require(getattr(stacked, name).tobytes() == getattr(serial, name).tobytes(), name)
 
 
 def _check_stacked_linear_head() -> None:
@@ -117,22 +124,22 @@ def _check_stacked_linear_head() -> None:
                labels[i])
         want = (alone.weights, alone.bias, np.array(alone.loss_history),
                 linear_head_predict(alone, block[i].query_x))
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], i
+        _require([a.tobytes() for a in got] == [a.tobytes() for a in want], i)
 
 
 def _check_single_shot_prototypes() -> None:
     x = np.arange(10.0).reshape(5, 2)
     y = np.arange(5)
     protos = compute_prototypes(x, y)
-    assert np.array_equal(protos.centers, x)
-    assert np.array_equal(proto_labels(protos, x), y)
+    _require(np.array_equal(protos.centers, x))
+    _require(np.array_equal(proto_labels(protos, x), y))
 
 
 def _check_ci95_formula() -> None:
     acc = np.array([0.2, 0.4, 0.6, 0.8])
     expected = 1.96 * np.std(acc, ddof=1) / math.sqrt(4)
-    assert abs(ci95(acc) - expected) < 1e-15
-    assert cat_accuracy(np.array([1, 2, 3]), np.array([1, 0, 3])) == 2.0 / 3.0
+    _require(abs(ci95(acc) - expected) < 1e-15)
+    _require(cat_accuracy(np.array([1, 2, 3]), np.array([1, 0, 3])) == 2.0 / 3.0)
 
 
 def _check_episode_determinism() -> None:
@@ -141,16 +148,16 @@ def _check_episode_determinism() -> None:
     run1 = list(episode_stream(table, spec, 4, seed=11))
     run2 = list(episode_stream(table, spec, 4, seed=11))
     for e1, e2 in zip(run1, run2):
-        assert np.array_equal(e1.support_x, e2.support_x)
-        assert np.array_equal(e1.query_x, e2.query_x)
-        assert np.array_equal(e1.query_y, e2.query_y)
+        _require(np.array_equal(e1.support_x, e2.support_x))
+        _require(np.array_equal(e1.query_x, e2.query_x))
+        _require(np.array_equal(e1.query_y, e2.query_y))
 
 
 def _check_artifact_round_trip() -> None:
     learner = meta_fit(MethodConfig(name="proto"), EpisodeSpec(), _small_table(), seed=5)
     text = render_learner(learner)
     again = parse_learner(text)
-    assert render_learner(again) == text
+    _require(render_learner(again) == text)
 
 
 def _check_feature_table_round_trip() -> None:
@@ -161,20 +168,20 @@ def _check_feature_table_round_trip() -> None:
     edge = ClassRecord(7, np.array([[-0.0, 5e-324, 1e308], [0.25, -1e-300, -1e308]]))
     table = DatasetTable(dim=3, classes=[pool.classes[1], edge, pool.classes[0]])
     text = render_feature_dataset(table)
-    assert render_feature_dataset(parse_feature_dataset(text)) == text
+    _require(render_feature_dataset(parse_feature_dataset(text)) == text)
     # the file path: the block writer and reader, past a replaced file
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "table.csv")
         write_feature_dataset(pool, path)
         write_feature_dataset(table, path)
         with open(path, "r", encoding="utf-8") as fh:
-            assert fh.read() == text
-        assert render_feature_dataset(load_feature_dataset(path)) == text
+            _require(fh.read() == text)
+        _require(render_feature_dataset(load_feature_dataset(path)) == text)
     # 0.0 and -0.0 compare equal, so the third line repeats the second
     try:
         parse_feature_dataset("dim=2\n0,0.0,1.5\n0,-0.0,1.5\n")
     except ParseError as exc:
-        assert exc.line_no == 3, exc.line_no
+        _require(exc.line_no == 3, exc.line_no)
     else:
         raise AssertionError("a 0.0/-0.0 duplicate row was accepted")
 
@@ -189,8 +196,8 @@ def _check_end_to_end_scoring() -> None:
     agg = evaluate_learner(
         learner, split.meta_test, EpisodeSpec(n_way=5, k_shot=1), 20, seed=1
     )
-    assert 0.0 <= agg.mean <= 1.0
-    assert agg.episode_count == 20
+    _require(0.0 <= agg.mean <= 1.0)
+    _require(agg.episode_count == 20)
 
 
 _CHECKS = [

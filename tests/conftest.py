@@ -28,7 +28,7 @@ SLEEPER = api.Method(
     meta_fit=_sleeper_meta_fit,
     fit=lambda p, arrays, support_x, support_y, n_way: {},
     predict=lambda state, query_x: np.zeros(query_x.shape[:-1], dtype=np.int64),
-    block_cells=lambda arrays, n, k, q, d: (n * k + q) * d,
+    block_bytes=lambda p, arrays, n, k, q, d: 8 * (n * k + q) * d,
 )
 
 

@@ -10,14 +10,18 @@ against.
 """
 
 import dataclasses
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from fewbench import fomaml as fm
+from fewbench import sampler
 from fewbench.api import METHODS, LearnerState, Method, MethodConfig, meta_fit
 from fewbench.dataset import ClassRecord, DatasetTable, SyntheticSpec, generate_synthetic
 from fewbench.errors import BudgetExceededError, EvaluationError, ShapeError
-from fewbench.evaluation import evaluate_learner, render_score_report
+from fewbench.evaluation import cat_accuracy, evaluate_learner, render_score_report
 from fewbench.rng import RngState
 from fewbench.sampler import EpisodeSpec, episode_shape, episode_stream, sample_block
 
@@ -109,28 +113,115 @@ def test_block_reports_equal_serial_reports(name, params, k_shot, block_calls):
 
 
 def test_block_size_follows_the_cell_cap():
-    """2**14 cells over the largest per-episode array: 10 episodes per block
-    for proto, rect, PT-MAP and linear on the default 5-way 1-shot 95-query
-    shape, 2 for QDA and for fo-MAML's (95, 64) hidden layer, and 1 for
-    everything at 2,975 queries.  fo-MAML's hidden width is the learner's."""
+    """One budget of 1 MiB over each method's estimate of the bytes one
+    episode holds: on the default 5-way 1-shot 95-query shape, 26 episodes
+    per block for proto, 23 for rect, 19 for linear, 14 for PT-MAP, 12 for
+    fo-MAML (its hidden width is the learner's) and 9 for QDA, and 1 for
+    everything at 2,975 queries."""
     sizes = {name: learner(name).block_size(5, 1, 95, 16) for name in NAMES}
-    assert sizes == {"proto": 10, "qda": 2, "rect": 10, "ptmap": 10, "fomaml": 2,
-                     "linear": 10}
-    assert learner("fomaml", hidden=16).block_size(5, 1, 95, 16) == 10
+    assert sizes == {"proto": 26, "qda": 9, "rect": 23, "ptmap": 14, "fomaml": 12,
+                     "linear": 19}
+    for name in NAMES:
+        fitted = learner(name)
+        estimate = METHODS[name].block_bytes(fitted.method.values, fitted.arrays, 5, 1, 95, 16)
+        assert sizes[name] == sampler._BLOCK_BYTES // estimate
+    assert learner("fomaml", hidden=16).block_size(5, 1, 95, 16) == 28
+    assert learner("proto", metric="cosine").block_size(5, 1, 95, 16) == 19
     assert {learner(name).block_size(5, 5, 2975, 16) for name in NAMES} == {1}
 
 
 def test_every_built_in_method_has_a_block_entry():
-    """``block_cells`` is a required field, so no registry entry lacks it and
+    """``block_bytes`` is a required field, so no registry entry lacks it and
     every learner's block size is at least 1."""
     assert sorted(METHODS) == ["fomaml", "linear", "proto", "ptmap", "qda", "rect", "sleeper"]
-    assert [name for name, m in METHODS.items() if m.block_cells is None] == []
-    field = {f.name: f for f in dataclasses.fields(Method)}["block_cells"]
+    assert [name for name, m in METHODS.items() if m.block_bytes is None] == []
+    field = {f.name: f for f in dataclasses.fields(Method)}["block_bytes"]
     assert field.default is dataclasses.MISSING
-    with pytest.raises(TypeError, match="block_cells"):
+    with pytest.raises(TypeError, match="block_bytes"):
         Method(params={}, fit=METHODS["proto"].fit, predict=METHODS["proto"].predict)
     huge = (1000, 50, 10**6, 10**3)
     assert {learner(name).block_size(*huge) for name in NAMES} == {1}
+
+
+#: Traced bytes a block or chunk may hold beyond its episodes' estimates:
+#: the learner's shared weights, meta-training's accumulated gradients and
+#: the temporaries that do not grow with the block.
+ALLOWANCE = 96 * 1024
+
+ESTIMATE_CASES = [(name, {}) for name in NAMES] + [
+    ("proto", {"metric": "cosine"}), ("rect", {"metric": "cosine"}),
+    ("ptmap", {"unit_normalize": False}), ("fomaml", {"hidden": 16}),
+    ("fomaml", {"inner_steps": 0}),
+]
+
+
+def budget_pool():
+    """The ``small`` benchmark shape: five classes of 20 16-wide rows, so a
+    5-way K-shot episode has 100 - 5 K queries."""
+    return generate_synthetic(SyntheticSpec(5, 16, 20, class_std=1.0, mean_scale=0.8, seed=3))
+
+
+def traced_peak(run):
+    """The ``tracemalloc`` peak of ``run()``, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("k_shot", [1, 5])
+@pytest.mark.parametrize("name,params", ESTIMATE_CASES,
+                         ids=[f"{n}-{'-'.join(p) or 'default'}" for n, p in ESTIMATE_CASES])
+def test_block_bytes_bounds_the_traced_peak_of_a_block(name, params, k_shot):
+    """A block at the budget, sampled, fitted and predicted, holds at most
+    its episodes' ``block_bytes`` estimates and a fixed allowance, and each
+    estimate is at most twice what one more episode really costs."""
+    data, spec = budget_pool(), EpisodeSpec(5, k_shot)
+    fitted = learner(name, data, **params)
+    shape = episode_shape(data, spec)
+    estimate = METHODS[name].block_bytes(fitted.method.values, fitted.arrays, *shape, 16)
+    size = fitted.block_size(*shape, 16)
+    assert size > 1
+
+    def score(episodes):
+        def run():
+            block = sample_block(data, spec, [RngState(5).fork(i) for i in range(episodes)])
+            cat_accuracy(fitted.fit(block.support_x, block.support_y).predict(block.query_x),
+                         block.query_y)
+        return run
+
+    score(size)()                       # warm caches outside the trace
+    one, full = traced_peak(score(1)), traced_peak(score(size))
+    assert one <= estimate + ALLOWANCE
+    assert full <= size * estimate + ALLOWANCE
+    assert estimate <= 2 * (full - one) / (size - 1)
+
+
+@pytest.mark.parametrize("k_shot", [1, 5])
+@pytest.mark.parametrize("hidden,steps", [(64, 5), (16, 2), (64, 0)])
+def test_task_bytes_bounds_the_traced_peak_of_a_training_chunk(hidden, steps, k_shot):
+    """A meta-training chunk at the budget holds at most its tasks'
+    ``task_bytes`` estimates and a fixed allowance, and each estimate is at
+    most twice what one more task in the chunk really costs."""
+    data, spec = budget_pool(), EpisodeSpec(5, k_shot)
+    n, k, q = episode_shape(data, spec)
+    estimate = fm.task_bytes(n * k, q, n, hidden, 16, steps, train=True)
+    size = sampler.block_episodes(estimate)
+    assert size > 1
+    inner, outer = fm.InnerConfig(steps=steps), fm.OuterConfig(meta_batch=2 * size, epochs=1)
+
+    def train():
+        fm.meta_train(data, spec, inner, outer, seed=1, hidden=hidden)
+
+    train()                             # warm caches outside the trace
+    full = traced_peak(train)
+    with mock.patch.object(sampler, "_BLOCK_BYTES", estimate):    # chunks of one task
+        one = traced_peak(train)
+    assert one <= estimate + ALLOWANCE
+    assert full <= size * estimate + ALLOWANCE
+    assert estimate <= 2 * (full - one) / (size - 1)
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -285,3 +285,27 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "ok" in out and "FAIL" not in out
+
+
+def test_selftest_fails_a_broken_check_under_python_O():
+    """``python -O`` strips ``assert`` statements; the selftest's checks
+    still fail when the code they check is wrong."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(fewbench.__file__)))
+    code = (
+        "import dataclasses, sys\n"
+        "from fewbench import selftest\n"
+        "real = selftest.sinkhorn\n"
+        "def doubled(*args, **kwargs):\n"
+        "    plan = real(*args, **kwargs)\n"
+        "    return dataclasses.replace(plan, matrix=2 * plan.matrix)\n"
+        "selftest.sinkhorn = doubled\n"
+        "print('optimize', sys.flags.optimize)\n"
+        "sys.exit(0 if selftest.run_selftest() else 1)\n"
+    )
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.stdout.startswith("optimize 1\n")
+    assert "FAIL sinkhorn marginals" in run.stdout
+    assert run.stdout.rstrip().endswith("selftest FAILED")
+    assert run.returncode == 1

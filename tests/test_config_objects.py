@@ -225,3 +225,25 @@ def test_method_config_takes_values_of_its_type(name, key, value, want):
         learner = LearnerState(config, {}, Provenance(seed=1))
         again = parse_learner(render_learner(learner))
         assert again.method == config and again.method.values == config.values
+
+
+NUMPY_SCALARS = [
+    ("fomaml", "epochs", np.int64(1), "1"),
+    ("qda", "shrinkage", np.float64(0.25), "0.25"),
+    ("proto", "metric", np.str_("cosine"), "'cosine'"),
+    ("ptmap", "unit_normalize", np.bool_(False), "False"),
+]
+
+
+@pytest.mark.parametrize("name,key,value,text", NUMPY_SCALARS,
+                         ids=[f"{n}.{k}" for n, k, _, _ in NUMPY_SCALARS])
+def test_numpy_scalar_parameters_round_trip_through_an_artifact(name, key, value, text):
+    """An artifact records a NumPy scalar parameter as its Python value,
+    which ``parse_learner`` reads back to the same config."""
+    config = MethodConfig(name, {key: value})
+    rendered = render_learner(LearnerState(config, {}, Provenance(seed=1)))
+    assert f"\nconfig,{key},{text}\n" in rendered
+    again = parse_learner(rendered)
+    assert again.method == config and again.method.values == config.values
+    assert type(again.method.params[key]) is type(value.item())
+    assert render_learner(again) == rendered

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fewbench import fomaml
+from fewbench import fomaml, sampler
 from fewbench.dataset import ClassRecord, DatasetTable, SyntheticSpec, generate_synthetic
 from fewbench.errors import (
     ArgumentError,
@@ -453,12 +453,12 @@ def _oracle_meta_train(pool, spec, inner, outer, seed, hidden):
     return params, log
 
 
-def tasks_per_chunk(tasks, pool, spec, hidden):
-    """The chunk cap at which meta_train stacks ``tasks`` tasks per chunk."""
+def tasks_per_chunk(tasks, pool, spec, hidden, inner):
+    """The block budget at which meta_train stacks ``tasks`` tasks per chunk."""
     n, k, q = episode_shape(pool, spec)
     return mock.patch.object(
-        fomaml, "_CHUNK_CELLS",
-        tasks * fomaml.task_cells(max(n * k, q), hidden, pool.dim))
+        sampler, "_BLOCK_BYTES",
+        tasks * fomaml.task_bytes(n * k, q, n, hidden, pool.dim, inner.steps, train=True))
 
 
 @settings(max_examples=200, deadline=None)
@@ -491,7 +491,7 @@ def test_loops_match_per_task_oracle_bitwise(d, h, n_way, k_shot, query, steps, 
 
     # chunks of ``chunk`` tasks, the last one partial unless it divides
     outer = OuterConfig(lr=0.1, meta_batch=meta_batch, epochs=2)
-    with tasks_per_chunk(chunk, pool, spec, h):
+    with tasks_per_chunk(chunk, pool, spec, h, inner):
         got, got_log = meta_train(pool, spec, inner, outer, seed=seed, hidden=h)
     want, want_log = _oracle_meta_train(pool, spec, inner, outer, seed, h)
     assert_same_bits(got, want)
@@ -555,7 +555,8 @@ def test_non_finite_loss_inside_a_chunk_raises_as_the_oracle_does():
         pytest.fail("no seed puts the poisoned class inside a chunk first")
     with pytest.raises(NumericError) as want:
         _oracle_meta_train(data, spec, InnerConfig(), outer, seed, 8)
-    with tasks_per_chunk(chunk, data, spec, 8), pytest.raises(NumericError) as got:
+    with tasks_per_chunk(chunk, data, spec, 8, InnerConfig()), \
+            pytest.raises(NumericError) as got:
         meta_train(data, spec, InnerConfig(), outer, seed=seed, hidden=8)
     assert str(got.value) == str(want.value) == "non-finite loss in MLP forward pass"
 
