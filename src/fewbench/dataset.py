@@ -157,8 +157,9 @@ class SyntheticSpec:
             raise ArgumentError(f"non-positive size field in {self}")
         # mean_scale == 0 (all class means coincide) is allowed as a degenerate
         # case so the Bayes oracle can be checked against chance level.
-        if not (self.class_std > 0 and self.mean_scale >= 0):
-            raise ArgumentError("class_std must be positive and mean_scale non-negative")
+        if not (0 < self.class_std < np.inf and 0 <= self.mean_scale < np.inf):
+            raise ArgumentError("class_std must be positive and mean_scale non-negative, both "
+                                f"finite, got {self.class_std!r} and {self.mean_scale!r}")
         check_seed(self.seed)
 
 

@@ -5,7 +5,9 @@ a few full-batch gradient steps, then takes an outer step along the
 query-loss gradient evaluated at the adapted parameters (the first-order
 approximation: no second-order terms through the inner loop).  All
 gradients are written out analytically; correctness is pinned by
-finite-difference oracles in the test suite.
+finite-difference oracles in the test suite.  The loss and the label rule
+are the logistic head's, ``heads.softmax_xent`` and ``heads.check_labels``,
+and every step, inner or outer, is :meth:`MlpParams.step`.
 
 Tasks stack along a leading axis: rows ``(E, S, d)`` with per-task
 parameters ``W1 (E, h, d)``, ``b1 (E, h)``, ``W2 (E, n, h)`` and
@@ -31,8 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import heads
 from .dataset import write_text_atomic
-from .errors import ArgumentError, EpisodeFormatError, NumericError, ShapeError
+from .errors import ArgumentError, NumericError, ShapeError
 from .evaluation import cat_accuracy
 from .rng import RngState
 from .sampler import (Episode, EpisodeSpec, block_episodes, check_pool, episode_shape,
@@ -52,11 +55,6 @@ __all__ = [
     "fo_meta_step",
     "meta_train",
 ]
-
-# the reductions that ndarray.sum and ndarray.max wrap, called directly:
-# the same arithmetic without a Python wrapper per call
-_sum = np.add.reduce
-_max = np.maximum.reduce
 
 # substream tags under the training seed
 _INIT_STREAM = 0
@@ -154,11 +152,6 @@ def _arrays(params: MlpParams) -> tuple[np.ndarray, ...]:
     return params.W1, params.b1, params.W2, params.b2
 
 
-def _t(a: np.ndarray) -> np.ndarray:
-    """Each task's matrix transposed: ``a`` with its last two axes swapped."""
-    return np.swapaxes(a, -1, -2)
-
-
 def _stacked(params: MlpParams, x: np.ndarray) -> bool:
     """Whether ``params`` has a task axis that does not match the rows ``x``."""
     return params.W1.ndim == 3 and (x.ndim != 3 or len(x) != len(params.W1))
@@ -180,9 +173,9 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
 
 def _check_batch(params, x, y):
     """Rows ``x`` as float64 ``(E, S, d)`` (a 2-d batch is one task) and
-    labels ``y`` as an array, checked: one row of the MLP's width per label
-    (labels ``(S,)`` are shared by every task), one task per set of
-    parameters, and integer labels in ``[0, n_way)``."""
+    labels ``y`` as :func:`~fewbench.heads.check_labels` gives them,
+    checked: one row of the MLP's width per label (labels ``(S,)`` are
+    shared by every task) and one task per set of parameters."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     shape = x.shape
@@ -192,60 +185,37 @@ def _check_batch(params, x, y):
             or y.shape not in (x.shape[1:2], x.shape[:2]) or _stacked(params, x)):
         raise ShapeError(f"batch of shape {shape} with labels of shape {y.shape} "
                          f"for a {params.W1.shape[-1]}-wide MLP")
-    n_way = params.b2.shape[-1]
-    if y.dtype.kind not in "iu" or (y.size and not 0 <= y.min() <= y.max() < n_way):
-        raise EpisodeFormatError(f"labels must be integers in [0, {n_way}), got "
-                                 f"{y.dtype} labels {np.unique(y)[:8].tolist()}")
-    # int64 + uint64 is float64 in numpy, which _one_hot could not index with
-    return x, y.astype(np.int64, copy=False)
-
-
-def _one_hot(y, n_way, tasks):
-    """The ``(E, S, n_way)`` one-hot of labels ``y`` for ``tasks`` tasks
-    (``y`` is ``(S,)``, shared by every task, or ``(E, S)``) and the flat
-    positions of its ones, as an ``(E, S)`` array."""
-    rows = y.shape[-1]
-    picks = np.arange(0, tasks * rows * n_way, n_way).reshape(tasks, rows) + y
-    onehot = np.zeros((tasks, rows, n_way))
-    onehot.reshape(-1)[picks] = 1.0
-    return onehot, picks
+    return x, heads.check_labels(y, params.b2.shape[-1])
 
 
 def _forward(W1, b1, W2, b2, x):
     """The relu hidden layer ``(..., S, h)`` and the logits ``(..., S, n)``
     of rows ``x`` ``(..., S, d)``."""
-    hidden = x @ _t(W1)
+    hidden = x @ W1.swapaxes(-1, -2)   # each task's matrix transposed
     hidden += b1[..., None, :]
     # in place, here and for the gradient of the pre-activations:
     # relu(pre) > 0 exactly where pre > 0, so no copy of pre is kept
     np.maximum(hidden, 0.0, out=hidden)
-    logits = hidden @ _t(W2)
+    logits = hidden @ W2.swapaxes(-1, -2)
     logits += b2[..., None, :]
     return hidden, logits
 
 
-def _loss_grad(W1, b1, W2, b2, x, onehot, picks):
+def _loss_grad(W1, b1, W2, b2, x, y):
     """Per-task losses ``(E,)``, per-task gradients of (W1, b1, W2, b2)
-    and logits of float64 rows ``x`` ``(E, S, d)`` with labels given by
-    ``_one_hot``, under parameters with or without the task axis.  A
-    non-finite loss in any task raises :class:`NumericError`."""
+    and logits of float64 rows ``x`` ``(E, S, d)`` with int64 labels ``y``
+    ``(S,)`` or ``(E, S)``, under parameters with or without the task axis.
+    A non-finite loss in any task raises :class:`NumericError`."""
     hidden, logits = _forward(W1, b1, W2, b2, x)
-    shifted = logits - _max(logits, axis=2, keepdims=True)
-    log_probs = shifted - np.log(_sum(np.exp(shifted), axis=2, keepdims=True))
-    n = onehot.shape[1]
-    loss = -(_sum(log_probs.take(picks), axis=1) / n)
+    loss, d_logits = heads.softmax_xent(logits, y)
     if not np.isfinite(loss).all():
         raise NumericError("non-finite loss in MLP forward pass")
-
-    d_logits = np.exp(log_probs)
-    d_logits -= onehot
-    d_logits /= n
-    d_w2 = _t(d_logits) @ hidden
-    d_b2 = _sum(d_logits, axis=1)
+    d_w2 = d_logits.swapaxes(-1, -2) @ hidden
+    d_b2 = np.add.reduce(d_logits, axis=1)   # ndarray.sum without its Python wrapper
     active = hidden > 0.0
     d_pre = np.matmul(d_logits, W2, out=hidden)
     d_pre *= active
-    return loss, _t(d_pre) @ x, _sum(d_pre, axis=1), d_w2, d_b2, logits
+    return loss, d_pre.swapaxes(-1, -2) @ x, np.add.reduce(d_pre, axis=1), d_w2, d_b2, logits
 
 
 def loss_and_grad(
@@ -255,12 +225,11 @@ def loss_and_grad(
 
     The relu subgradient at exactly 0 is taken as 0.  Rows ``(E, S, d)``
     give each task's loss as an ``(E,)`` array and gradients with a task
-    axis.  Labels that are not integers in ``[0, n_way)`` raise
+    axis.  Labels that are not bools or integers in ``[0, n_way)`` raise
     :class:`EpisodeFormatError`.
     """
     rows, y = _check_batch(params, x, y)
-    loss, *grads, _ = _loss_grad(*_arrays(params), rows,
-                                 *_one_hot(y, params.b2.shape[-1], len(rows)))
+    loss, *grads, _ = _loss_grad(*_arrays(params), rows, y)
     if np.ndim(x) == 3:
         return loss, MlpParams(*grads)
     return float(loss[0]), MlpParams(*(g[0] for g in grads))
@@ -276,25 +245,19 @@ def inner_adapt(
 
     Support rows ``(E, S, d)`` adapt E tasks at once and return parameters
     with a task axis; ``(S, d)`` is one task.  Zero steps return ``params``
-    itself.  Labels that are not integers in ``[0, n_way)`` raise
+    itself.  Labels that are not bools or integers in ``[0, n_way)`` raise
     :class:`EpisodeFormatError`.
     """
     config = config or InnerConfig()
     x, y = _check_batch(params, support_x, support_y)
     if config.steps == 0:
         return params
-    onehot, picks = _one_hot(y, params.b2.shape[-1], len(x))
-    lr = config.lr
-    W1, b1, W2, b2 = _arrays(params)
     for _ in range(config.steps):
-        _, g1, gb1, g2, gb2, _ = _loss_grad(W1, b1, W2, b2, x, onehot, picks)
-        W1 = W1 - lr * g1
-        b1 = b1 - lr * gb1
-        W2 = W2 - lr * g2
-        b2 = b2 - lr * gb2
+        _, *grads, _ = _loss_grad(*_arrays(params), x, y)
+        params = params.step(MlpParams(*grads), config.lr)
     if np.ndim(support_x) == 3:
-        return MlpParams(W1=W1, b1=b1, W2=W2, b2=b2)
-    return MlpParams(W1=W1[0], b1=b1[0], W2=W2[0], b2=b2[0])
+        return params
+    return MlpParams(*(a[0] for a in _arrays(params)))
 
 
 def _fo_step_with_stats(
@@ -319,10 +282,7 @@ def _fo_step_with_stats(
     for chunk in chunks:
         adapted = inner_adapt(params, chunk.support_x, chunk.support_y, inner)
         query_x, query_y = _check_batch(params, chunk.query_x, chunk.query_y)
-        losses, *grads, logits = _loss_grad(
-            *_arrays(adapted), query_x,
-            *_one_hot(query_y, params.b2.shape[-1], len(query_x)),
-        )
+        losses, *grads, logits = _loss_grad(*_arrays(adapted), query_x, query_y)
         accs = cat_accuracy(np.argmax(logits, axis=2), np.broadcast_to(query_y, logits.shape[:2]))
         for b in range(len(losses)):
             loss_sum += float(losses[b])
@@ -355,8 +315,8 @@ def fo_meta_step(
     blocks stacked by :func:`~fewbench.sampler.sample_block`, each adapted
     at once, with the bits of its episodes one by one.  A query set whose
     rows do not match its labels or the MLP's input width raises
-    :class:`ShapeError`, and labels that are not integers in ``[0, n_way)``
-    raise :class:`EpisodeFormatError`.
+    :class:`ShapeError`, and labels that are not bools or integers in
+    ``[0, n_way)`` raise :class:`EpisodeFormatError`.
     """
     new_params, _, _ = _fo_step_with_stats(params, episodes, inner or InnerConfig(),
                                            outer_lr)

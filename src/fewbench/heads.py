@@ -7,7 +7,8 @@ Five methods operate directly on support/query feature vectors:
   entropic optimal transport (Sinkhorn by stabilized scaling with
   log-domain absorption);
 * quadratic discriminant analysis with covariance shrinkage;
-* a multinomial logistic head trained full-batch with Adam;
+* a multinomial logistic head trained full-batch with Adam, whose loss
+  (:func:`softmax_xent`) and label rule (:func:`check_labels`) fo-MAML shares;
 * a rectified-prototype decoder that refines prototypes once with
   confidence-weighted query features.
 
@@ -100,6 +101,17 @@ def support_structure(support_x: np.ndarray, support_y: np.ndarray) -> tuple[int
     if not (counts == counts[0]).all():
         raise EpisodeFormatError(f"unbalanced support counts {counts.tolist()}")
     return n, int(counts[0])
+
+
+def check_labels(y: np.ndarray, n_way: int) -> np.ndarray:
+    """Labels ``y`` as int64, refused with :class:`EpisodeFormatError`
+    unless they are bools or integers in ``[0, n_way)``."""
+    y = np.asarray(y)
+    if y.dtype.kind not in "biu" or (y.size and not 0 <= y.min() <= y.max() < n_way):
+        raise EpisodeFormatError(f"labels must be integers in [0, {n_way}), got "
+                                 f"{y.dtype} labels {np.unique(y)[:8].tolist()}")
+    # int64 + uint64 is float64 in numpy, which could not index the logits
+    return y.astype(np.int64, copy=False)
 
 
 def _class_blocks(x: np.ndarray, support_y: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -671,18 +683,26 @@ class LinearHead:
     loss_history: tuple = ()   # per epoch: a float, or an (E,) array
 
 
+def softmax_xent(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each task's mean softmax cross-entropy ``(E,)`` over logits
+    ``(E, S, N)`` and its gradient in the logits, for int64 labels ``y`` in
+    ``[0, N)``: ``(S,)``, shared by every task, or ``(E, S)``."""
+    # ufunc reductions, not ndarray.max/.sum/.mean: no Python wrapper per call
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    tasks, rows, n_way = logits.shape
+    picks = np.arange(0, logits.size, n_way).reshape(tasks, rows) + y   # the true labels
+    loss = -(np.add.reduce(log_probs.take(picks), axis=-1) / rows)
+    grad = np.exp(log_probs)
+    grad.reshape(-1)[picks] -= 1.0
+    grad /= rows
+    return loss, grad
+
+
 def _loss_grad(w, b, x, y):
     """Losses ``(E,)`` and gradients of heads ``w`` (E, N, d), ``b`` (E, N)
     on rows ``x`` (E, S, d) with int64 labels ``y`` (S,) in ``[0, N)``."""
-    logits = x @ w.swapaxes(-1, -2) + b[:, None, :]
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    episodes, rows, n_way = logits.shape
-    picks = np.arange(0, logits.size, n_way).reshape(episodes, rows) + y   # the true labels
-    loss = -log_probs.take(picks).mean(axis=-1)
-    dz = np.exp(log_probs)
-    dz.reshape(-1)[picks] -= 1.0
-    dz /= rows
+    loss, dz = softmax_xent(x @ w.swapaxes(-1, -2) + b[:, None, :], y)
     return loss, dz.swapaxes(-1, -2) @ x, dz.sum(axis=1)
 
 
@@ -693,13 +713,11 @@ def linear_loss_and_grad(
     ``(E, S, d)`` under heads ``(E, N, d)``, ``(E, N)`` give each episode's
     loss as an ``(E,)`` array and gradients with an episode axis."""
     one = np.ndim(x) == 2
-    w, b, x, y = (np.asarray(a) for a in (weights, bias, x, y))
-    if y.dtype.kind not in "biu" or (y.size and not 0 <= y.min() <= y.max() < w.shape[-2]):
-        raise EpisodeFormatError(f"labels must be integers in [0, {w.shape[-2]}), got "
-                                 f"{y.dtype} labels {np.unique(y)[:8].tolist()}")
+    w, b, x = (np.asarray(a) for a in (weights, bias, x))
+    y = check_labels(y, w.shape[-2])
     if one:
         w, b, x = w[None], b[None], x[None]
-    loss, g_w, g_b = _loss_grad(w, b, x, y.astype(np.int64))
+    loss, g_w, g_b = _loss_grad(w, b, x, y)
     return (float(loss[0]), g_w[0], g_b[0]) if one else (loss, g_w, g_b)
 
 

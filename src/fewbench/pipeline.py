@@ -83,8 +83,10 @@ class BudgetClock:
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Parse line-oriented ``key = value`` configuration with # comments."""
+    """Parse line-oriented ``key = value`` configuration with # comments.
+    A key set twice raises :class:`ParseError` at its second line."""
     out: dict[str, str] = {}
+    first: dict[str, int] = {}
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -96,6 +98,8 @@ def parse_config_text(text: str) -> dict[str, str]:
         value = value.strip()
         if not key:
             raise ParseError("empty key", line_no=i)
+        if first.setdefault(key, i) != i:
+            raise ParseError(f"{key!r} already set at line {first[key]}", line_no=i)
         out[key] = value
     return out
 
@@ -346,12 +350,14 @@ def run_ingestion(
     On timeout the budget error propagates and no artifact is written.
     """
     split = split or _load_split(config, train_rows=_meta_trains(config), test_rows=False)
-    clock.check() if clock is not None else None
+    if clock is not None:
+        clock.check()
+    # before meta-training, which may write its log into the workdir
+    _make_workdir(config.workdir)
     learner = meta_fit(config.method, config.episode_spec, split.meta_train, seed,
                        clock=clock, log_path=config.train_log_path(seed))
     if clock is not None:
         clock.check()
-    _make_workdir(config.workdir)
     path = config.artifact_path(seed)
     save_learner(learner, path)
     return path

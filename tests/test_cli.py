@@ -250,6 +250,50 @@ def test_unwritable_train_log_fails_the_run(config_path, tmp_path, capsys):
     assert board.startswith("fomaml,") and board.endswith(",failed\n")
 
 
+def test_train_log_inside_a_fresh_workdir(config_path, tmp_path):
+    """The workdir exists before meta-training writes its log into it."""
+    work = tmp_path / "work"
+    assert not work.exists()
+    assert main(["run", "--config", config_path, "--method", "fomaml",
+                 "--set", "method.fomaml.epochs=1",
+                 "--set", f"paths.train_log={work / 'log{seed}.csv'}"]) == EXIT_OK
+    board = (work / "leaderboard.csv").read_text(encoding="utf-8")
+    assert board.startswith("fomaml,") and board.endswith(",completed\n")
+    assert sorted(p.name for p in work.glob("log*.csv")) == [
+        "log101.csv", "log202.csv", "log303.csv"]
+
+
+def test_repeated_config_key_is_config_error(tmp_path, capsys):
+    path = tmp_path / "phase.cfg"
+    path.write_text(BASE_CONFIG + f"paths.workdir = {tmp_path / 'work'}\n"
+                    "method.name = proto\nmethod.name = ptmap\n")
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line 13: 'method.name' already set at line 12")
+    assert not os.path.exists(tmp_path / "work")
+
+
+@pytest.mark.parametrize("setting,values", [("mean_scale=inf", "0.1 and inf"),
+                                            ("class_std=inf", "inf and 3.0")])
+def test_infinite_synthetic_parameter_is_config_error(config_path, tmp_path, capsys,
+                                                      setting, values):
+    assert main(["run", "--config", config_path,
+                 "--set", f"data.synthetic.{setting}"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: class_std must be positive and mean_scale non-negative, "
+        f"both finite, got {values}\n")
+    assert not os.path.exists(tmp_path / "work")   # no seed run, no leaderboard line
+
+
+def test_python_m_fewbench_runs_the_cli():
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(fewbench.__file__)))
+    run = subprocess.run([sys.executable, "-m", "fewbench", "selftest"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == EXIT_OK
+    assert run.stdout.rstrip().endswith("selftest passed")
+
+
 def test_report_of_an_inconsistent_leaderboard_is_exit_3(tmp_path, capsys):
     board = tmp_path / "board.csv"
     board.write_text("proto,,,,,,,,2.0,completed\n", encoding="utf-8")

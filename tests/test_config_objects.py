@@ -89,6 +89,10 @@ BAD_FIELDS = [
      f"phase.seeds must lie in [0, 2**64), got {2**64}"),
     ("SyntheticSpec", "num_classes", 2.5, ArgumentError, "non-integer size field in "),
     ("SyntheticSpec", "dim", 4.0, ArgumentError, "non-integer size field in "),
+    ("SyntheticSpec", "class_std", math.inf, ArgumentError,
+     "class_std must be positive and mean_scale non-negative, both finite, got inf"),
+    ("SyntheticSpec", "mean_scale", math.inf, ArgumentError,
+     "class_std must be positive and mean_scale non-negative, both finite, got 1.0 and inf"),
 ]
 
 

@@ -207,6 +207,21 @@ def test_labels_of_any_integer_type_are_labels(call):
         assert repr(got) == repr(want), dtype
 
 
+@ENTRY_POINTS
+def test_bool_labels_are_the_integer_labels(call):
+    """Bool labels pass the one label rule that the logistic head shares,
+    and train exactly as the labels 0 and 1."""
+    params = random_params(np.random.default_rng(27))  # d=4, n=3
+    x = np.random.default_rng(28).normal(size=(3, 4))
+
+    def bits(result):
+        loss, grads = result if isinstance(result, tuple) else (None, result)
+        return repr(loss), [getattr(grads, k).tobytes() for k in ("W1", "b1", "W2", "b2")]
+
+    want = call(params, x, np.array([1, 0, 1]))
+    assert bits(call(params, x, np.array([True, False, True]))) == bits(want)
+
+
 def test_forward_of_the_wrong_width_is_shape_error():
     params = random_params(np.random.default_rng(24))  # d=4
     for x in (np.zeros(5), np.zeros((2, 5)), np.zeros((2, 3, 5)), np.zeros((1, 1, 1, 4))):

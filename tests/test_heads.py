@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 from scipy.linalg import solve_triangular
 
 from fewbench.errors import (
@@ -25,6 +25,7 @@ from fewbench.heads import (
     LinearHead,
     PowerTransformParams,
     _unit_rows,
+    check_labels,
     compute_prototypes,
     linear_head_fit,
     linear_head_predict,
@@ -37,6 +38,7 @@ from fewbench.heads import (
     qda_log_density,
     qda_predict,
     rectified_proto_predict,
+    softmax_xent,
     support_structure,
 )
 
@@ -785,6 +787,61 @@ def test_linear_loss_refuses_labels_outside_the_head():
     for y in ([0, 1, 2, 3], [0, -1, 2, 1], [0.0, 1.0, 2.0, 1.0]):
         with pytest.raises(EpisodeFormatError, match=r"integers in \[0, 3\)"):
             linear_loss_and_grad(w, b, x, np.array(y))
+
+
+def one_hot_xent(logits, y):
+    """The cross-entropy that fo-MAML carried before the shared core: the
+    softmax less an (E, S, N) one-hot, the loss summed and divided."""
+    tasks, rows, n_way = logits.shape
+    shifted = logits - np.maximum.reduce(logits, axis=2, keepdims=True)
+    log_probs = shifted - np.log(np.add.reduce(np.exp(shifted), axis=2, keepdims=True))
+    picks = np.arange(0, logits.size, n_way).reshape(tasks, rows) + y
+    onehot = np.zeros(logits.shape)
+    onehot.reshape(-1)[picks] = 1.0
+    loss = -(np.add.reduce(log_probs.take(picks), axis=1) / rows)
+    grad = np.exp(log_probs)
+    grad -= onehot
+    grad /= rows
+    return loss, grad
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    tasks=st.integers(1, 4),
+    rows=st.integers(1, 9),
+    n_way=st.integers(2, 6),
+    scale=st.sampled_from([1e-3, 1.0, 30.0, 700.0]),
+    shared=st.booleans(),
+)
+def test_softmax_xent_matches_one_hot_and_scipy(seed, tasks, rows, n_way, scale, shared):
+    """Labels ``(S,)`` shared by every task or ``(E, S)``: bit for bit the
+    one-hot formula, and to rounding ``scipy.special.log_softmax``."""
+    gen = np.random.default_rng(seed)
+    logits = scale * gen.normal(size=(tasks, rows, n_way))
+    y = gen.integers(0, n_way, size=rows if shared else (tasks, rows))
+    loss, grad = softmax_xent(logits, y)
+    want_loss, want_grad = one_hot_xent(logits, y)
+    assert _same(loss, want_loss) and _same(grad, want_grad)
+
+    log_probs = special.log_softmax(logits, axis=-1)
+    labels = np.broadcast_to(y, (tasks, rows))
+    true = np.take_along_axis(log_probs, labels[..., None], axis=-1)[..., 0]
+    np.testing.assert_allclose(loss, -true.mean(axis=-1), rtol=1e-12,
+                               atol=1e-12 * (1.0 + scale))
+    onehot = labels[..., None] == np.arange(n_way)
+    np.testing.assert_allclose(grad, (np.exp(log_probs) - onehot) / rows,
+                               rtol=1e-9, atol=1e-15)
+
+
+def test_check_labels_is_one_rule_for_both_softmax_methods():
+    for y in ([True, False], np.array([1, 0], dtype=np.uint64), [1, 0]):
+        labels = check_labels(y, 2)
+        assert labels.dtype == np.int64 and labels.tolist() == [1, 0]
+    for y in ([0, 2], [-1, 0], [0.0, 1.0]):
+        with pytest.raises(EpisodeFormatError,
+                           match=r"^labels must be integers in \[0, 2\), got "):
+            check_labels(np.array(y), 2)
 
 
 def test_block_query_must_match_the_support_episodes():

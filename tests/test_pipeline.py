@@ -82,6 +82,13 @@ def test_parse_config_text_errors_carry_line_numbers():
     assert err.value.line_no == 3
 
 
+def test_parse_config_text_refuses_a_repeated_key():
+    with pytest.raises(ParseError) as err:
+        parse_config_text("method.name = proto\n# again\nmethod.name  =ptmap\n")
+    assert err.value.line_no == 3
+    assert str(err.value) == "line 3: 'method.name' already set at line 1"
+
+
 def test_load_config_defaults():
     cfg = load_config({})
     assert cfg.method.name == "proto"
