@@ -22,7 +22,7 @@ from . import fomaml as fm
 from . import heads
 from .dataset import DatasetTable, read_text, render_value, write_text_atomic
 from .errors import ArgumentError, ArtifactError, ConfigError, EpisodeFormatError, ShapeError
-from .rng import INTEGERS, RngState, check_seed
+from .rng import RngState, check_seed, is_integer
 from .sampler import EpisodeSpec, block_episodes, sample_batch
 
 __all__ = [
@@ -78,9 +78,10 @@ class Method:
     bounds: dict = field(default_factory=dict)
 
 
-#: The values other than strings that a parameter of each type takes: never
+#: Whether a parameter of each type takes a value other than a string: never
 #: a float for an int, which ``int()`` would truncate, nor a bool for a number.
-_TAKES = {bool: (bool, np.bool_), int: INTEGERS, float: INTEGERS + (float, np.floating)}
+_TAKES = {bool: lambda v: isinstance(v, (bool, np.bool_)), int: is_integer,
+          float: lambda v: is_integer(v) or isinstance(v, (float, np.floating))}
 
 
 def _coerce(key: str, value, default):
@@ -92,8 +93,7 @@ def _coerce(key: str, value, default):
             return True
         if lowered in ("0", "false", "no", "off"):
             return False
-    elif isinstance(value, str) or (isinstance(value, _TAKES.get(kind, object))
-                                    and (kind is bool or not isinstance(value, bool))):
+    elif isinstance(value, str) or _TAKES.get(kind, lambda v: not isinstance(v, bool))(value):
         try:
             return kind(value)
         except (TypeError, ValueError, OverflowError):

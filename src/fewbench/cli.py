@@ -3,7 +3,9 @@
 Subcommands cover the full flow: generate synthetic data, split it into
 meta-train/meta-test class pools, run budgeted ingestion and scoring
 separately or as a full three-seed phase, render the leaderboard report,
-and run the built-in self-test.
+and run the built-in self-test.  The ``--method``, ``--budget-seconds``
+and ``--episodes`` flags are ``--set`` entries, and a key of the config
+may be overridden once.
 
 Exit codes: 0 success, 2 configuration/argument error, 3 run failed,
 4 run timed out.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .dataset import (
     SyntheticSpec,
@@ -55,12 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-synthetic", help="write a synthetic feature dataset")
-    p.add_argument("--classes", type=int, default=20)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--class-std", type=float, default=1.0)
-    p.add_argument("--mean-scale", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=7)
+    flags = {"num_classes": "--classes", "samples_per_class": "--samples"}
+    for f in fields(SyntheticSpec):
+        p.add_argument(flags.get(f.name, "--" + f.name.replace("_", "-")), dest=f.name,
+                       type=type(f.default), default=f.default)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("split", help="split a dataset into train/test class pools")
@@ -78,10 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="key = value config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       help="override a config key (repeatable)")
-        p.add_argument("--method", help="override method.name")
-        p.add_argument("--budget-seconds", type=float, help="override phase.budget_seconds")
-        p.add_argument("--episodes", type=int, help="override phase.episode_count")
+                       help="override a config key (repeatable, once per key)")
+        for flag, key in (("--method", "method.name"), ("--budget-seconds", "phase.budget_seconds"),
+                          ("--episodes", "phase.episode_count")):
+            p.add_argument(flag, dest="set", action="append", metavar="VALUE",
+                           type=lambda value, key=key: f"{key}={value}", help=f"--set {key}=VALUE")
         if name in ("ingest", "score"):
             p.add_argument("--seed", type=int, required=True)
         if name == "score":
@@ -96,32 +98,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_phase_config(args: argparse.Namespace):
+    """The config file with the ``--set`` entries applied; they win over the
+    file, but a key set twice among them raises :class:`ConfigError`."""
     cfg = parse_config_text(read_text(args.config, ConfigError, "config"))
+    given = set()
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
-        cfg[key.strip()] = value.strip()
-    if args.method is not None:
-        cfg["method.name"] = args.method
-    if args.budget_seconds is not None:
-        cfg["phase.budget_seconds"] = repr(args.budget_seconds)
-    if args.episodes is not None:
-        cfg["phase.episode_count"] = str(args.episodes)
+        key = key.strip()
+        if key in given:
+            raise ConfigError(f"{key!r} is overridden twice on the command line")
+        given.add(key)
+        cfg[key] = value.strip()
     return load_config(cfg)
 
 
 def _cmd_gen_synthetic(args: argparse.Namespace) -> int:
-    spec = SyntheticSpec(
-        num_classes=args.classes,
-        dim=args.dim,
-        samples_per_class=args.samples,
-        class_std=args.class_std,
-        mean_scale=args.mean_scale,
-        seed=args.seed,
-    )
+    spec = SyntheticSpec(**{f.name: getattr(args, f.name) for f in fields(SyntheticSpec)})
     write_feature_dataset(generate_synthetic(spec), args.out)
-    print(f"wrote {args.classes} classes x {args.samples} samples to {args.out}")
+    print(f"wrote {spec.num_classes} classes x {spec.samples_per_class} samples to {args.out}")
     return EXIT_OK
 
 

@@ -50,7 +50,7 @@ from typing import Iterable, Iterator, TextIO
 import numpy as np
 
 from .errors import ArgumentError, BenchError, ParseError
-from .rng import INTEGERS, check_count, check_seed
+from .rng import check_count, check_seed, is_integer
 
 __all__ = [
     "ClassRecord",
@@ -139,19 +139,20 @@ class SyntheticSpec:
 
     Class means are drawn coordinate-wise from N(0, mean_scale^2); examples
     of a class are the mean plus isotropic N(0, class_std^2) noise.  The
-    ratio mean_scale/class_std controls class overlap.
+    ratio mean_scale/class_std controls class overlap.  The defaults are
+    the pool of a synthetic phase and of ``fewbench gen-synthetic``.
     """
 
-    num_classes: int
-    dim: int
-    samples_per_class: int
-    class_std: float
-    mean_scale: float
-    seed: int
+    num_classes: int = 20
+    dim: int = 16
+    samples_per_class: int = 20
+    class_std: float = 1.0
+    mean_scale: float = 2.0
+    seed: int = 7
 
     def __post_init__(self) -> None:
         sizes = (self.num_classes, self.dim, self.samples_per_class)
-        if not all(isinstance(size, INTEGERS) for size in sizes):
+        if not all(is_integer(size) for size in sizes):
             raise ArgumentError(f"non-integer size field in {self}")
         if min(sizes) < 1:
             raise ArgumentError(f"non-positive size field in {self}")
@@ -479,10 +480,10 @@ def split_classes(table: DatasetTable, n_train_classes: int, seed: int) -> MetaS
     ``n_train_classes`` and ``seed``.
     """
     total = table.n_classes
-    if not (isinstance(n_train_classes, INTEGERS) and 1 <= n_train_classes < total):
+    if not (is_integer(n_train_classes) and 1 <= n_train_classes < total):
         raise ArgumentError(f"n_train_classes must be an integer in [1, {total - 1}], "
                             f"got {n_train_classes!r}")
-    if not isinstance(seed, INTEGERS):
+    if not is_integer(seed):
         raise ArgumentError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ArgumentError(f"seed must be >= 0, got {seed}")

@@ -14,7 +14,7 @@ import fcntl
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .api import METHODS, MethodConfig, load_learner, meta_fit, save_learner
 from .dataset import (
@@ -29,6 +29,7 @@ from .dataset import (
 )
 from .errors import (
     ArgumentError,
+    ArtifactError,
     BenchError,
     BudgetExceededError,
     ConfigError,
@@ -104,15 +105,6 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-_PRESETS = {
-    # synthetic stand-ins for the published phase shapes:
-    # (num_classes, samples_per_class, n_train_classes)
-    "public-like": (1623, 20, 964),
-    "feedback-like": (100, 600, 80),
-    "final-like": (100, 600, 85),
-}
-
-
 @dataclass(frozen=True)
 class PhaseConfig:
     """Everything one phase run needs, resolved from a config mapping.
@@ -162,36 +154,49 @@ class PhaseConfig:
         return self.train_log.replace("{seed}", str(seed))
 
 
-def _get_int(cfg: dict[str, str], key: str, default: int | None) -> int | None:
-    if key not in cfg:
-        return default
-    try:
-        return int(cfg[key])
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}") from None
+#: Every key ``load_config`` reads and its default, apart from the
+#: ``method.<name>.<key>`` keys that the method registry declares.  The
+#: ``data.synthetic.*`` and ``sampler.*`` defaults are the fields of
+#: :class:`SyntheticSpec` and :class:`EpisodeSpec`.
+_CONFIG_KEYS = {
+    "phase.name": "custom",
+    "phase.seeds": (101, 202, 303),
+    "phase.episode_count": 600,
+    "phase.budget_seconds": 7200.0,
+    "data.train_path": None,
+    "data.test_path": None,
+    "data.n_train_classes": None,  # synthetic: 3/4 of the classes, at least 1
+    "data.split_seed": 1234,
+    **{f"data.synthetic.{f.name}": f.default for f in fields(SyntheticSpec)},
+    **{f"sampler.{f.name}": f.default for f in fields(EpisodeSpec)},
+    "method.name": "proto",
+    "paths.workdir": ".",
+    "paths.leaderboard": None,  # <paths.workdir>/leaderboard.csv
+    "paths.train_log": "",
+}
+
+#: Synthetic stand-ins for the published phase shapes, by ``phase.name``:
+#: overlays of ``_CONFIG_KEYS`` for a synthetic phase.
+_PRESETS = {
+    name: {"data.synthetic.num_classes": classes,
+           "data.synthetic.samples_per_class": samples, "data.n_train_classes": train}
+    for name, classes, samples, train in (("public-like", 1623, 20, 964),
+                                          ("feedback-like", 100, 600, 80),
+                                          ("final-like", 100, 600, 85))
+}
 
 
-def _get_float(cfg: dict[str, str], key: str, default: float) -> float:
-    if key not in cfg:
-        return default
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from None
+def _seed_list(text: str) -> tuple[int, ...]:
+    return tuple(int(s.strip()) for s in text.split(",") if s.strip())
 
 
-#: Every key ``load_config`` reads, apart from the ``method.<name>.<key>``
-#: keys that the method registry declares.
-_CONFIG_KEYS = frozenset({
-    "phase.name", "phase.seeds", "phase.episode_count", "phase.budget_seconds",
-    "data.train_path", "data.test_path", "data.n_train_classes",
-    "data.split_seed", "data.synthetic.num_classes",
-    "data.synthetic.samples_per_class", "data.synthetic.dim",
-    "data.synthetic.class_std", "data.synthetic.mean_scale",
-    "data.synthetic.seed", "sampler.n_way", "sampler.k_shot",
-    "sampler.query_per_class", "method.name", "paths.workdir",
-    "paths.leaderboard", "paths.train_log",
-})
+def _query_count(text: str) -> int | str:
+    return ALL_REMAINING if text == ALL_REMAINING else int(text)
+
+
+#: What a value of each kind must be, for the error naming a bad one.
+_KINDS = {int: "an integer", float: "a number", _seed_list: "comma-separated integers",
+          _query_count: f"an integer or '{ALL_REMAINING}'"}
 
 
 def _method_params(cfg: dict[str, str]) -> dict[str, dict[str, str]]:
@@ -217,80 +222,54 @@ def _method_params(cfg: dict[str, str]) -> dict[str, dict[str, str]]:
 
 
 def load_config(cfg: dict[str, str]) -> PhaseConfig:
-    """Build a validated PhaseConfig from a parsed key/value mapping."""
+    """Build a validated PhaseConfig from a parsed key/value mapping.  A key
+    left out takes its default from ``_CONFIG_KEYS``, or from ``_PRESETS`` in
+    a synthetic phase named after a preset; a value that does not convert
+    raises :class:`ConfigError` naming the key."""
     method_params = _method_params(cfg)
-    name = cfg.get("phase.name", "custom")
-    preset = _PRESETS.get(name)
+    synthetic_data = "data.train_path" not in cfg and "data.test_path" not in cfg
+    preset = _PRESETS.get(cfg.get("phase.name"), {}) if synthetic_data else {}
+    defaults = {**_CONFIG_KEYS, **preset}
+
+    def get(key: str, kind=str):
+        if key not in cfg:
+            return defaults[key]
+        try:
+            return kind(cfg[key])
+        except ValueError:
+            raise ConfigError(f"{key} must be {_KINDS[kind]}, got {cfg[key]!r}") from None
 
     synthetic = None
-    train_path = cfg.get("data.train_path")
-    test_path = cfg.get("data.test_path")
-    n_train_classes = _get_int(cfg, "data.n_train_classes", None)
-    if train_path is None and test_path is None:
-        num_classes = _get_int(
-            cfg, "data.synthetic.num_classes", preset[0] if preset else 20
-        )
-        samples = _get_int(
-            cfg, "data.synthetic.samples_per_class", preset[1] if preset else 20
-        )
+    n_train_classes = get("data.n_train_classes", int)
+    if synthetic_data:
+        synthetic = SyntheticSpec(**{f.name: get(f"data.synthetic.{f.name}", type(f.default))
+                                     for f in fields(SyntheticSpec)})
         if n_train_classes is None:
-            n_train_classes = preset[2] if preset else max(1, (3 * num_classes) // 4)
-        synthetic = SyntheticSpec(
-            num_classes=num_classes,
-            dim=_get_int(cfg, "data.synthetic.dim", 16),
-            samples_per_class=samples,
-            class_std=_get_float(cfg, "data.synthetic.class_std", 1.0),
-            mean_scale=_get_float(cfg, "data.synthetic.mean_scale", 2.0),
-            seed=_get_int(cfg, "data.synthetic.seed", 7),
-        )
-    elif train_path is None or test_path is None:
+            n_train_classes = max(1, (3 * synthetic.num_classes) // 4)
+    elif "data.train_path" not in cfg or "data.test_path" not in cfg:
         raise ConfigError("data.train_path and data.test_path must both be set")
 
-    qpc_raw = cfg.get("sampler.query_per_class", ALL_REMAINING)
-    query_per_class: int | str
-    if qpc_raw == ALL_REMAINING:
-        query_per_class = ALL_REMAINING
-    else:
-        try:
-            query_per_class = int(qpc_raw)
-        except ValueError:
-            raise ConfigError(
-                f"sampler.query_per_class must be an integer or "
-                f"'{ALL_REMAINING}', got {qpc_raw!r}"
-            ) from None
-    episode_spec = EpisodeSpec(
-        n_way=_get_int(cfg, "sampler.n_way", 5),
-        k_shot=_get_int(cfg, "sampler.k_shot", 1),
-        query_per_class=query_per_class,
-    )
-
-    seeds_raw = cfg.get("phase.seeds", "101,202,303")
-    try:
-        seeds = tuple(int(s.strip()) for s in seeds_raw.split(",") if s.strip())
-    except ValueError:
-        raise ConfigError(f"phase.seeds must be comma-separated integers, got {seeds_raw!r}") from None
-
-    method_name = cfg.get("method.name", "proto")
-    method = MethodConfig(name=method_name, params=method_params.get(method_name, {}))
-
-    workdir = cfg.get("paths.workdir", ".")
+    episode_spec = EpisodeSpec(get("sampler.n_way", int), get("sampler.k_shot", int),
+                               get("sampler.query_per_class", _query_count))
+    method_name = get("method.name")
+    workdir = get("paths.workdir")
+    leaderboard_path = get("paths.leaderboard")
     return PhaseConfig(
-        name=name,
+        name=get("phase.name"),
         synthetic=synthetic,
-        train_path=train_path,
-        test_path=test_path,
+        train_path=get("data.train_path"),
+        test_path=get("data.test_path"),
         n_train_classes=n_train_classes,
-        split_seed=_get_int(cfg, "data.split_seed", 1234),
         episode_spec=episode_spec,
-        episode_count=_get_int(cfg, "phase.episode_count", 600),
-        budget_seconds=_get_float(cfg, "phase.budget_seconds", 7200.0),
-        seeds=seeds,
-        method=method,
+        seeds=get("phase.seeds", _seed_list),
+        method=MethodConfig(name=method_name, params=method_params.get(method_name, {})),
+        split_seed=get("data.split_seed", int),
+        episode_count=get("phase.episode_count", int),
+        budget_seconds=get("phase.budget_seconds", float),
         workdir=workdir,
-        leaderboard_path=cfg.get(
-            "paths.leaderboard", os.path.join(workdir, "leaderboard.csv")
-        ),
-        train_log=cfg.get("paths.train_log", ""),
+        leaderboard_path=(os.path.join(workdir, "leaderboard.csv")
+                          if leaderboard_path is None else leaderboard_path),
+        train_log=get("paths.train_log"),
     )
 
 
@@ -372,8 +351,15 @@ def run_scoring(
 ) -> AggregateScore:
     """Load the artifact, evaluate on meta-test, write the score report.
     Without ``split`` it loads its own, reading of the train file only the
-    header that the width check needs."""
+    header that the width check needs.  An artifact of another method, or
+    of other parameter values, than ``config.method`` raises
+    :class:`ArtifactError` before anything is evaluated or written."""
     learner = load_learner(artifact_path)
+    ours, theirs = config.method, learner.method
+    if (theirs.name, theirs.values) != (ours.name, ours.values):
+        raise ArtifactError(f"artifact {artifact_path!r} holds a {theirs.name!r} learner "
+                            f"with {theirs.values}, but the config selects {ours.name!r} "
+                            f"with {ours.values}")
     split = split or _load_split(config, train_rows=False, test_rows=True)
     score = evaluate_learner(
         learner,

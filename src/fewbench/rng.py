@@ -19,23 +19,26 @@ from .errors import ArgumentError
 
 _MAX_SEED = 2**64
 
-#: The types a seed, fork index or count may have: never a float, which
-#: ``int()`` would silently truncate.
-INTEGERS = (int, np.integer)
+
+def is_integer(value) -> bool:
+    """Whether ``value`` may serve as a seed, fork index or count: a Python
+    or NumPy integer, never a float, which ``int()`` would silently
+    truncate, nor a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_seed(seed) -> int:
-    """``seed`` as an ``int``; :class:`ArgumentError` unless it is a Python
-    or NumPy integer in ``[0, 2**64)``."""
-    if not (isinstance(seed, INTEGERS) and 0 <= int(seed) < _MAX_SEED):
+    """``seed`` as an ``int``; :class:`ArgumentError` unless it is an
+    integer (see :func:`is_integer`) in ``[0, 2**64)``."""
+    if not (is_integer(seed) and 0 <= int(seed) < _MAX_SEED):
         raise ArgumentError(f"seed must be a 64-bit unsigned integer, got {seed}")
     return int(seed)
 
 
 def check_count(name: str, value, least: int = 1) -> int:
-    """``value`` as an ``int``; :class:`ArgumentError` unless it is a Python
-    or NumPy integer of at least ``least``."""
-    if not isinstance(value, INTEGERS):
+    """``value`` as an ``int``; :class:`ArgumentError` unless it is an
+    integer (see :func:`is_integer`) of at least ``least``."""
+    if not is_integer(value):
         raise ArgumentError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ArgumentError(f"{name} must be >= {least}, got {value}")
@@ -65,6 +68,6 @@ class RngState:
 
     def fork(self, index: int) -> "RngState":
         """The ``index``-th child substream of this state."""
-        if not isinstance(index, INTEGERS) or index < 0:
+        if not is_integer(index) or index < 0:
             raise ArgumentError(f"fork index must be a non-negative integer, got {index!r}")
         return RngState(self.seed, self.path + (int(index),))

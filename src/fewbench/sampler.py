@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import DatasetTable
 from .errors import ArgumentError, SamplingError
-from .rng import INTEGERS, RngState, check_count
+from .rng import RngState, check_count, is_integer
 
 __all__ = [
     "ALL_REMAINING",
@@ -43,7 +43,7 @@ class EpisodeSpec:
     ``query_per_class`` is either a positive integer or the string
     ``"all-remaining"`` (the meta-test default: every example not used for
     support becomes a query).  The counts may be Python or NumPy integers,
-    never floats.  The fields are checked when it is built.
+    never floats or bools.  The fields are checked when it is built.
     """
 
     n_way: int = 5
@@ -54,7 +54,7 @@ class EpisodeSpec:
         check_count("n_way", self.n_way, 2)
         check_count("k_shot", self.k_shot)
         qpc = self.query_per_class
-        if qpc != ALL_REMAINING and not (isinstance(qpc, INTEGERS) and qpc >= 1):
+        if qpc != ALL_REMAINING and not (is_integer(qpc) and qpc >= 1):
             raise ArgumentError(
                 f"query_per_class must be '{ALL_REMAINING}' or a positive "
                 f"integer, got {qpc!r}"

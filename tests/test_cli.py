@@ -8,7 +8,8 @@ import pytest
 
 import fewbench
 from fewbench.cli import EXIT_CONFIG, EXIT_FAILED, EXIT_OK, EXIT_TIMED_OUT, main
-from fewbench.dataset import load_feature_dataset
+from fewbench.dataset import (SyntheticSpec, generate_synthetic, load_feature_dataset,
+                              write_feature_dataset)
 
 
 BASE_CONFIG = """\
@@ -131,6 +132,40 @@ def test_method_flag_overrides(config_path, capsys):
                  "--episodes", "2"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "final (worst of 3):" in out
+
+
+@pytest.mark.parametrize("overrides,key", [
+    (["--set", "phase.episode_count=3", "--set", "phase.episode_count=5"],
+     "phase.episode_count"),
+    (["--method", "qda", "--set", "method.name=rect"], "method.name"),
+    (["--set", " phase.budget_seconds =9", "--budget-seconds", "9"], "phase.budget_seconds"),
+    (["--episodes", "2", "--episodes", "2"], "phase.episode_count"),
+])
+def test_a_key_overridden_twice_is_config_error(config_path, tmp_path, capsys,
+                                                 overrides, key):
+    assert main(["run", "--config", config_path, *overrides]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {key!r} is overridden twice on the command line\n")
+    assert not os.path.exists(tmp_path / "work")   # no seed run, no leaderboard line
+
+
+def test_score_refuses_an_artifact_of_another_method(config_path, tmp_path, capsys):
+    assert main(["ingest", "--config", config_path, "--seed", "101",
+                 "--method", "ptmap"]) == EXIT_OK
+    assert main(["score", "--config", config_path, "--seed", "101"]) == EXIT_FAILED
+    err = capsys.readouterr().err
+    assert err.startswith("error: artifact ") and "'ptmap' learner" in err
+    assert "the config selects 'proto'" in err
+    assert main(["score", "--config", config_path, "--seed", "101", "--method", "ptmap",
+                 "--set", "method.ptmap.beta=0.25"]) == EXIT_FAILED
+    assert sorted(os.listdir(tmp_path / "work")) == ["learner_seed101.txt"]   # no report
+
+
+def test_gen_synthetic_defaults_are_the_spec_defaults(tmp_path):
+    out, expected = tmp_path / "out.csv", tmp_path / "expected.csv"
+    assert main(["gen-synthetic", "--out", str(out)]) == EXIT_OK
+    write_feature_dataset(generate_synthetic(SyntheticSpec()), str(expected))
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_missing_config_file_is_config_error(tmp_path):

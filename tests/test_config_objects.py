@@ -93,6 +93,16 @@ BAD_FIELDS = [
      "class_std must be positive and mean_scale non-negative, both finite, got inf"),
     ("SyntheticSpec", "mean_scale", math.inf, ArgumentError,
      "class_std must be positive and mean_scale non-negative, both finite, got 1.0 and inf"),
+    # a bool is not an integer
+    ("EpisodeSpec", "n_way", True, ArgumentError, "n_way must be an integer, got True"),
+    ("EpisodeSpec", "k_shot", True, ArgumentError, "k_shot must be an integer, got True"),
+    ("EpisodeSpec", "query_per_class", True, ArgumentError,
+     "query_per_class must be 'all-remaining' or a positive integer, got True"),
+    ("SyntheticSpec", "num_classes", True, ArgumentError, "non-integer size field in "),
+    ("SyntheticSpec", "seed", True, ArgumentError,
+     "seed must be a 64-bit unsigned integer, got True"),
+    ("MethodConfig", "params", {"shrinkage": True}, ConfigError,
+     "method parameter shrinkage=True is not a valid float"),
 ]
 
 

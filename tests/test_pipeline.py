@@ -1,14 +1,19 @@
 """Phase orchestration: config parsing, budgets, artifacts, leaderboard."""
 
+import dataclasses
+import importlib.util
 import os
+import re
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fewbench import pipeline
-from fewbench.api import METHODS
+from fewbench.api import METHODS, MethodConfig
 from fewbench.api import load_learner
 from fewbench.dataset import write_feature_dataset, generate_synthetic, SyntheticSpec
 from fewbench.errors import (
@@ -22,6 +27,7 @@ from fewbench.errors import (
 from fewbench.pipeline import (
     BudgetClock,
     LeaderboardEntry,
+    PhaseConfig,
     append_leaderboard_entry,
     leaderboard_report,
     load_config,
@@ -32,7 +38,7 @@ from fewbench.pipeline import (
     run_phase,
     run_scoring,
 )
-from fewbench.sampler import ALL_REMAINING
+from fewbench.sampler import ALL_REMAINING, EpisodeSpec
 
 
 def small_cfg(tmp_path, **extra):
@@ -189,6 +195,94 @@ def test_load_config_rejects_unknown_metric():
     with pytest.raises(ConfigError) as err:
         load_config({"method.name": "proto", "method.proto.metric": "bogus"})
     assert "'euclidean'" in str(err.value) and "'cosine'" in str(err.value)
+
+
+# The PhaseConfig each config gave before the defaults moved into one
+# table: the defaults of an empty config, and each preset's pool shape.
+_DEFAULT_PHASE = PhaseConfig(
+    name="custom",
+    synthetic=SyntheticSpec(num_classes=20, dim=16, samples_per_class=20,
+                            class_std=1.0, mean_scale=2.0, seed=7),
+    train_path=None,
+    test_path=None,
+    n_train_classes=15,
+    split_seed=1234,
+    episode_spec=EpisodeSpec(n_way=5, k_shot=1, query_per_class=ALL_REMAINING),
+    episode_count=600,
+    budget_seconds=7200.0,
+    seeds=(101, 202, 303),
+    method=MethodConfig("proto", {}),
+    workdir=".",
+    leaderboard_path=os.path.join(".", "leaderboard.csv"),
+    train_log="",
+)
+
+
+@pytest.mark.parametrize("name,classes,samples,train_classes", [
+    ("custom", 20, 20, 15),
+    ("public-like", 1623, 20, 964),
+    ("feedback-like", 100, 600, 80),
+    ("final-like", 100, 600, 85),
+])
+def test_load_config_of_a_preset_is_the_pinned_phase(name, classes, samples, train_classes):
+    expected = dataclasses.replace(
+        _DEFAULT_PHASE, name=name, n_train_classes=train_classes,
+        synthetic=dataclasses.replace(_DEFAULT_PHASE.synthetic, num_classes=classes,
+                                      samples_per_class=samples))
+    assert load_config({"phase.name": name}) == expected
+
+
+def test_default_synthetic_pool_is_the_spec_defaults():
+    assert load_config({}).synthetic == SyntheticSpec()
+    assert load_config({}) == _DEFAULT_PHASE
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_load_config_of_every_benchmark_phase_is_the_pinned_phase():
+    workloads = _perfbench_workloads()
+    checked = 0
+    for workload in workloads.WORKLOADS.values():
+        paths = ("/d/train.csv", "/d/test.csv") if workload.csv else None
+        for method, episodes in workload.phases:
+            for seed in (1, 7):
+                text = workloads.config_text(workload, method, episodes, seed, "/w", paths)
+                expected = dataclasses.replace(
+                    _DEFAULT_PHASE,
+                    synthetic=None if paths else dataclasses.replace(
+                        _DEFAULT_PHASE.synthetic, num_classes=workload.num_classes,
+                        samples_per_class=workload.samples_per_class),
+                    train_path=paths and paths[0],
+                    test_path=paths and paths[1],
+                    n_train_classes=None if paths else workload.n_train_classes,
+                    episode_spec=EpisodeSpec(5, workload.k_shot, ALL_REMAINING),
+                    episode_count=episodes,
+                    seeds=workloads.phase_seeds(seed),
+                    method=MethodConfig(method, {"epochs": "15"} if (
+                        method == "fomaml" and workload.name == "small") else {}),
+                    workdir=f"/w/{method}",
+                    leaderboard_path="/w/leaderboard.csv",
+                )
+                assert load_config(parse_config_text(text)) == expected
+                checked += 1
+    assert checked == 20
+
+
+def test_readme_lists_every_config_key_and_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = dict(re.findall(r"^\| `([^`]+)` \| (.*?) \|", readme, re.M))
+    for key, default in pipeline._CONFIG_KEYS.items():
+        assert key in rows, key
+        if default not in (None, ""):
+            shown = ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
+            assert rows[key] == f"`{shown}`", key
 
 
 def test_load_split_synthetic_partitions_classes(tmp_path):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fewbench.errors import ArgumentError
-from fewbench.rng import RngState
+from fewbench.dataset import split_classes
+from fewbench.rng import RngState, check_count, is_integer
 
 
 def test_same_state_same_draws():
@@ -120,6 +121,22 @@ def test_float_seeds_are_refused(entry, value):
     with pytest.raises(ArgumentError, match="integer"):
         call(value)
     call(np.uint8(2))   # NumPy integers pass
+
+
+@pytest.mark.parametrize("entry", sorted(_entry_points()))
+def test_bool_seeds_are_refused(entry):
+    """A bool is an ``int`` subclass, but no seed: ``True`` would draw seed
+    1's stream."""
+    with pytest.raises(ArgumentError, match="integer"):
+        _entry_points()[entry](True)
+
+
+def test_bool_counts_are_refused():
+    with pytest.raises(ArgumentError, match="^c must be an integer, got True$"):
+        check_count("c", True)
+    with pytest.raises(ArgumentError, match="n_train_classes must be an integer"):
+        split_classes(_pool(), True, 1)
+    assert not is_integer(np.True_) and is_integer(np.uint8(1)) and not is_integer(1.0)
 
 
 def test_numpy_integer_seeds_draw_the_python_integer_stream():
