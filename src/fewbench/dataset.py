@@ -35,8 +35,9 @@ line.
 
 Files are read and written in blocks of 64 KiB of text.  A write holds
 one chunk of rows at a time; a load holds one block of text while it
-parses it, and peaks at about 2.3x the table's arrays on large tables,
-when it copies the parsed records into one array per class.
+parses it, and peaks at about 2.3x the table's array on large tables,
+when it joins the parsed records of the blocks into one array.  Their
+values are then gathered, in class order, into the table's one array.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def render_value(x: float) -> str:
     return repr(float(x))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassRecord:
     """All examples of one class, in file/generation order."""
 
@@ -84,23 +85,63 @@ class ClassRecord:
     examples: np.ndarray  # (n_examples, dim) float64
 
 
-@dataclass
 class DatasetTable:
-    """A pool of labeled feature vectors grouped by class."""
+    """A pool of labeled feature vectors grouped by class.
 
-    dim: int
-    classes: list[ClassRecord]
+    Class ``c`` has the id ``ids[c]`` and the rows
+    ``x[starts[c]:starts[c] + sizes[c]]``.  A table parsed, generated or
+    built from class records holds its classes back to back in ``x``, in
+    class order, and one built from records copies their rows there once,
+    as float64.  A class split shares its table's ``x``, so neither side
+    copies a row.  :attr:`classes` gives the records as views of ``x``.
+    """
+
+    def __init__(self, dim: int, classes: Iterable[ClassRecord] = ()):
+        classes = list(classes)
+        try:
+            x = np.concatenate([rec.examples for rec in classes] or [np.empty((0, dim))],
+                               dtype=np.float64)
+        except ValueError:
+            raise ArgumentError(f"class examples of shapes "
+                                f"{[rec.examples.shape for rec in classes]} make no "
+                                f"{dim}-wide table") from None
+        self._set(dim, x, [rec.class_id for rec in classes],
+                  [len(rec.examples) for rec in classes])
+
+    @classmethod
+    def from_rows(cls, dim: int, x: np.ndarray, ids, sizes, starts=None) -> "DatasetTable":
+        """The table over the float64 rows ``x``, kept as they are: class
+        ``c`` has the id ``ids[c]`` and ``sizes[c]`` rows from row
+        ``starts[c]``, by default right after the rows of class ``c - 1``."""
+        table = cls.__new__(cls)
+        table._set(dim, x, ids, sizes, starts)
+        return table
+
+    def _set(self, dim, x, ids, sizes, starts=None) -> None:
+        self.dim, self.x = dim, x
+        try:
+            self.ids = np.asarray(ids, dtype=np.int64)
+        except OverflowError:   # ids of 2**63 and up, which only records can carry
+            self.ids = np.asarray(ids, dtype=object)
+        self.sizes = np.asarray(sizes, dtype=np.int64)
+        self.starts = (np.cumsum(self.sizes) - self.sizes) if starts is None else starts
+
+    @property
+    def classes(self) -> list[ClassRecord]:
+        """Each class's id and rows, the rows a view of ``x``."""
+        return [ClassRecord(c, self.x[a:a + m]) for c, a, m in
+                zip(self.ids.tolist(), self.starts.tolist(), self.sizes.tolist())]
 
     @property
     def n_classes(self) -> int:
-        return len(self.classes)
+        return len(self.ids)
 
     @property
     def total_examples(self) -> int:
-        return sum(len(c.examples) for c in self.classes)
+        return int(self.sizes.sum())
 
     def class_ids(self) -> list[int]:
-        return [c.class_id for c in self.classes]
+        return self.ids.tolist()
 
     def validate(self) -> None:
         if self.dim < 1:
@@ -175,7 +216,7 @@ def parse_feature_dataset(source: str | TextIO) -> DatasetTable:
     The text is read once, in blocks of whole lines of about 64 KiB, and
     each block is checked whole before the next one is read.  Besides one
     block, the parse holds the records read so far, and its traced peak
-    is about 2.3x the table's arrays on large tables: 3.3 MiB for 12,000
+    is about 2.3x the table's array on large tables: 3.3 MiB for 12,000
     rows of 16 values.  The source is never rewound, so piped input
     parses too.
 
@@ -225,7 +266,7 @@ def parse_feature_dataset(source: str | TextIO) -> DatasetTable:
     n_rows = sum(map(len, parts))
     if parts:
         records = np.concatenate(parts)
-        parts.clear()  # the table's arrays below are the second copy, not the third
+        parts.clear()  # the table's array below is the second copy, not the third
         del checked  # it still holds the last block's records
         ids, x = records["id"], records["x"]
         # a duplicate before the first bad row is the first error
@@ -235,7 +276,7 @@ def parse_feature_dataset(source: str | TextIO) -> DatasetTable:
     if message is not None:
         raise ParseError(message, line_no=_line_no(n_rows, skipped))
     if n_rows == 0:
-        return DatasetTable(dim=dim, classes=[])
+        return DatasetTable(dim=dim)
 
     # group by class: a stable sort keeps file order within a class, and
     # each class's first row in file order fixes the class order
@@ -243,11 +284,10 @@ def parse_feature_dataset(source: str | TextIO) -> DatasetTable:
     sorted_ids = ids[order]
     starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
     ends = np.r_[starts[1:], len(ids)]
-    classes = [
-        ClassRecord(int(sorted_ids[starts[g]]), x[order[starts[g]:ends[g]]])
-        for g in np.argsort(order[starts], kind="stable")
-    ]
-    return DatasetTable(dim=dim, classes=classes)
+    groups = np.argsort(order[starts], kind="stable")
+    rows = np.concatenate([order[starts[g]:ends[g]] for g in groups])
+    return DatasetTable.from_rows(dim, x[rows], sorted_ids[starts[groups]],
+                                  (ends - starts)[groups])
 
 
 def _read_blocks(source: TextIO) -> Iterator[str]:
@@ -477,7 +517,7 @@ def split_classes(table: DatasetTable, n_train_classes: int, seed: int) -> MetaS
     """Partition classes into disjoint meta-train / meta-test pools.
 
     The assignment is a deterministic function of the table's class list,
-    ``n_train_classes`` and ``seed``.
+    ``n_train_classes`` and ``seed``.  Both pools share the table's rows.
     """
     total = table.n_classes
     if not (is_integer(n_train_classes) and 1 <= n_train_classes < total):
@@ -488,14 +528,11 @@ def split_classes(table: DatasetTable, n_train_classes: int, seed: int) -> MetaS
     if seed < 0:
         raise ArgumentError(f"seed must be >= 0, got {seed}")
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    perm = gen.permutation(total)
-    train_idx = set(perm[:n_train_classes].tolist())
-    train = [rec for i, rec in enumerate(table.classes) if i in train_idx]
-    test = [rec for i, rec in enumerate(table.classes) if i not in train_idx]
-    return MetaSplit(
-        meta_train=DatasetTable(table.dim, train),
-        meta_test=DatasetTable(table.dim, test),
-    )
+    train = np.zeros(total, dtype=bool)
+    train[gen.permutation(total)[:n_train_classes]] = True
+    side = [DatasetTable.from_rows(table.dim, table.x, table.ids[pick], table.sizes[pick],
+                                   table.starts[pick]) for pick in (train, ~train)]
+    return MetaSplit(meta_train=side[0], meta_test=side[1])
 
 
 def synthetic_class_means(spec: SyntheticSpec) -> np.ndarray:
@@ -512,8 +549,9 @@ def generate_synthetic(spec: SyntheticSpec) -> DatasetTable:
         0.0, spec.class_std, size=(spec.num_classes, spec.samples_per_class, spec.dim)
     )
     noise += means[:, None, :]  # in place: the noise array becomes the pool
-    classes = [ClassRecord(c, noise[c]) for c in range(spec.num_classes)]
-    return DatasetTable(dim=spec.dim, classes=classes)
+    return DatasetTable.from_rows(spec.dim, noise.reshape(-1, spec.dim),
+                                  range(spec.num_classes),
+                                  [spec.samples_per_class] * spec.num_classes)
 
 
 def bayes_oracle_accuracy(

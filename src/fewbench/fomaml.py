@@ -201,13 +201,13 @@ def _forward(W1, b1, W2, b2, x):
     return hidden, logits
 
 
-def _loss_grad(W1, b1, W2, b2, x, y):
-    """Per-task losses ``(E,)``, per-task gradients of (W1, b1, W2, b2)
-    and logits of float64 rows ``x`` ``(E, S, d)`` with int64 labels ``y``
-    ``(S,)`` or ``(E, S)``, under parameters with or without the task axis.
-    A non-finite loss in any task raises :class:`NumericError`."""
+def _loss_grad(W1, b1, W2, b2, x, y, picks=None):
+    """Per-task losses ``(E,)``, gradients of (W1, b1, W2, b2) and logits
+    of float64 rows ``x`` ``(E, S, d)`` with int64 labels ``y`` and their
+    ``picks``, as ``heads.softmax_xent`` takes them, under parameters with
+    or without the task axis.  A non-finite loss raises :class:`NumericError`."""
     hidden, logits = _forward(W1, b1, W2, b2, x)
-    loss, d_logits = heads.softmax_xent(logits, y)
+    loss, d_logits = heads.softmax_xent(logits, y, picks)
     if not np.isfinite(loss).all():
         raise NumericError("non-finite loss in MLP forward pass")
     d_w2 = d_logits.swapaxes(-1, -2) @ hidden
@@ -252,12 +252,12 @@ def inner_adapt(
     x, y = _check_batch(params, support_x, support_y)
     if config.steps == 0:
         return params
+    weights = _arrays(params)   # stepped as bare arrays
+    picks = heads.label_picks(y, x.shape[:2] + params.b2.shape[-1:])
     for _ in range(config.steps):
-        _, *grads, _ = _loss_grad(*_arrays(params), x, y)
-        params = params.step(MlpParams(*grads), config.lr)
-    if np.ndim(support_x) == 3:
-        return params
-    return MlpParams(*(a[0] for a in _arrays(params)))
+        _, *grads, _ = _loss_grad(*weights, x, y, picks)
+        weights = [w - config.lr * g for w, g in zip(weights, grads)]
+    return MlpParams(*(weights if np.ndim(support_x) == 3 else [w[0] for w in weights]))
 
 
 def _fo_step_with_stats(

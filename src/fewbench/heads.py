@@ -683,15 +683,26 @@ class LinearHead:
     loss_history: tuple = ()   # per epoch: a float, or an (E,) array
 
 
-def softmax_xent(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def label_picks(y: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
+    """The flat positions ``(E, S)`` of int64 labels ``y`` (see
+    :func:`softmax_xent`) in logits of ``shape`` ``(E, S, N)``."""
+    tasks, rows, n_way = shape
+    return np.arange(0, tasks * rows * n_way, n_way).reshape(tasks, rows) + y
+
+
+def softmax_xent(logits: np.ndarray, y: np.ndarray,
+                 picks: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Each task's mean softmax cross-entropy ``(E,)`` over logits
     ``(E, S, N)`` and its gradient in the logits, for int64 labels ``y`` in
-    ``[0, N)``: ``(S,)``, shared by every task, or ``(E, S)``."""
+    ``[0, N)``: ``(S,)``, shared by every task, or ``(E, S)``.  A caller
+    that steps many times on the same labels passes their
+    :func:`label_picks` as ``picks``, computed once."""
     # ufunc reductions, not ndarray.max/.sum/.mean: no Python wrapper per call
     shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     log_probs = shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
-    tasks, rows, n_way = logits.shape
-    picks = np.arange(0, logits.size, n_way).reshape(tasks, rows) + y   # the true labels
+    rows = logits.shape[1]
+    if picks is None:
+        picks = label_picks(y, logits.shape)
     loss = -(np.add.reduce(log_probs.take(picks), axis=-1) / rows)
     grad = np.exp(log_probs)
     grad.reshape(-1)[picks] -= 1.0

@@ -6,6 +6,10 @@ labels 0..N-1 are assigned in class-draw order, and the original class ids
 are recorded in ``class_map``.  Episode ``i`` of a stream is generated
 from the ``i``-th forked substream of the stream seed, so streams are
 reproducible element-wise and safe to generate in parallel.
+
+The draws pick row indices into the pool's one row array
+(:attr:`~fewbench.dataset.DatasetTable.x`, in class order), and the rows
+of a whole block of episodes, or of a batch, are gathered from it at once.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from .dataset import DatasetTable
 from .errors import ArgumentError, SamplingError
-from .rng import RngState, check_count, is_integer
+from .rng import RngState, check_count, is_integer, streams
 
 __all__ = [
     "ALL_REMAINING",
@@ -110,10 +114,15 @@ def check_pool(pool: DatasetTable, spec: EpisodeSpec) -> None:
     Every class is checked, since any class can be drawn."""
     if pool.n_classes < spec.n_way:
         raise _too_few_classes(pool, spec.n_way)
-    need = _examples_needed(spec)
-    for rec in pool.classes:
-        if len(rec.examples) < need:
-            raise _too_few_examples(rec.class_id, len(rec.examples), need)
+    _check_sizes(pool, np.arange(pool.n_classes), _examples_needed(spec))
+
+
+def _check_sizes(pool: DatasetTable, picked: np.ndarray, need: int) -> None:
+    """Raise for the first class of ``picked`` with fewer than ``need`` rows."""
+    counts = pool.sizes[picked]
+    small = np.flatnonzero(counts < need)
+    if len(small):
+        raise _too_few_examples(int(pool.ids[picked[small[0]]]), int(counts[small[0]]), need)
 
 
 def episode_shape(pool: DatasetTable, spec: EpisodeSpec) -> tuple[int, int, int] | None:
@@ -123,7 +132,7 @@ def episode_shape(pool: DatasetTable, spec: EpisodeSpec) -> tuple[int, int, int]
     n, k, qpc = spec.n_way, spec.k_shot, spec.query_per_class
     if qpc != ALL_REMAINING:
         return n, k, n * qpc
-    sizes = {len(rec.examples) for rec in pool.classes}
+    sizes = set(pool.sizes.tolist())
     return (n, k, n * (sizes.pop() - k)) if len(sizes) == 1 else None
 
 
@@ -162,9 +171,12 @@ def sample_block(pool: DatasetTable, spec: EpisodeSpec, rngs) -> Episode:
     Each episode draws its classes uniformly without replacement, then one
     permutation per class (its first K entries pick the support rows, the
     rest the queries, or Q of them), then a shuffle of the query set so
-    that position carries no label information.  Rows are copied from the
-    pool's class arrays, which are never concatenated.  ``support_y`` is
-    shared by every episode; the other fields have a leading axis of
+    that position carries no label information.  The draws of each
+    episode are indices into the pool's rows ``pool.x``; the support and
+    the query rows of the whole block are then gathered from it at once.
+    The substreams are walked with :func:`~fewbench.rng.streams`, which
+    draws what each ``RngState.generator`` would.  ``support_y`` is shared
+    by every episode; the other fields have a leading axis of
     ``len(rngs)``.  Every episode must have the same query count (see
     :func:`episode_shape`).
     """
@@ -175,39 +187,38 @@ def sample_block(pool: DatasetTable, spec: EpisodeSpec, rngs) -> Episode:
         raise _too_few_classes(pool, n)
     need = _examples_needed(spec)
     qpc = None if spec.query_per_class == ALL_REMAINING else spec.query_per_class
-    for e, rng in enumerate(rngs):
-        gen = rng.generator
-        recs = [pool.classes[c] for c in gen.choice(pool.n_classes, size=n, replace=False)]
-        perms = []
-        for rec in recs:
-            if len(rec.examples) < need:
-                raise _too_few_examples(rec.class_id, len(rec.examples), need)
-            perms.append(gen.permutation(len(rec.examples)))
-        sizes = tuple(len(perm) if qpc is None else k + qpc for perm in perms)
-        rows = np.concatenate([rec.examples[perm[:m]]
-                               for rec, perm, m in zip(recs, perms, sizes)])
-        support, query, labels = _layout(k, sizes)
-        shuffle = gen.permutation(len(query))
+    sizes, starts = pool.sizes, pool.starts
+    short = bool((sizes < need).any())  # else no drawn class can be too small
+    support = np.empty((len(rngs), n * k), dtype=np.int64)
+    chosen = np.empty((len(rngs), n), dtype=np.int64)
+    for e, gen in enumerate(streams(rngs)):
+        picked = gen.choice(pool.n_classes, size=n, replace=False)
+        if short:
+            _check_sizes(pool, picked, need)
+        counts = sizes[picked].tolist()
+        perms = [gen.permutation(m) for m in counts]
+        taken = tuple(counts) if qpc is None else (k + qpc,) * n
+        # the pool rows that the taken permutation entries name, class by class
+        rows = np.concatenate([perm[:m] for perm, m in zip(perms, taken)])
+        rows += np.repeat(starts[picked], taken)
+        sup, qry, labels = _layout(k, taken)
+        shuffle = gen.permutation(len(qry))
         if e == 0:
-            support_x = np.empty((len(rngs), n * k, pool.dim))
-            query_x = np.empty((len(rngs), len(query), pool.dim))
-            query_y = np.empty((len(rngs), len(query)), dtype=np.int64)
-            class_map = np.empty((len(rngs), n), dtype=np.int64)
-        elif len(query) != query_x.shape[1]:
-            raise ArgumentError(f"episode {e} of the block has {len(query)} "
-                                f"queries, episode 0 has {query_x.shape[1]}")
-        # the indices are valid; "clip" only spares the buffered copy that
-        # take makes of ``out`` under the default mode
-        np.take(rows, support, axis=0, out=support_x[e], mode="clip")
-        np.take(rows, query[shuffle], axis=0, out=query_x[e], mode="clip")
+            query = np.empty((len(rngs), len(qry)), dtype=np.int64)
+            query_y = np.empty((len(rngs), len(qry)), dtype=np.int64)
+        elif len(qry) != query.shape[1]:
+            raise ArgumentError(f"episode {e} of the block has {len(qry)} "
+                                f"queries, episode 0 has {query.shape[1]}")
+        support[e] = rows[sup]
+        query[e] = rows[qry[shuffle]]
         query_y[e] = labels[shuffle]
-        class_map[e] = [rec.class_id for rec in recs]
+        chosen[e] = picked
     return Episode(
-        support_x=support_x,
+        support_x=pool.x.take(support, axis=0),
         support_y=np.repeat(np.arange(n, dtype=np.int64), k),
-        query_x=query_x,
+        query_x=pool.x.take(query, axis=0),
         query_y=query_y,
-        class_map=class_map,
+        class_map=pool.ids[chosen],
     )
 
 
@@ -229,12 +240,9 @@ def episode_stream(
 
 def sample_batch(pool: DatasetTable, batch_size: int, rng: RngState) -> np.ndarray:
     """Draw a flat ``(batch_size, d)`` batch of rows, uniform over all
-    examples of the pool and without replacement within one call.
-
-    Row ``j`` of the pool is row ``j - offset`` of the class whose rows
-    start at ``offset``, in class order; the rows are copied from the class
-    arrays, never from a concatenated copy of the pool.
-    """
+    examples of the pool and without replacement within one call: the
+    first ``batch_size`` entries of a permutation of the pool's rows in
+    class order, gathered from ``pool.x`` at once."""
     check_count("batch_size", batch_size)
     total = pool.total_examples
     if batch_size > total:
@@ -242,12 +250,7 @@ def sample_batch(pool: DatasetTable, batch_size: int, rng: RngState) -> np.ndarr
             f"batch_size {batch_size} exceeds pool size {total}"
         )
     take = rng.generator.permutation(total)[:batch_size]
-    sizes = np.array([len(rec.examples) for rec in pool.classes])
-    ends = np.cumsum(sizes)
-    owner = np.searchsorted(ends, take, side="right")   # class of each drawn row
-    rows = take - (ends - sizes)[owner]
-    out = np.empty((batch_size, pool.dim))
-    for c in np.flatnonzero(np.bincount(owner)):
-        pick = owner == c
-        out[pick] = pool.classes[c].examples[rows[pick]]
-    return out
+    # row j of the pool in class order is row j of x, shifted by its class's
+    # start past the rows of the classes before it
+    shift = np.repeat(pool.starts - np.cumsum(pool.sizes) + pool.sizes, pool.sizes)
+    return pool.x.take(take + shift[take], axis=0)

@@ -33,7 +33,7 @@ from .evaluation import cat_accuracy, ci95, evaluate_learner
 from .fomaml import InnerConfig, MlpParams, fo_meta_step, init_mlp, loss_and_grad
 from .heads import (SinkhornConfig, compute_prototypes, linear_head_fit, linear_head_predict,
                     proto_labels, sinkhorn)
-from .rng import RngState
+from .rng import RngState, streams
 from .sampler import EpisodeSpec, episode_stream, sample_block
 
 __all__ = ["run_selftest"]
@@ -127,6 +127,17 @@ def _check_stacked_linear_head() -> None:
         _require([a.tobytes() for a in got] == [a.tobytes() for a in want], i)
 
 
+def _check_keyed_streams() -> None:
+    # the keys of the shared generator against numpy's SeedSequence at the
+    # depths the harness forks to, and its draws against a fresh generator
+    for rngs in ([RngState(2**64 - 1).fork(i) for i in (0, 1, 2**32 - 1)],
+                 [RngState(7, (1, 12, j)) for j in range(4)]):
+        for gen, rng in zip(streams(rngs), rngs):
+            key = np.random.SeedSequence(rng.seed, spawn_key=rng.path).generate_state(2, np.uint64)
+            _require(np.array_equal(gen.bit_generator.state["state"]["key"], key), rng)
+            _require(np.array_equal(gen.permutation(9), rng.generator.permutation(9)), rng)
+
+
 def _check_single_shot_prototypes() -> None:
     x = np.arange(10.0).reshape(5, 2)
     y = np.arange(5)
@@ -209,6 +220,7 @@ _CHECKS = [
     ("single-shot prototypes", _check_single_shot_prototypes),
     ("ci95 formula", _check_ci95_formula),
     ("episode determinism", _check_episode_determinism),
+    ("keyed streams", _check_keyed_streams),
     ("artifact round trip", _check_artifact_round_trip),
     ("feature table round trip", _check_feature_table_round_trip),
     ("end-to-end scoring", _check_end_to_end_scoring),

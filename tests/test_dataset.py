@@ -677,6 +677,33 @@ def test_split_classes_refuses_counts_and_seeds_it_cannot_use(n_train, seed, mes
     split_classes(table, np.int64(2), seed=np.uint64(2**64 - 1))   # NumPy integers pass
 
 
+def test_classes_are_views_of_the_one_pool_array():
+    """Parsed, generated or built from records, a table keeps its rows back
+    to back in one float64 array, in class order; a class split shares its
+    table's array.  Class records are views of it, so writing through one
+    changes the table."""
+    parsed = parse_feature_dataset("dim=2\n3,1,2\n5,3,4\n3,5,6\n")
+    assert parsed.x.tolist() == [[1, 2], [5, 6], [3, 4]]
+    assert parsed.class_ids() == [3, 5] and parsed.starts.tolist() == [0, 2]
+    generated = generate_synthetic(SyntheticSpec(6, 3, 4, 1.0, 1.0, 0))
+    split = split_classes(generated, 2, seed=5)
+    built = DatasetTable(2, [ClassRecord(1, np.ones((2, 2), dtype=int)),
+                             ClassRecord(0, np.zeros((1, 2)))])
+    for table in (parsed, generated, built):
+        assert table.x.shape == (table.total_examples, table.dim)
+        assert table.starts.tolist() == np.cumsum([0, *table.sizes[:-1]]).tolist()
+    sides = (split.meta_train, split.meta_test)
+    assert all(table.x is generated.x for table in sides)
+    assert [table.total_examples for table in sides] == [8, 16]
+    for table in (parsed, generated, built, *sides):
+        assert table.x.dtype == np.float64 and table.x.flags.c_contiguous
+        for rec, start, size in zip(table.classes, table.starts, table.sizes):
+            assert np.shares_memory(rec.examples, table.x)
+            assert rec.examples.shape == (size, table.dim)
+            rec.examples[-1] = 7.0
+            assert (table.x[start + size - 1] == 7.0).all()
+
+
 # ---------------------------------------------------------------------------
 # Bayes oracle
 

@@ -333,8 +333,8 @@ def test_meta_train_zero_epochs_returns_init():
 
 
 def test_meta_train_checks_the_whole_pool_before_training(monkeypatch):
-    pool = small_pool()
-    pool.classes[-1].examples = pool.classes[-1].examples[:1]
+    *recs, last = small_pool().classes
+    pool = DatasetTable(6, recs + [ClassRecord(last.class_id, last.examples[:1])])
     drawn = []
     monkeypatch.setattr(fomaml, "sample_block", lambda *args: drawn.append(args))
     with pytest.raises(SamplingError, match="has 1 examples, episode needs 2"):
@@ -557,7 +557,7 @@ def test_non_finite_loss_inside_a_chunk_raises_as_the_oracle_does():
     loop's NumericError."""
     data = small_pool()
     poisoned = data.classes[4].class_id
-    data.classes[4].examples = np.full_like(data.classes[4].examples, 1e308)
+    data.classes[4].examples[:] = 1e308
     spec, chunk = EpisodeSpec(n_way=3, k_shot=1, query_per_class=2), 4
     outer = OuterConfig(meta_batch=12, epochs=1)
     for seed in range(100):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fewbench.errors import ArgumentError
 from fewbench.dataset import split_classes
-from fewbench.rng import RngState, check_count, is_integer
+from fewbench.rng import RngState, _philox_keys, check_count, is_integer, streams
 
 
 def test_same_state_same_draws():
@@ -142,3 +142,59 @@ def test_bool_counts_are_refused():
 def test_numpy_integer_seeds_draw_the_python_integer_stream():
     a = RngState(np.uint64(5)).fork(np.int32(2)).generator.uniform(size=4)
     assert np.array_equal(a, RngState(5).fork(2).generator.uniform(size=4))
+
+
+@pytest.mark.parametrize("path", [(1.5,), (-1,), (True,), (2, np.float64(3.0)), (np.True_,),
+                                  5, None])
+def test_states_built_directly_check_their_path(path):
+    """``fork``'s rule holds for a path given whole: a float is not
+    truncated, a negative index is not a bare ``ValueError``, and a bool
+    does not draw fork 1's stream."""
+    with pytest.raises(ArgumentError, match="fork index|path"):
+        RngState(1, path)
+
+
+def test_states_store_python_ints():
+    state = RngState(np.uint8(2), (np.int32(3), np.uint64(2**40)))
+    assert type(state.seed) is int and [type(i) for i in state.path] == [int, int]
+    assert state == RngState(2, (3, 2**40)) and hash(state) == hash(RngState(2, (3, 2**40)))
+    assert RngState(5, [1, 2]).path == (1, 2)
+
+
+def seed_sequence_keys(rngs):
+    return np.array([np.random.SeedSequence(rng.seed, spawn_key=rng.path)
+                     .generate_state(2, np.uint64) for rng in rngs])
+
+
+words = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), parent=st.lists(words, max_size=2),
+       last=st.lists(words, min_size=1, max_size=5))
+def test_key_mix_matches_seed_sequence(seed, parent, last):
+    """The keys of a block of sibling states, at the path depths
+    ``evaluate_learner`` (``(i,)``) and ``meta_train`` (``(1, epoch, j)``)
+    use, and with words of 2**32 or more, which ask numpy instead."""
+    rngs = [RngState(seed, tuple(parent) + (word,)) for word in last]
+    got = _philox_keys(rngs)
+    assert got.dtype == np.uint64 and np.array_equal(got, seed_sequence_keys(rngs))
+
+
+def test_key_mix_of_32_bit_siblings_asks_no_seed_sequence(monkeypatch):
+    for rngs in ([RngState(2**64 - 1, (1, 7, j)) for j in (0, 5, 2**32 - 1)],
+                 [RngState(0).fork(j) for j in range(30)]):
+        want = seed_sequence_keys(rngs)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "SeedSequence", None)
+            assert np.array_equal(_philox_keys(rngs), want)
+
+
+def test_streams_draw_what_each_generator_draws():
+    """Siblings, a mixed block of seeds and depths, and the root state."""
+    for rngs in ([RngState(4).fork(j) for j in range(5)],
+                 [RngState(3), RngState(3).fork(1), RngState(8, (2, 2**33)), RngState(0, (1,))]):
+        got = [gen.permutation(50) for gen in streams(rngs)]
+        assert all(np.array_equal(a, rng.generator.permutation(50))
+                   for a, rng in zip(got, rngs))
+        assert len(got) == len(rngs)

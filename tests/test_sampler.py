@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fewbench.dataset import SyntheticSpec, generate_synthetic
+from fewbench.dataset import SyntheticSpec, generate_synthetic, split_classes
 from fewbench.dataset import ClassRecord, DatasetTable
 from fewbench.errors import ArgumentError, SamplingError
 from fewbench.rng import RngState
@@ -112,8 +112,8 @@ def test_check_pool_raises_what_sample_episode_raises(spec):
 
 
 def test_check_pool_checks_every_class():
-    pool = make_pool(num_classes=4, samples=3)
-    pool.classes[2].examples = pool.classes[2].examples[:1]
+    recs = make_pool(num_classes=4, samples=3).classes
+    pool = DatasetTable(4, recs[:2] + [ClassRecord(2, recs[2].examples[:1])] + recs[3:])
     for spec in (EpisodeSpec(n_way=4, k_shot=2),
                  EpisodeSpec(n_way=2, k_shot=1, query_per_class=2)):
         check_pool(make_pool(num_classes=4, samples=3), spec)
@@ -295,9 +295,8 @@ def unequal_pool():
 
 
 def test_sample_batch_is_the_concatenated_pool_formula():
-    """The rows come from the class arrays, not from a copy of the pool,
-    and equal what indexing the concatenated pool with the same
-    permutation gives, bit for bit."""
+    """The rows equal what indexing the concatenated class arrays with the
+    same permutation gives, bit for bit."""
     pool = unequal_pool()
     flat = np.concatenate([rec.examples for rec in pool.classes])
     for i, size in enumerate((1, 5, 16, 38)):
@@ -367,3 +366,62 @@ def test_block_of_unequal_query_counts_is_refused():
     assert len(counts) > 1
     with pytest.raises(ArgumentError, match="queries"):
         sample_block(pool, spec, rngs)
+
+
+@pytest.mark.parametrize("rngs", [
+    [RngState(5, (1, e, j)) for e in (0, 3) for j in (0, 4)],    # two parent paths
+    [RngState(s).fork(2) for s in (0, 1, 2**64 - 1)],             # three seeds
+    [RngState(7, (2**32 + j,)) for j in range(3)],                # words past 32 bits
+    [RngState(9)] + [RngState(9).fork(j) for j in range(3)],      # a root and its children
+], ids=["parents", "seeds", "wide-words", "depths"])
+@pytest.mark.parametrize("pool,spec", [
+    (make_pool(), EpisodeSpec(5, 2)),                   # equal sizes, all-remaining
+    (make_pool(), EpisodeSpec(4, 1, 3)),                # equal sizes, Q per class
+    (unequal_pool(), EpisodeSpec(3, 2, 1)),             # unequal sizes, Q per class
+    (unequal_pool(), EpisodeSpec(2, 3)),                # unequal sizes, all-remaining
+], ids=["equal-all", "equal-q3", "unequal-q1", "unequal-all"])
+def test_blocks_of_any_streams_match_the_per_class_loop(rngs, pool, spec):
+    """A block of states that do not all share a seed and a parent path,
+    or whose path words reach 2**32, draws each episode from that state's
+    own generator, bit for bit.  Over unequal sizes with ``all-remaining``,
+    each episode is a block of its own."""
+    blocks = ([sample_block(pool, spec, rngs)] if episode_shape(pool, spec)
+              else [sample_block(pool, spec, [rng]) for rng in rngs])
+    got = [block[e] for block in blocks for e in range(len(block.class_map))]
+    for ep, rng in zip(got, rngs, strict=True):
+        want = sample_episode_oracle(pool, spec, rng)
+        for name in ("support_x", "support_y", "query_x", "query_y", "class_map"):
+            a, b = getattr(ep, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), name
+
+
+def test_sample_batch_draws_the_rows_it_always_drew():
+    """Rows that name their class and index, drawn from classes of unequal
+    sizes: the (class, index) pairs the per-class sampler drew."""
+    pool = DatasetTable(2, [ClassRecord(c, np.stack([np.full(n, c), np.arange(n)], axis=1))
+                            for c, n in zip((4, 0, 9), (3, 5, 2))])
+    want = {1: [(0, 4)], 4: [(0, 0), (9, 1), (9, 0), (4, 0)],
+            10: [(4, 0), (0, 1), (4, 2), (0, 4), (9, 0), (0, 2), (0, 3), (4, 1), (0, 0),
+                 (9, 1)]}
+    for i, (size, rows) in enumerate(want.items()):
+        got = sample_batch(pool, size, RngState(9).fork(i))
+        assert got.dtype == np.float64 and got.tolist() == [list(row) for row in rows]
+
+
+def test_split_pools_draw_what_their_copies_draw():
+    """The pools of a class split share their table's rows, with their
+    classes not back to back: they draw the rows that a copy of each
+    pool, classes back to back, draws."""
+    split = split_classes(make_pool(num_classes=10, samples=8), 6, seed=3)
+    for pool in (split.meta_train, split.meta_test):
+        copy = DatasetTable(pool.dim, pool.classes)
+        assert not np.shares_memory(copy.x, pool.x)
+        rngs = [RngState(4).fork(i) for i in range(5)]
+        for spec in (EpisodeSpec(3, 2, 2), EpisodeSpec(4, 1)):
+            got, want = sample_block(pool, spec, rngs), sample_block(copy, spec, rngs)
+            for name in ("support_x", "query_x", "query_y", "class_map"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        for size in (1, 9, pool.total_examples):
+            assert sample_batch(pool, size, RngState(2)).tobytes() == \
+                sample_batch(copy, size, RngState(2)).tobytes()
