@@ -93,7 +93,10 @@ class DatasetTable:
     built from class records holds its classes back to back in ``x``, in
     class order, and one built from records copies their rows there once,
     as float64.  A class split shares its table's ``x``, so neither side
-    copies a row.  :attr:`classes` gives the records as views of ``x``.
+    copies a row.  :attr:`classes` gives the records as views of ``x``,
+    in a new list on each access: a read-only snapshot, since adding,
+    removing or replacing its items changes no table.  Build a new table
+    from records to change its classes.
     """
 
     def __init__(self, dim: int, classes: Iterable[ClassRecord] = ()):
@@ -126,9 +129,14 @@ class DatasetTable:
         self.sizes = np.asarray(sizes, dtype=np.int64)
         self.starts = (np.cumsum(self.sizes) - self.sizes) if starts is None else starts
 
+    def __repr__(self) -> str:
+        return (f"DatasetTable(dim={self.dim}, ids={self.ids.tolist()}, "
+                f"sizes={self.sizes.tolist()})")
+
     @property
     def classes(self) -> list[ClassRecord]:
-        """Each class's id and rows, the rows a view of ``x``."""
+        """Each class's id and rows, the rows a view of ``x``, in a new
+        list on each access (see the class docstring)."""
         return [ClassRecord(c, self.x[a:a + m]) for c, a, m in
                 zip(self.ids.tolist(), self.starts.tolist(), self.sizes.tolist())]
 

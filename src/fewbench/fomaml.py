@@ -77,12 +77,7 @@ class MlpParams:
 
     def step(self, grads: "MlpParams", lr: float) -> "MlpParams":
         """One gradient-descent update; returns new params."""
-        return MlpParams(
-            W1=self.W1 - lr * grads.W1,
-            b1=self.b1 - lr * grads.b1,
-            W2=self.W2 - lr * grads.W2,
-            b2=self.b2 - lr * grads.b2,
-        )
+        return MlpParams(*_sgd(_arrays(self), _arrays(grads), lr))
 
 
 @dataclass(frozen=True)
@@ -152,6 +147,11 @@ def _arrays(params: MlpParams) -> tuple[np.ndarray, ...]:
     return params.W1, params.b1, params.W2, params.b2
 
 
+def _sgd(weights, grads, lr: float) -> list[np.ndarray]:
+    """One gradient-descent update of the bare arrays ``weights``."""
+    return [w - lr * g for w, g in zip(weights, grads)]
+
+
 def _stacked(params: MlpParams, x: np.ndarray) -> bool:
     """Whether ``params`` has a task axis that does not match the rows ``x``."""
     return params.W1.ndim == 3 and (x.ndim != 3 or len(x) != len(params.W1))
@@ -172,8 +172,8 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
 
 
 def _check_batch(params, x, y):
-    """Rows ``x`` as float64 ``(E, S, d)`` (a 2-d batch is one task) and
-    labels ``y`` as :func:`~fewbench.heads.check_labels` gives them,
+    """Rows ``x`` as float64 ``(E, S, d)`` (a 2-d batch is one task), labels
+    ``y`` as ``heads.check_labels`` gives them and their ``heads.label_picks``,
     checked: one row of the MLP's width per label (labels ``(S,)`` are
     shared by every task) and one task per set of parameters."""
     x = np.asarray(x, dtype=np.float64)
@@ -185,7 +185,8 @@ def _check_batch(params, x, y):
             or y.shape not in (x.shape[1:2], x.shape[:2]) or _stacked(params, x)):
         raise ShapeError(f"batch of shape {shape} with labels of shape {y.shape} "
                          f"for a {params.W1.shape[-1]}-wide MLP")
-    return x, heads.check_labels(y, params.b2.shape[-1])
+    y = heads.check_labels(y, params.b2.shape[-1])
+    return x, y, heads.label_picks(y, x.shape[:2] + params.b2.shape[-1:])
 
 
 def _forward(W1, b1, W2, b2, x):
@@ -201,13 +202,13 @@ def _forward(W1, b1, W2, b2, x):
     return hidden, logits
 
 
-def _loss_grad(W1, b1, W2, b2, x, y, picks=None):
+def _loss_grad(W1, b1, W2, b2, x, picks):
     """Per-task losses ``(E,)``, gradients of (W1, b1, W2, b2) and logits
-    of float64 rows ``x`` ``(E, S, d)`` with int64 labels ``y`` and their
+    of float64 rows ``x`` ``(E, S, d)`` with the label positions
     ``picks``, as ``heads.softmax_xent`` takes them, under parameters with
     or without the task axis.  A non-finite loss raises :class:`NumericError`."""
     hidden, logits = _forward(W1, b1, W2, b2, x)
-    loss, d_logits = heads.softmax_xent(logits, y, picks)
+    loss, d_logits = heads.softmax_xent(logits, picks)
     if not np.isfinite(loss).all():
         raise NumericError("non-finite loss in MLP forward pass")
     d_w2 = d_logits.swapaxes(-1, -2) @ hidden
@@ -228,8 +229,8 @@ def loss_and_grad(
     axis.  Labels that are not bools or integers in ``[0, n_way)`` raise
     :class:`EpisodeFormatError`.
     """
-    rows, y = _check_batch(params, x, y)
-    loss, *grads, _ = _loss_grad(*_arrays(params), rows, y)
+    rows, _, picks = _check_batch(params, x, y)
+    loss, *grads, _ = _loss_grad(*_arrays(params), rows, picks)
     if np.ndim(x) == 3:
         return loss, MlpParams(*grads)
     return float(loss[0]), MlpParams(*(g[0] for g in grads))
@@ -249,14 +250,13 @@ def inner_adapt(
     :class:`EpisodeFormatError`.
     """
     config = config or InnerConfig()
-    x, y = _check_batch(params, support_x, support_y)
+    x, _, picks = _check_batch(params, support_x, support_y)
     if config.steps == 0:
         return params
     weights = _arrays(params)   # stepped as bare arrays
-    picks = heads.label_picks(y, x.shape[:2] + params.b2.shape[-1:])
     for _ in range(config.steps):
-        _, *grads, _ = _loss_grad(*weights, x, y, picks)
-        weights = [w - config.lr * g for w, g in zip(weights, grads)]
+        _, *grads, _ = _loss_grad(*weights, x, picks)
+        weights = _sgd(weights, grads, config.lr)
     return MlpParams(*(weights if np.ndim(support_x) == 3 else [w[0] for w in weights]))
 
 
@@ -281,8 +281,8 @@ def _fo_step_with_stats(
     m = 0
     for chunk in chunks:
         adapted = inner_adapt(params, chunk.support_x, chunk.support_y, inner)
-        query_x, query_y = _check_batch(params, chunk.query_x, chunk.query_y)
-        losses, *grads, logits = _loss_grad(*_arrays(adapted), query_x, query_y)
+        query_x, query_y, picks = _check_batch(params, chunk.query_x, chunk.query_y)
+        losses, *grads, logits = _loss_grad(*_arrays(adapted), query_x, picks)
         accs = cat_accuracy(np.argmax(logits, axis=2), np.broadcast_to(query_y, logits.shape[:2]))
         for b in range(len(losses)):
             loss_sum += float(losses[b])

@@ -684,25 +684,21 @@ class LinearHead:
 
 
 def label_picks(y: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
-    """The flat positions ``(E, S)`` of int64 labels ``y`` (see
-    :func:`softmax_xent`) in logits of ``shape`` ``(E, S, N)``."""
+    """The flat positions ``(E, S)`` of int64 labels ``y`` in ``[0, N)``,
+    ``(S,)``, shared by every task, or ``(E, S)``, in logits of ``shape``
+    ``(E, S, N)``: what :func:`softmax_xent` takes."""
     tasks, rows, n_way = shape
     return np.arange(0, tasks * rows * n_way, n_way).reshape(tasks, rows) + y
 
 
-def softmax_xent(logits: np.ndarray, y: np.ndarray,
-                 picks: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def softmax_xent(logits: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each task's mean softmax cross-entropy ``(E,)`` over logits
-    ``(E, S, N)`` and its gradient in the logits, for int64 labels ``y`` in
-    ``[0, N)``: ``(S,)``, shared by every task, or ``(E, S)``.  A caller
-    that steps many times on the same labels passes their
-    :func:`label_picks` as ``picks``, computed once."""
+    ``(E, S, N)`` and its gradient in the logits, for the flat positions
+    ``picks`` ``(E, S)`` of the true labels (see :func:`label_picks`)."""
     # ufunc reductions, not ndarray.max/.sum/.mean: no Python wrapper per call
     shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     log_probs = shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
     rows = logits.shape[1]
-    if picks is None:
-        picks = label_picks(y, logits.shape)
     loss = -(np.add.reduce(log_probs.take(picks), axis=-1) / rows)
     grad = np.exp(log_probs)
     grad.reshape(-1)[picks] -= 1.0
@@ -710,10 +706,11 @@ def softmax_xent(logits: np.ndarray, y: np.ndarray,
     return loss, grad
 
 
-def _loss_grad(w, b, x, y):
+def _loss_grad(w, b, x, picks):
     """Losses ``(E,)`` and gradients of heads ``w`` (E, N, d), ``b`` (E, N)
-    on rows ``x`` (E, S, d) with int64 labels ``y`` (S,) in ``[0, N)``."""
-    loss, dz = softmax_xent(x @ w.swapaxes(-1, -2) + b[:, None, :], y)
+    on rows ``x`` (E, S, d) with the label positions ``picks`` (see
+    :func:`label_picks`)."""
+    loss, dz = softmax_xent(x @ w.swapaxes(-1, -2) + b[:, None, :], picks)
     return loss, dz.swapaxes(-1, -2) @ x, dz.sum(axis=1)
 
 
@@ -728,7 +725,7 @@ def linear_loss_and_grad(
     y = check_labels(y, w.shape[-2])
     if one:
         w, b, x = w[None], b[None], x[None]
-    loss, g_w, g_b = _loss_grad(w, b, x, y)
+    loss, g_w, g_b = _loss_grad(w, b, x, label_picks(y, x.shape[:2] + w.shape[-2:-1]))
     return (float(loss[0]), g_w[0], g_b[0]) if one else (loss, g_w, g_b)
 
 
@@ -757,6 +754,7 @@ def linear_head_fit(
     if one:
         x = x[None]
     y = np.asarray(support_y).astype(np.int64)   # labels 0..N-1, checked above
+    picks = label_picks(y, (len(x), len(y), n))
 
     w = np.zeros((len(x), n, x.shape[-1]))
     b = np.zeros((len(x), n))
@@ -765,7 +763,7 @@ def linear_head_fit(
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     losses = []
     for t in range(1, epochs + 1):
-        loss, g_w, g_b = _loss_grad(w, b, x, y)
+        loss, g_w, g_b = _loss_grad(w, b, x, picks)
         if not np.isfinite(loss).all():
             raise DivergenceError(f"loss diverged at epoch {t}; reduce step_size")
         losses.append(float(loss[0]) if one else loss)

@@ -10,11 +10,11 @@ were generated before it, which is what makes parallel generation safe.
 
 A stream is a Philox generator whose counter starts at 0, so its 128-bit
 key alone names it (Salmon et al., "Parallel random numbers: as easy as
-1, 2, 3", SC 2011).  :func:`streams` walks many states with one shared
-generator, resetting its key and counter for each state instead of
-building a ``SeedSequence``, a ``Philox`` and a ``Generator`` per state.
-When the states share a seed and all but the last word of their path,
-the keys of all of them come from one vectorised pass of numpy's
+1, 2, 3", SC 2011).  :func:`streams` walks many states with the first
+state's generator, resetting its key and counter for each later state
+instead of building a ``SeedSequence``, a ``Philox`` and a ``Generator``
+per state.  When two states or more share a seed and all but the last
+word of their path, their keys come from one vectorised pass of numpy's
 ``SeedSequence`` mix, whose work up to the last path word is cached.
 """
 
@@ -91,26 +91,30 @@ class RngState:
 
     def fork(self, index: int) -> "RngState":
         """The ``index``-th child substream of this state."""
-        return RngState(self.seed, self.path + (index,))
+        if not is_integer(index) or index < 0:
+            raise ArgumentError(f"fork index must be a non-negative integer, got {index!r}")
+        # this state's fields are checked already: only the new index is
+        child = object.__new__(RngState)
+        object.__setattr__(child, "seed", self.seed)
+        object.__setattr__(child, "path", self.path + (int(index),))
+        return child
 
 
 def streams(rngs: Sequence[RngState]) -> Iterator[np.random.Generator]:
     """For each state of ``rngs`` in order, a generator at the start of its
     substream, drawing what ``state.generator`` would draw.
 
-    Every item is the same generator, reset to the next state's key and a
-    zero counter, so finish drawing from one item before taking the next.
+    Every item is the first state's generator, reset to the next state's
+    key and a zero counter, so finish drawing from one item before taking
+    the next.
     """
-    gen = np.random.Generator(np.random.Philox(0))
+    gen = rngs[0].generator
     bits = gen.bit_generator
-    # a fresh Philox: counter 0, its 4-word buffer spent, no 32-bit half kept
-    state = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, np.uint64), "key": None},
-             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
-    for key in _philox_keys(rngs):
-        state["state"]["key"] = key
-        bits.state = state
+    start = bits.state   # counter 0, buffer spent, no 32-bit half kept
+    yield gen
+    for key in _philox_keys(rngs[1:]):
+        start["state"]["key"] = key
+        bits.state = start
         yield gen
 
 
@@ -181,22 +185,23 @@ def _philox_keys(rngs: Sequence[RngState]) -> np.ndarray:
     ``SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)``
     gives.
 
-    When the states share a seed and a parent path, and every path word is
-    below ``2**32`` so it is one 32-bit word of entropy, only the last word
-    differs from state to state: the mix up to it is cached, and the last
-    word is mixed into the four pool words of all states at once.  Other
-    blocks ask numpy for each key.
+    When there are two states or more, they share a seed and a parent
+    path, and every path word is below ``2**32`` so it is one 32-bit word
+    of entropy, only the last word differs from state to state: the mix up
+    to it is cached, and the last word is mixed into the four pool words
+    of all states at once.  Other blocks ask numpy for each key, which is
+    faster for one state.
     """
-    first = rngs[0]
-    seed, parent = first.seed, first.path[:-1]
-    last = [rng.path[-1] for rng in rngs
-            if rng.path and rng.seed == seed and rng.path[:-1] == parent]
-    if len(last) < len(rngs) or max(parent + tuple(last)) > _WORD:
-        return np.array([np.random.SeedSequence(rng.seed, spawn_key=rng.path)
-                         .generate_state(2, np.uint64) for rng in rngs])
-    pool, before, after = _pool_before_last(seed, parent)
-    words = np.array(last, dtype=np.uint32)[:, None]
-    pool = _mix(pool, _hash(words, before, after))  # (E, 4)
-    # four little-endian 32-bit words make two 64-bit ones, as in numpy
-    out = _hash(pool, *_STATE_HASH).astype("<u4", copy=False)
-    return out.view("<u8").astype(np.uint64, copy=False)
+    if len(rngs) > 1:
+        seed, parent = rngs[0].seed, rngs[0].path[:-1]
+        last = [rng.path[-1] for rng in rngs
+                if rng.path and rng.seed == seed and rng.path[:-1] == parent]
+        if len(last) == len(rngs) and max(parent + tuple(last)) <= _WORD:
+            pool, before, after = _pool_before_last(seed, parent)
+            words = np.array(last, dtype=np.uint32)[:, None]
+            pool = _mix(pool, _hash(words, before, after))  # (E, 4)
+            # four little-endian 32-bit words make two 64-bit ones, as in numpy
+            out = _hash(pool, *_STATE_HASH).astype("<u4", copy=False)
+            return out.view("<u8").astype(np.uint64, copy=False)
+    return np.array([np.random.SeedSequence(rng.seed, spawn_key=rng.path)
+                     .generate_state(2, np.uint64) for rng in rngs]).reshape(-1, 2)

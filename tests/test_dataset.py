@@ -704,6 +704,16 @@ def test_classes_are_views_of_the_one_pool_array():
             assert (table.x[start + size - 1] == 7.0).all()
 
 
+def test_classes_are_a_snapshot_and_the_repr_names_the_classes():
+    table = DatasetTable(2, [ClassRecord(4, np.zeros((2, 2))), ClassRecord(1, np.ones((1, 2)))])
+    table.classes.pop()
+    table.classes.append(ClassRecord(9, np.ones((3, 2))))
+    assert table.class_ids() == [4, 1] and table.total_examples == 3
+    with pytest.raises(AttributeError):
+        table.classes[0].examples = np.ones((2, 2))
+    assert repr(table) == "DatasetTable(dim=2, ids=[4, 1], sizes=[2, 1])"
+
+
 # ---------------------------------------------------------------------------
 # Bayes oracle
 

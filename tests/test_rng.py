@@ -159,6 +159,8 @@ def test_states_store_python_ints():
     assert type(state.seed) is int and [type(i) for i in state.path] == [int, int]
     assert state == RngState(2, (3, 2**40)) and hash(state) == hash(RngState(2, (3, 2**40)))
     assert RngState(5, [1, 2]).path == (1, 2)
+    child = RngState(np.uint8(2), (np.int32(3),)).fork(np.uint64(2**40))
+    assert [type(i) for i in child.path] == [int, int] and child == state
 
 
 def seed_sequence_keys(rngs):
@@ -191,8 +193,10 @@ def test_key_mix_of_32_bit_siblings_asks_no_seed_sequence(monkeypatch):
 
 
 def test_streams_draw_what_each_generator_draws():
-    """Siblings, a mixed block of seeds and depths, and the root state."""
+    """Siblings, a mixed block of seeds and depths, the root state, and
+    blocks of one and two states."""
     for rngs in ([RngState(4).fork(j) for j in range(5)],
+                 [RngState(6, (2,))], [RngState(6, (2, 9)), RngState(6, (2, 3))],
                  [RngState(3), RngState(3).fork(1), RngState(8, (2, 2**33)), RngState(0, (1,))]):
         got = [gen.permutation(50) for gen in streams(rngs)]
         assert all(np.array_equal(a, rng.generator.permutation(50))
