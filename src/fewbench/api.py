@@ -21,9 +21,9 @@ import numpy as np
 from . import fomaml as fm
 from . import heads
 from .dataset import DatasetTable, read_text, render_value, write_text_atomic
-from .errors import ArgumentError, ArtifactError, ConfigError, EpisodeFormatError, ShapeError
+from .errors import ArtifactError, ConfigError, EpisodeFormatError, ShapeError
 from .rng import RngState, check_seed, is_integer
-from .sampler import EpisodeSpec, block_episodes, sample_batch
+from .sampler import EpisodeSpec, block_episodes, check_spec, sample_batch
 
 __all__ = [
     "METHODS",
@@ -461,8 +461,7 @@ def meta_fit(
     the long-running loops.
     """
     seed = check_seed(seed)
-    if not isinstance(episode_spec, EpisodeSpec):
-        raise ArgumentError(f"meta_fit needs an EpisodeSpec, got {episode_spec!r}")
+    check_spec("meta_fit", episode_spec)
     run = METHODS[method.name].meta_fit
     if run is None:
         arrays, provenance = {}, Provenance(seed=seed)

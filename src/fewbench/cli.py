@@ -33,6 +33,7 @@ from .errors import (
     ParseError,
 )
 from .pipeline import (
+    CONFIG_KEYS,
     BudgetClock,
     leaderboard_report,
     load_config,
@@ -67,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="split a dataset into train/test class pools")
     p.add_argument("--input", required=True)
     p.add_argument("--train-classes", type=int, required=True)
-    p.add_argument("--seed", type=int, default=1234)
+    p.add_argument("--seed", type=int, default=CONFIG_KEYS["data.split_seed"])
     p.add_argument("--out-train", required=True)
     p.add_argument("--out-test", required=True)
 

@@ -90,24 +90,28 @@ class DatasetTable:
 
     Class ``c`` has the id ``ids[c]`` and the rows
     ``x[starts[c]:starts[c] + sizes[c]]``.  A table parsed, generated or
-    built from class records holds its classes back to back in ``x``, in
-    class order, and one built from records copies their rows there once,
-    as float64.  A class split shares its table's ``x``, so neither side
-    copies a row.  :attr:`classes` gives the records as views of ``x``,
-    in a new list on each access: a read-only snapshot, since adding,
-    removing or replacing its items changes no table.  Build a new table
-    from records to change its classes.
+    built from records holds its classes back to back in ``x``, in class
+    order (records are copied there once, as float64); a class split
+    shares its table's ``x``.  :attr:`classes` is a read-only snapshot of
+    records viewing ``x``: changing the list changes no table, so build a
+    new table to change its classes.
+
+    A table checks its structure when it is built, and raises
+    :class:`ArgumentError` unless ``dim`` is an integer of at least 1 and
+    each class has an integer id of at least 0 that no other class has,
+    and at least one row of ``dim`` values.  Rows can change in place, so
+    whether they are finite is checked when the table is written, as is
+    the file format's bound of ids below 2**63.
     """
 
     def __init__(self, dim: int, classes: Iterable[ClassRecord] = ()):
-        classes = list(classes)
-        try:
-            x = np.concatenate([rec.examples for rec in classes] or [np.empty((0, dim))],
-                               dtype=np.float64)
-        except ValueError:
-            raise ArgumentError(f"class examples of shapes "
-                                f"{[rec.examples.shape for rec in classes]} make no "
-                                f"{dim}-wide table") from None
+        classes, dim = list(classes), check_count("dim", dim)
+        for rec in classes:
+            if np.shape(rec.examples)[1:] != (dim,):
+                raise ArgumentError(f"class {rec.class_id} examples have shape "
+                                    f"{np.shape(rec.examples)}, expected (n, {dim})")
+        x = np.concatenate([rec.examples for rec in classes] or [np.empty((0, dim))],
+                           dtype=np.float64)
         self._set(dim, x, [rec.class_id for rec in classes],
                   [len(rec.examples) for rec in classes])
 
@@ -121,12 +125,25 @@ class DatasetTable:
         return table
 
     def _set(self, dim, x, ids, sizes, starts=None) -> None:
-        self.dim, self.x = dim, x
-        try:
-            self.ids = np.asarray(ids, dtype=np.int64)
-        except OverflowError:   # ids of 2**63 and up, which only records can carry
-            self.ids = np.asarray(ids, dtype=object)
+        self.dim, self.x = check_count("dim", dim), x
+        if x.shape[1:] != (self.dim,):
+            raise ArgumentError(f"rows have shape {x.shape}, expected (n, {dim})")
         self.sizes = np.asarray(sizes, dtype=np.int64)
+        if len(ids) != len(self.sizes):
+            raise ArgumentError(f"{len(ids)} class ids for {len(self.sizes)} classes")
+        seen: dict[int, None] = {}  # the ids checked so far, in class order
+        for c, m in zip(ids, self.sizes.tolist()):
+            if not is_integer(c):
+                raise ArgumentError(f"class_id must be an integer, got {c!r}")
+            if c < 0:
+                raise ArgumentError(f"negative class_id {c}")
+            if c in seen:
+                raise ArgumentError(f"duplicate class_id {c}")
+            if m < 1:
+                raise ArgumentError(f"class {c} has no examples")
+            seen[int(c)] = None
+        big = max(seen, default=0) >= 2**63  # such ids build, and are refused when written
+        self.ids = np.asarray(list(seen), dtype=object if big else np.int64)
         self.starts = (np.cumsum(self.sizes) - self.sizes) if starts is None else starts
 
     def __repr__(self) -> str:
@@ -150,26 +167,6 @@ class DatasetTable:
 
     def class_ids(self) -> list[int]:
         return self.ids.tolist()
-
-    def validate(self) -> None:
-        if self.dim < 1:
-            raise ArgumentError(f"dim must be >= 1, got {self.dim}")
-        seen: set[int] = set()
-        for rec in self.classes:
-            if rec.class_id < 0:
-                raise ArgumentError(f"negative class_id {rec.class_id}")
-            if rec.class_id in seen:
-                raise ArgumentError(f"duplicate class_id {rec.class_id}")
-            seen.add(rec.class_id)
-            if len(rec.examples) == 0:
-                raise ArgumentError(f"class {rec.class_id} has no examples")
-            if rec.examples.ndim != 2 or rec.examples.shape[1] != self.dim:
-                raise ArgumentError(
-                    f"class {rec.class_id} examples have shape {rec.examples.shape}, "
-                    f"expected (n, {self.dim})"
-                )
-            if not np.isfinite(rec.examples).all():
-                raise ArgumentError(f"class {rec.class_id} contains non-finite values")
 
 
 @dataclass
@@ -433,7 +430,7 @@ def _open_feature_file(path: str, errors: str = "strict") -> TextIO:
 
 
 def load_feature_dataset(path: str) -> DatasetTable:
-    """Load and validate a feature-table file.  Row order is preserved.
+    """Load a feature-table file, parsed and checked by :func:`parse_feature_dataset`.
 
     A file that cannot be opened, or is not UTF-8 text, raises
     :class:`ParseError`.
@@ -456,13 +453,18 @@ def load_feature_header(path: str) -> DatasetTable:
 
 def _feature_chunks(table: DatasetTable) -> Iterator[str]:
     """The text of ``table`` in chunks of whole lines: the header, then
-    each class's rows in chunks of at most ``_BLOCK_CHARS`` characters."""
-    table.validate()
+    each class's rows in chunks of at most ``_BLOCK_CHARS`` characters.
+    A class must have finite rows, which can change in place after a table
+    is built, and an id below 2**63; each is checked before its chunks."""
     yield f"dim={table.dim}\n"
     # with its comma, a rendered value takes at most 25 characters, and so
     # does a class id below 2**63
     step = max(1, _BLOCK_CHARS // (25 * (table.dim + 1)))
     for rec in table.classes:
+        if rec.class_id >= 2**63:
+            raise ArgumentError(f"class_id {rec.class_id} is too large for a feature file")
+        if not np.isfinite(rec.examples).all():
+            raise ArgumentError(f"class {rec.class_id} contains non-finite values")
         prefix = f"{rec.class_id},"
         for start in range(0, len(rec.examples), step):
             # tolist() gives Python floats, whose repr is render_value's output
@@ -531,10 +533,7 @@ def split_classes(table: DatasetTable, n_train_classes: int, seed: int) -> MetaS
     if not (is_integer(n_train_classes) and 1 <= n_train_classes < total):
         raise ArgumentError(f"n_train_classes must be an integer in [1, {total - 1}], "
                             f"got {n_train_classes!r}")
-    if not is_integer(seed):
-        raise ArgumentError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ArgumentError(f"seed must be >= 0, got {seed}")
+    check_count("seed", seed, 0)
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     train = np.zeros(total, dtype=bool)
     train[gen.permutation(total)[:n_train_classes]] = True
@@ -562,12 +561,7 @@ def generate_synthetic(spec: SyntheticSpec) -> DatasetTable:
                                   [spec.samples_per_class] * spec.num_classes)
 
 
-def bayes_oracle_accuracy(
-    spec: SyntheticSpec,
-    episode_spec,
-    trials: int,
-    seed: int,
-) -> float:
+def bayes_oracle_accuracy(spec: SyntheticSpec, episode_spec, trials: int, seed: int) -> float:
     """Monte-Carlo accuracy of the Bayes-optimal classifier on the spec's pool.
 
     The oracle knows the true class means and the (shared, isotropic)
@@ -575,16 +569,12 @@ def bayes_oracle_accuracy(
     the episode's classes.  Serves as the reference point that no
     embedding-side method can beat in expectation.
     """
-    from .sampler import RngState, sample_episode  # local import to avoid a cycle
+    from .sampler import episode_stream  # local import to avoid a cycle
 
     trials = check_count("trials", trials)
     means = synthetic_class_means(spec)
-    table = generate_synthetic(spec)
-    root = RngState(seed)
-    correct = 0
-    total = 0
-    for i in range(trials):
-        ep = sample_episode(table, episode_spec, root.fork(i))
+    correct = total = 0
+    for ep in episode_stream(generate_synthetic(spec), episode_spec, trials, seed):
         episode_means = means[ep.class_map]  # (N, dim) true means, episode order
         d2 = ((ep.query_x[:, None, :] - episode_means[None, :, :]) ** 2).sum(axis=2)
         pred = np.argmin(d2, axis=1)

@@ -22,7 +22,7 @@ from .errors import (
     ShapeError,
 )
 from .rng import RngState, check_count
-from .sampler import EpisodeSpec, episode_shape, sample_block
+from .sampler import EpisodeSpec, check_spec, episode_shape, sample_block
 
 __all__ = [
     "EpisodeScore",
@@ -111,8 +111,7 @@ def evaluate_learner(
     a timeout's count of completed episodes is whole blocks.
     """
     episode_count = check_count("episode_count", episode_count)
-    if not isinstance(spec, EpisodeSpec):
-        raise ArgumentError(f"evaluate_learner needs an EpisodeSpec, got {spec!r}")
+    check_spec("evaluate_learner", spec)
     root = RngState(seed)
     sizer = getattr(learner, "block_size", None)
     shape = None if sizer is None else episode_shape(pool, spec)

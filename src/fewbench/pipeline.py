@@ -158,7 +158,7 @@ class PhaseConfig:
 #: ``method.<name>.<key>`` keys that the method registry declares.  The
 #: ``data.synthetic.*`` and ``sampler.*`` defaults are the fields of
 #: :class:`SyntheticSpec` and :class:`EpisodeSpec`.
-_CONFIG_KEYS = {
+CONFIG_KEYS = {
     "phase.name": "custom",
     "phase.seeds": (101, 202, 303),
     "phase.episode_count": 600,
@@ -176,7 +176,7 @@ _CONFIG_KEYS = {
 }
 
 #: Synthetic stand-ins for the published phase shapes, by ``phase.name``:
-#: overlays of ``_CONFIG_KEYS`` for a synthetic phase.
+#: overlays of ``CONFIG_KEYS`` for a synthetic phase.
 _PRESETS = {
     name: {"data.synthetic.num_classes": classes,
            "data.synthetic.samples_per_class": samples, "data.n_train_classes": train}
@@ -205,7 +205,7 @@ def _method_params(cfg: dict[str, str]) -> dict[str, dict[str, str]]:
     any other key that nothing reads."""
     per_method: dict[str, dict[str, str]] = {}
     for key, value in cfg.items():
-        if key in _CONFIG_KEYS:
+        if key in CONFIG_KEYS:
             continue
         section, _, rest = key.partition(".")
         name, dot, param = rest.partition(".")
@@ -213,7 +213,7 @@ def _method_params(cfg: dict[str, str]) -> dict[str, dict[str, str]]:
             per_method.setdefault(name, {})[param] = value
             continue
         raise ConfigError(
-            f"unknown config key {key!r}; known: {sorted(_CONFIG_KEYS)}, and "
+            f"unknown config key {key!r}; known: {sorted(CONFIG_KEYS)}, and "
             f"method.<name>.<key> for the methods {sorted(METHODS)}"
         )
     for name, params in per_method.items():
@@ -223,13 +223,13 @@ def _method_params(cfg: dict[str, str]) -> dict[str, dict[str, str]]:
 
 def load_config(cfg: dict[str, str]) -> PhaseConfig:
     """Build a validated PhaseConfig from a parsed key/value mapping.  A key
-    left out takes its default from ``_CONFIG_KEYS``, or from ``_PRESETS`` in
+    left out takes its default from ``CONFIG_KEYS``, or from ``_PRESETS`` in
     a synthetic phase named after a preset; a value that does not convert
     raises :class:`ConfigError` naming the key."""
     method_params = _method_params(cfg)
     synthetic_data = "data.train_path" not in cfg and "data.test_path" not in cfg
     preset = _PRESETS.get(cfg.get("phase.name"), {}) if synthetic_data else {}
-    defaults = {**_CONFIG_KEYS, **preset}
+    defaults = {**CONFIG_KEYS, **preset}
 
     def get(key: str, kind=str):
         if key not in cfg:

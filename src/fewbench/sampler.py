@@ -91,6 +91,12 @@ class Episode:
                        self.query_y[e], self.class_map[e])
 
 
+def check_spec(name: str, spec) -> None:
+    """:class:`ArgumentError` naming ``name`` unless ``spec`` is an :class:`EpisodeSpec`."""
+    if not isinstance(spec, EpisodeSpec):
+        raise ArgumentError(f"{name} needs an EpisodeSpec, got {spec!r}")
+
+
 def _examples_needed(spec: EpisodeSpec) -> int:
     """Fewest examples a class must hold: its support set plus one query,
     or plus ``query_per_class`` queries."""
@@ -112,6 +118,7 @@ def check_pool(pool: DatasetTable, spec: EpisodeSpec) -> None:
     ``pool`` cannot serve an episode of ``spec``: fewer than ``n_way``
     classes, or a class too small for the support set and its queries.
     Every class is checked, since any class can be drawn."""
+    check_spec("check_pool", spec)
     if pool.n_classes < spec.n_way:
         raise _too_few_classes(pool, spec.n_way)
     _check_sizes(pool, np.arange(pool.n_classes), _examples_needed(spec))
@@ -129,6 +136,7 @@ def episode_shape(pool: DatasetTable, spec: EpisodeSpec) -> tuple[int, int, int]
     """``(n_way, k_shot, queries)`` shared by every episode ``pool`` can
     serve under ``spec``, or ``None`` when the query count depends on the
     classes drawn: ``all-remaining`` over classes of unequal sizes."""
+    check_spec("episode_shape", spec)
     n, k, qpc = spec.n_way, spec.k_shot, spec.query_per_class
     if qpc != ALL_REMAINING:
         return n, k, n * qpc
@@ -180,6 +188,7 @@ def sample_block(pool: DatasetTable, spec: EpisodeSpec, rngs) -> Episode:
     ``len(rngs)``.  Every episode must have the same query count (see
     :func:`episode_shape`).
     """
+    check_spec("sample_block", spec)
     n, k = spec.n_way, spec.k_shot
     if not rngs:
         raise ArgumentError("a block needs at least one substream")

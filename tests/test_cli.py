@@ -7,9 +7,10 @@ import sys
 import pytest
 
 import fewbench
-from fewbench.cli import EXIT_CONFIG, EXIT_FAILED, EXIT_OK, EXIT_TIMED_OUT, main
+from fewbench.cli import EXIT_CONFIG, EXIT_FAILED, EXIT_OK, EXIT_TIMED_OUT, build_parser, main
 from fewbench.dataset import (SyntheticSpec, generate_synthetic, load_feature_dataset,
-                              write_feature_dataset)
+                              split_classes, write_feature_dataset)
+from fewbench.pipeline import CONFIG_KEYS
 
 
 BASE_CONFIG = """\
@@ -166,6 +167,20 @@ def test_gen_synthetic_defaults_are_the_spec_defaults(tmp_path):
     assert main(["gen-synthetic", "--out", str(out)]) == EXIT_OK
     write_feature_dataset(generate_synthetic(SyntheticSpec()), str(expected))
     assert out.read_bytes() == expected.read_bytes()
+
+
+def test_split_seed_default_is_the_config_default(tmp_path):
+    """``fewbench split`` without ``--seed`` splits as a phase does
+    without ``data.split_seed``."""
+    paths = [str(tmp_path / name) for name in ("pool.csv", "train.csv", "test.csv")]
+    args = ["split", "--input", paths[0], "--train-classes", "3",
+            "--out-train", paths[1], "--out-test", paths[2]]
+    assert build_parser().parse_args(args).seed == CONFIG_KEYS["data.split_seed"] == 1234
+    pool = generate_synthetic(SyntheticSpec(num_classes=5, dim=2, samples_per_class=2))
+    write_feature_dataset(pool, paths[0])
+    assert main(args) == EXIT_OK
+    split = split_classes(pool, 3, CONFIG_KEYS["data.split_seed"])
+    assert load_feature_dataset(paths[2]).class_ids() == split.meta_test.class_ids()
 
 
 def test_missing_config_file_is_config_error(tmp_path):

@@ -195,9 +195,7 @@ def row_loop_oracle(text: str) -> DatasetTable:
         ClassRecord(cid, np.vstack(rows[cid]).reshape(len(rows[cid]), dim))
         for cid in order
     ]
-    table = DatasetTable(dim=dim, classes=classes)
-    table.validate()
-    return table
+    return DatasetTable(dim=dim, classes=classes)
 
 
 
@@ -458,9 +456,11 @@ def test_failed_write_leaves_the_old_file(tmp_path, monkeypatch):
     with open(path, "rb") as fh:
         before = fh.read()
 
-    # a table that fails validation
-    bad = DatasetTable(dim=3, classes=[ClassRecord(0, np.zeros((2, 2)))])
-    with pytest.raises(ArgumentError):
+    # a table whose rows turn non-finite after it is built: the writer
+    # refuses its second class, after the first class's chunks were written
+    bad = _writer_table()
+    bad.classes[1].examples[0, 1] = np.nan
+    with pytest.raises(ArgumentError, match="contains non-finite values"):
         write_feature_dataset(bad, path)
 
     # a failure after some chunks reached the temporary file
@@ -566,13 +566,147 @@ def test_rendered_rows_match_render_value(values):
 
 
 def test_validate_rejects_bad_tables():
+    """A repeated id, a class without rows and rows of another width are
+    refused when the table is built."""
     good = ClassRecord(0, np.zeros((2, 3)))
     with pytest.raises(ArgumentError):
-        DatasetTable(dim=3, classes=[good, ClassRecord(0, np.ones((1, 3)))]).validate()
+        DatasetTable(dim=3, classes=[good, ClassRecord(0, np.ones((1, 3)))])
     with pytest.raises(ArgumentError):
-        DatasetTable(dim=3, classes=[ClassRecord(1, np.zeros((0, 3)))]).validate()
+        DatasetTable(dim=3, classes=[ClassRecord(1, np.zeros((0, 3)))])
     with pytest.raises(ArgumentError):
-        DatasetTable(dim=2, classes=[good]).validate()
+        DatasetTable(dim=2, classes=[good])
+
+
+def _header_only(tmp_path) -> DatasetTable:
+    path = str(tmp_path / "pool.csv")
+    with open(path, "w") as fh:
+        fh.write("dim=3\n0,1.0,2.0,3.0\n")
+    return load_feature_header(path)
+
+
+_POOL = SyntheticSpec(num_classes=4, dim=3, samples_per_class=5, seed=3)
+
+BUILDERS = {
+    "records": lambda tmp_path: DatasetTable(3, [ClassRecord(8, np.ones((2, 3))),
+                                                 ClassRecord(np.int16(2), [[0.5, 1.0, 2.0]])]),
+    "from_rows": lambda tmp_path: DatasetTable.from_rows(3, np.ones((20, 3)), [5, 0, 9, 1],
+                                                         [3, 7, 5, 5]),
+    "parse": lambda tmp_path: parse_feature_dataset(SAMPLE),
+    "generate_synthetic": lambda tmp_path: generate_synthetic(_POOL),
+    "split_classes": lambda tmp_path: split_classes(generate_synthetic(_POOL), 3, 5).meta_test,
+    "load_feature_header": _header_only,
+}
+
+
+@pytest.mark.parametrize("how", sorted(BUILDERS))
+def test_every_way_of_building_a_table_passes_the_same_checks(how, tmp_path, monkeypatch):
+    """Whatever built it, a table went through the one structural check,
+    and holds an integer ``dim`` of at least 1, distinct non-negative
+    int64 ids, classes of at least one row, and rows ``dim`` wide; built
+    again from its records, it is the same table."""
+    checked = []
+    real_set = DatasetTable._set
+
+    def spy(self, *args):
+        real_set(self, *args)
+        checked.append(self)
+
+    monkeypatch.setattr(DatasetTable, "_set", spy)
+    table = BUILDERS[how](tmp_path)
+    assert checked[-1] is table
+    assert type(table.dim) is int and table.dim >= 1
+    assert table.ids.dtype == np.int64 and (table.ids >= 0).all()
+    assert len(set(table.class_ids())) == table.n_classes
+    assert table.sizes.dtype == np.int64 and (table.sizes >= 1).all()
+    assert table.x.ndim == 2 and table.x.shape[1] == table.dim
+    assert _tables_bitwise_equal(DatasetTable(table.dim, table.classes), table)
+
+
+BAD_STRUCTURE = [
+    # (dim, ids, sizes, message): each refused by both constructors
+    (2.0, [0], [1], "dim must be an integer, got 2.0"),
+    (True, [0], [1], "dim must be an integer, got True"),
+    ("2", [0], [1], "dim must be an integer, got '2'"),
+    (0, [], [], "dim must be >= 1, got 0"),
+    (2, [1.5], [1], "class_id must be an integer, got 1.5"),
+    (2, [True], [1], "class_id must be an integer, got True"),
+    (2, ["7"], [1], "class_id must be an integer, got '7'"),
+    (2, [np.float64(3.0)], [1], f"class_id must be an integer, got {np.float64(3.0)!r}"),
+    (2, [0, -1], [1, 1], "negative class_id -1"),
+    (2, [4, 2, 4], [1, 1, 1], "duplicate class_id 4"),
+    (2, [0, 1], [1, 0], "class 1 has no examples"),
+]
+
+
+@pytest.mark.parametrize("dim,ids,sizes,message", BAD_STRUCTURE)
+def test_bad_structure_is_refused_when_the_table_is_built(dim, ids, sizes, message):
+    width = dim if type(dim) is int and dim > 0 else 2
+    records = [ClassRecord(c, np.ones((m, width))) for c, m in zip(ids, sizes)]
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        DatasetTable(dim, records)
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        DatasetTable.from_rows(dim, np.ones((sum(sizes), width)), ids, sizes)
+
+
+@pytest.mark.parametrize("shapes,message", [
+    ([(3, 3)], "class 0 examples have shape (3, 3), expected (n, 2)"),
+    ([(2, 2), (1, 3)], "class 1 examples have shape (1, 3), expected (n, 2)"),
+    ([(2,)], "class 0 examples have shape (2,), expected (n, 2)"),
+    ([(1, 2, 1)], "class 0 examples have shape (1, 2, 1), expected (n, 2)"),
+])
+def test_rows_of_another_width_are_refused_when_the_table_is_built(shapes, message):
+    """Records are checked one by one before their rows are joined, so
+    ragged records raise no bare ``ValueError``, and rows wider than
+    ``dim`` make no table."""
+    records = [ClassRecord(c, np.ones(shape)) for c, shape in enumerate(shapes)]
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        DatasetTable(2, records)
+    with pytest.raises(ArgumentError, match=re.escape("rows have shape (3, 3), expected (n, 2)")):
+        DatasetTable.from_rows(2, np.ones((3, 3)), [0], [3])
+
+
+def test_from_rows_refuses_ids_and_sizes_of_unequal_lengths():
+    with pytest.raises(ArgumentError, match="^2 class ids for 1 classes$"):
+        DatasetTable.from_rows(1, np.ones((2, 1)), [0, 1], [2])
+
+
+def test_numpy_integer_ids_below_2_63_build():
+    ids = [np.int64(5), np.uint64(2**63 - 1), np.int8(0), np.uint8(3), 7]
+    table = DatasetTable(1, [ClassRecord(c, [[float(i)]]) for i, c in enumerate(ids)])
+    assert table.ids.dtype == np.int64
+    assert table.class_ids() == [5, 2**63 - 1, 0, 3, 7]
+    assert DatasetTable(np.int32(4)).dim == 4 and type(DatasetTable(np.int32(4)).dim) is int
+
+
+def test_the_largest_class_id_round_trips(tmp_path):
+    path = str(tmp_path / "table.csv")
+    table = DatasetTable(2, [ClassRecord(np.int64(2**63 - 1), [[1.5, -0.0]])])
+    write_feature_dataset(table, path)
+    assert _tables_bitwise_equal(load_feature_dataset(path), table)
+
+
+@pytest.mark.parametrize("class_id", [2**63, np.uint64(2**63), 2**70])
+def test_ids_a_file_cannot_hold_build_and_are_refused_when_written(class_id, tmp_path):
+    """An id of 2**63 or more, which the file format cannot hold, builds
+    (its table holds its ids as Python ints) and is refused when written,
+    leaving the old file as it was."""
+    table = DatasetTable(1, [ClassRecord(0, [[1.0]]), ClassRecord(class_id, [[2.0]])])
+    assert table.class_ids() == [0, int(class_id)]
+    assert [type(c) for c in table.class_ids()] == [int, int]
+    path = str(tmp_path / "table.csv")
+    write_feature_dataset(DatasetTable(1, [ClassRecord(4, [[0.0]])]), path)
+    message = f"^class_id {int(class_id)} is too large for a feature file$"
+    with pytest.raises(ArgumentError, match=message):
+        write_feature_dataset(table, path)
+    with pytest.raises(ArgumentError, match=message):
+        render_feature_dataset(table)
+    with open(path) as fh:
+        assert fh.read() == "dim=1\n4,0.0\n"
+    assert os.listdir(tmp_path) == ["table.csv"]
+
+
+def test_tables_have_no_validate_method():
+    assert not hasattr(DatasetTable(1), "validate")
 
 
 # ---------------------------------------------------------------------------

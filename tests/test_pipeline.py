@@ -278,7 +278,7 @@ def test_load_config_of_every_benchmark_phase_is_the_pinned_phase():
 def test_readme_lists_every_config_key_and_its_default():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     rows = dict(re.findall(r"^\| `([^`]+)` \| (.*?) \|", readme, re.M))
-    for key, default in pipeline._CONFIG_KEYS.items():
+    for key, default in pipeline.CONFIG_KEYS.items():
         assert key in rows, key
         if default not in (None, ""):
             shown = ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
@@ -743,7 +743,7 @@ def test_leaderboard_report_names_bad_line(tmp_path):
 # Fuzzing the config and leaderboard parsers
 
 
-_FUZZ_KEYS = sorted(pipeline._CONFIG_KEYS) + [
+_FUZZ_KEYS = sorted(pipeline.CONFIG_KEYS) + [
     f"method.{name}.{param}" for name, method in METHODS.items() for param in method.params
 ] + ["method.proto", "phase", "method.mystery.depth"]
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fewbench.dataset import SyntheticSpec, generate_synthetic, split_classes
+from fewbench.dataset import (SyntheticSpec, bayes_oracle_accuracy, generate_synthetic,
+                              split_classes)
 from fewbench.dataset import ClassRecord, DatasetTable
 from fewbench.errors import ArgumentError, SamplingError
 from fewbench.rng import RngState
@@ -33,6 +34,29 @@ def make_pool(num_classes=10, dim=4, samples=8, seed=0):
 
 def as_set(rows: np.ndarray) -> set:
     return {tuple(r) for r in rows}
+
+
+# entry point: (the function named in its error, a call with the spec)
+NOT_A_SPEC_ENTRY_POINTS = {
+    "sample_episode": ("sample_block", lambda s: sample_episode(make_pool(), s, RngState(1))),
+    "sample_block": ("sample_block", lambda s: sample_block(make_pool(), s, [RngState(1)])),
+    "episode_stream": ("sample_block", lambda s: list(episode_stream(make_pool(), s, 2, 1))),
+    "check_pool": ("check_pool", lambda s: check_pool(make_pool(), s)),
+    "episode_shape": ("episode_shape", lambda s: episode_shape(make_pool(), s)),
+    "bayes_oracle_accuracy": ("sample_block",
+                              lambda s: bayes_oracle_accuracy(SyntheticSpec(), s, 3, 0)),
+}
+
+
+@pytest.mark.parametrize("spec", [(5, 1), None, {"n_way": 5, "k_shot": 1}])
+@pytest.mark.parametrize("entry", sorted(NOT_A_SPEC_ENTRY_POINTS))
+def test_a_spec_that_is_not_an_episode_spec_is_refused(entry, spec):
+    """As ``meta_fit`` and ``evaluate_learner`` do, rather than with a bare
+    ``AttributeError`` on the spec's fields."""
+    name, call = NOT_A_SPEC_ENTRY_POINTS[entry]
+    with pytest.raises(ArgumentError, match=f"^{name} needs an EpisodeSpec, got "
+                                            f"{re.escape(repr(spec))}$"):
+        call(spec)
 
 
 def test_episode_structure():
