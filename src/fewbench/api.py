@@ -160,7 +160,7 @@ class PredictorState:
     """Episode-adapted state; every ``predict`` call recomputes the labels.
     ``dim`` is the support rows' width and ``episodes`` their leading axes:
     ``()`` for one episode, ``(E,)`` for a block.  ``predict`` checks the
-    query rows against both for every method."""
+    query rows against both for every method, by :func:`heads.check_query`."""
 
     method: MethodConfig
     state: dict
@@ -174,11 +174,7 @@ class PredictorState:
         query_x = _finite(query_x, "query")
         if query_x.ndim == 1 and not self.episodes:
             query_x = query_x[None, :]
-        if (query_x.ndim != len(self.episodes) + 2 or query_x.shape[-1] != self.dim
-                or query_x.shape[:-2] != self.episodes):
-            over = f" over {self.episodes[0]} episodes" if self.episodes else ""
-            raise ShapeError(f"query shape {query_x.shape} does not match "
-                             f"feature dimension {self.dim}{over}")
+        query_x = heads.check_query(query_x, self.dim, self.episodes)
         return METHODS[self.method.name].predict(self.state, query_x)
 
 

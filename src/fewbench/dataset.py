@@ -98,10 +98,10 @@ class DatasetTable:
 
     A table checks its structure when it is built, and raises
     :class:`ArgumentError` unless ``dim`` is an integer of at least 1 and
-    each class has an integer id of at least 0 that no other class has,
-    and at least one row of ``dim`` values.  Rows can change in place, so
-    whether they are finite is checked when the table is written, as is
-    the file format's bound of ids below 2**63.
+    each class has an integer id in ``[0, 2**63)`` that no other class
+    has, so ``ids`` is int64, and at least one row of ``dim`` values
+    inside ``x``.  Rows can change in place, so whether they are finite
+    is checked when the table is written.
     """
 
     def __init__(self, dim: int, classes: Iterable[ClassRecord] = ()):
@@ -119,7 +119,8 @@ class DatasetTable:
     def from_rows(cls, dim: int, x: np.ndarray, ids, sizes, starts=None) -> "DatasetTable":
         """The table over the float64 rows ``x``, kept as they are: class
         ``c`` has the id ``ids[c]`` and ``sizes[c]`` rows from row
-        ``starts[c]``, by default right after the rows of class ``c - 1``."""
+        ``starts[c]``, by default right after the rows of class ``c - 1``,
+        inside ``x``."""
         table = cls.__new__(cls)
         table._set(dim, x, ids, sizes, starts)
         return table
@@ -129,22 +130,28 @@ class DatasetTable:
         if x.shape[1:] != (self.dim,):
             raise ArgumentError(f"rows have shape {x.shape}, expected (n, {dim})")
         self.sizes = np.asarray(sizes, dtype=np.int64)
+        self.starts = np.asarray(np.cumsum(self.sizes) - self.sizes if starts is None
+                                 else starts, dtype=np.int64)
         if len(ids) != len(self.sizes):
             raise ArgumentError(f"{len(ids)} class ids for {len(self.sizes)} classes")
+        if len(self.starts) != len(self.sizes):
+            raise ArgumentError(f"{len(self.starts)} starts for {len(self.sizes)} classes")
         seen: dict[int, None] = {}  # the ids checked so far, in class order
-        for c, m in zip(ids, self.sizes.tolist()):
+        for c, a, m in zip(ids, self.starts.tolist(), self.sizes.tolist()):
             if not is_integer(c):
                 raise ArgumentError(f"class_id must be an integer, got {c!r}")
             if c < 0:
                 raise ArgumentError(f"negative class_id {c}")
+            if int(c) >= 2**63:  # int: NumPy 1 compares an int64 with 2**63 as floats
+                raise ArgumentError(f"class_id {c} is too large for a feature file")
             if c in seen:
                 raise ArgumentError(f"duplicate class_id {c}")
             if m < 1:
                 raise ArgumentError(f"class {c} has no examples")
+            if a < 0 or a + m > len(x):
+                raise ArgumentError(f"class {c} has rows {a}:{a + m} outside the {len(x)} rows of x")
             seen[int(c)] = None
-        big = max(seen, default=0) >= 2**63  # such ids build, and are refused when written
-        self.ids = np.asarray(list(seen), dtype=object if big else np.int64)
-        self.starts = (np.cumsum(self.sizes) - self.sizes) if starts is None else starts
+        self.ids = np.asarray(list(seen), dtype=np.int64)
 
     def __repr__(self) -> str:
         return (f"DatasetTable(dim={self.dim}, ids={self.ids.tolist()}, "
@@ -453,16 +460,13 @@ def load_feature_header(path: str) -> DatasetTable:
 
 def _feature_chunks(table: DatasetTable) -> Iterator[str]:
     """The text of ``table`` in chunks of whole lines: the header, then
-    each class's rows in chunks of at most ``_BLOCK_CHARS`` characters.
-    A class must have finite rows, which can change in place after a table
-    is built, and an id below 2**63; each is checked before its chunks."""
+    each class's rows in chunks of at most ``_BLOCK_CHARS`` characters,
+    checked finite first, since rows can change in place after a build."""
     yield f"dim={table.dim}\n"
     # with its comma, a rendered value takes at most 25 characters, and so
     # does a class id below 2**63
     step = max(1, _BLOCK_CHARS // (25 * (table.dim + 1)))
     for rec in table.classes:
-        if rec.class_id >= 2**63:
-            raise ArgumentError(f"class_id {rec.class_id} is too large for a feature file")
         if not np.isfinite(rec.examples).all():
             raise ArgumentError(f"class {rec.class_id} contains non-finite values")
         prefix = f"{rec.class_id},"

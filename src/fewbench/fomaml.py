@@ -37,7 +37,7 @@ from . import heads
 from .dataset import write_text_atomic
 from .errors import ArgumentError, NumericError, ShapeError
 from .evaluation import cat_accuracy
-from .rng import RngState
+from .rng import RngState, check_count
 from .sampler import (Episode, EpisodeSpec, block_episodes, check_pool, episode_shape,
                       sample_block)
 # not called here: it stays bound for a run tracer that wraps
@@ -88,8 +88,7 @@ class InnerConfig:
     lr: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.steps < 0:
-            raise ArgumentError(f"inner steps must be >= 0, got {self.steps}")
+        check_count("inner steps", self.steps, 0)
         if not self.lr > 0:
             raise ArgumentError(f"inner lr must be positive, got {self.lr}")
 
@@ -105,16 +104,16 @@ class OuterConfig:
     def __post_init__(self) -> None:
         if not self.lr > 0:
             raise ArgumentError(f"outer lr must be positive, got {self.lr}")
-        if self.meta_batch < 1:
-            raise ArgumentError(f"meta_batch must be >= 1, got {self.meta_batch}")
-        if self.epochs < 0:
-            raise ArgumentError(f"epochs must be >= 0, got {self.epochs}")
+        check_count("meta_batch", self.meta_batch)
+        check_count("epochs", self.epochs, 0)
 
 
 def init_mlp(dim: int, hidden: int, n_way: int, rng: RngState) -> MlpParams:
     """Scaled-uniform initialization, U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
-    if dim < 1 or hidden < 1 or n_way < 2:
-        raise ArgumentError(f"bad MLP shape d={dim} h={hidden} n={n_way}")
+    try:
+        check_count("d", dim), check_count("h", hidden), check_count("n", n_way, 2)
+    except ArgumentError:
+        raise ArgumentError(f"bad MLP shape d={dim} h={hidden} n={n_way}") from None
     gen = rng.generator
     s1 = 1.0 / np.sqrt(dim)
     s2 = 1.0 / np.sqrt(hidden)

@@ -43,6 +43,7 @@ from .errors import (
     NumericError,
     ShapeError,
 )
+from .rng import check_count
 
 __all__ = [
     "METRICS",
@@ -53,6 +54,7 @@ __all__ = [
     "QdaModel",
     "LinearHead",
     "PTMAP_SINKHORN",
+    "check_query",
     "compute_prototypes",
     "proto_predict",
     "proto_labels",
@@ -125,16 +127,15 @@ def _class_blocks(x: np.ndarray, support_y: np.ndarray, n: int, k: int) -> np.nd
     return x.take(order, axis=-2).reshape(x.shape[:-2] + (n, k, x.shape[-1]))
 
 
-def _check_query(query_x: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """The query rows as float64, refused unless they match the episode
-    axis and feature width of ``like`` (the support rows or the fitted
-    per-class arrays)."""
+def check_query(query_x: np.ndarray, dim: int, episodes: tuple[int, ...]) -> np.ndarray:
+    """The query rows as float64, refused with :class:`ShapeError` unless
+    they are ``episodes + (Q, dim)``: ``episodes`` is ``()`` for one episode,
+    ``(E,)`` for a block.  Every head and ``PredictorState.predict`` use it."""
     query_x = np.asarray(query_x, dtype=np.float64)
-    if (query_x.ndim != like.ndim or query_x.shape[-1] != like.shape[-1]
-            or query_x.shape[:-2] != like.shape[:-2]):
-        episodes = f" over {like.shape[0]} episodes" if like.ndim == 3 else ""
-        raise ShapeError(f"query shape {query_x.shape} does not match feature "
-                         f"dimension {like.shape[-1]}{episodes}")
+    if (query_x.ndim != len(episodes) + 2 or query_x.shape[-1] != dim
+            or query_x.shape[:-2] != episodes):
+        raise ShapeError(f"query shape {query_x.shape} does not match feature dimension {dim}"
+                         + (f" over {episodes[0]} episodes" if episodes else ""))
     return query_x
 
 
@@ -200,7 +201,7 @@ def proto_predict(prototypes: Prototypes, query_x: np.ndarray) -> np.ndarray:
 
     The argmax of each row is the nearest-center label.
     """
-    query_x = _check_query(query_x, prototypes.centers)
+    query_x = check_query(query_x, prototypes.centers.shape[-1], prototypes.centers.shape[:-2])
     if prototypes.metric == "cosine":
         query_x = _unit_rows(query_x)
     d2 = _sq_dists(query_x, prototypes.centers)
@@ -213,7 +214,7 @@ def proto_predict(prototypes: Prototypes, query_x: np.ndarray) -> np.ndarray:
 
 def proto_labels(prototypes: Prototypes, query_x: np.ndarray) -> np.ndarray:
     """Nearest-center labels (ties to the lowest label)."""
-    query_x = _check_query(query_x, prototypes.centers)
+    query_x = check_query(query_x, prototypes.centers.shape[-1], prototypes.centers.shape[:-2])
     if prototypes.metric == "cosine":
         query_x = _unit_rows(query_x)
     return np.argmin(_sq_dists(query_x, prototypes.centers), axis=-1)
@@ -282,8 +283,7 @@ class SinkhornConfig:
     def __post_init__(self) -> None:
         if not self.reg > 0:
             raise ArgumentError(f"reg must be positive, got {self.reg}")
-        if self.max_iters < 1:
-            raise ArgumentError(f"max_iters must be >= 1, got {self.max_iters}")
+        check_count("max_iters", self.max_iters)
         if not self.tol > 0:
             raise ArgumentError(f"tol must be positive, got {self.tol}")
 
@@ -423,8 +423,9 @@ def _sinkhorn_block(
     med = _median(cost)
     med[med <= 0] = 1.0    # a problem whose median is not positive keeps its cost
     # divide by -reg rather than multiply by its rounded reciprocal: the log
-    # kernel is then bit for bit -(C / median) / reg, so a caller rebuilding
-    # exp(logK + f + g) from the returned potentials meets this plan exactly
+    # kernel is then bit for bit -(C / median) / reg.  exp(logK + f + g) from the
+    # returned potentials is this plan only up to rounding: at reg ~1e-3 with a
+    # far column, logK and g near 3e4 cancel to O(1), leaving ~1e-12 on an entry
     log_kernel = cost / med / -config.reg
     # row quantities are (E, R, 1) columns and column quantities (E, 1, C)
     # rows, the shapes the matrix-vector products take and give
@@ -524,15 +525,14 @@ def ptmap_fit_predict(
     center.  ``n_iters=0`` reduces to nearest-prototype on transformed
     features.  A block of episodes solves its transport problems together.
     """
-    if n_iters < 0:
-        raise ArgumentError(f"n_iters must be >= 0, got {n_iters}")
+    check_count("n_iters", n_iters, 0)
     if not 0 < step_size <= 1:
         raise ArgumentError(f"step_size must be in (0, 1], got {step_size}")
     n, _ = support_structure(support_x, support_y)
     pt_params = pt_params or PowerTransformParams()
     sinkhorn_config = sinkhorn_config or PTMAP_SINKHORN
     support_x = np.asarray(support_x, dtype=np.float64)
-    query_x = _check_query(query_x, support_x)
+    query_x = check_query(query_x, support_x.shape[-1], support_x.shape[:-2])
     n_query = query_x.shape[-2]
     if n_query == 0:
         return np.zeros(query_x.shape[:-1], dtype=np.int64)
@@ -650,7 +650,7 @@ def qda_log_density(model: QdaModel, query_x: np.ndarray) -> np.ndarray:
     (N d, d) matrix; subtracting the whitened means and summing squares
     over each class's d columns gives the Mahalanobis distances.
     """
-    query_x = _check_query(query_x, model.means)
+    query_x = check_query(query_x, model.means.shape[-1], model.means.shape[:-2])
     n, d = model.means.shape[-2:]
     episodes = model.means.shape[:-2]
     factors = model.whitening.reshape(episodes + (n * d, d))
@@ -744,8 +744,7 @@ def linear_head_fit(
     ``(E,)`` array, and a loss that is not finite in any episode raises
     :class:`DivergenceError`.
     """
-    if epochs < 1:
-        raise ArgumentError(f"epochs must be >= 1, got {epochs}")
+    check_count("epochs", epochs)
     if not step_size > 0:
         raise ArgumentError(f"step_size must be positive, got {step_size}")
     n, _ = support_structure(support_x, support_y)
@@ -782,7 +781,7 @@ def linear_head_fit(
 
 def linear_head_predict(head: LinearHead, query_x: np.ndarray) -> np.ndarray:
     """Argmax of logits; the all-zero head predicts label 0 everywhere."""
-    query_x = _check_query(query_x, head.weights)
+    query_x = check_query(query_x, head.weights.shape[-1], head.weights.shape[:-2])
     return np.argmax(query_x @ head.weights.swapaxes(-1, -2) + head.bias[..., None, :],
                      axis=-1)
 
@@ -808,7 +807,7 @@ def rectified_proto_predict(
     protos = compute_prototypes(support_x, support_y, metric=metric)
     n = protos.centers.shape[-2]
     support_x = np.asarray(support_x, dtype=np.float64)
-    query_x = _check_query(query_x, support_x)
+    query_x = check_query(query_x, support_x.shape[-1], support_x.shape[:-2])
     if query_x.shape[-2] == 0:
         return np.zeros(query_x.shape[:-1], dtype=np.int64)
     x_sup = _unit_rows(support_x) if metric == "cosine" else support_x

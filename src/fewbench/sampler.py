@@ -70,10 +70,10 @@ class Episode:
     """One few-shot task: a labeled support set and a query set.
 
     Labels are episode labels in 0..N-1; ``class_map[label]`` recovers the
-    original class id.  Support and query never share an example.  A block
-    from :func:`sample_block` stacks E episodes: every field but
-    ``support_y``, which they share, gains a leading episode axis, and
-    ``block[e]`` is episode ``e``.
+    original int64 class id (a table's ids are below 2**63).  Support and
+    query never share an example.  A block from :func:`sample_block` stacks
+    E episodes: every field but ``support_y``, which they share, gains a
+    leading episode axis, and ``block[e]`` is episode ``e``.
     """
 
     support_x: np.ndarray  # (N*K, d)

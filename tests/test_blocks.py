@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from fewbench import fomaml as fm
-from fewbench import sampler
+from fewbench import heads, sampler
 from fewbench.api import METHODS, LearnerState, Method, MethodConfig, meta_fit
 from fewbench.dataset import ClassRecord, DatasetTable, SyntheticSpec, generate_synthetic
 from fewbench.errors import BudgetExceededError, EvaluationError, ShapeError
@@ -242,19 +242,38 @@ def test_fit_on_a_block_predicts_each_episode_alone(name, k_shot):
         assert labels[e].tobytes() == alone.predict(block[e].query_x).tobytes(), e
 
 
-@pytest.mark.parametrize("name", ["proto", "ptmap", "linear"])
+#: each head called on the state a block predictor holds
+HEADS = {
+    "proto": lambda st, q: heads.proto_labels(st["prototypes"], q),
+    "qda": lambda st, q: heads.qda_predict(st["model"], q),
+    "ptmap": lambda st, q: heads.ptmap_fit_predict(st["support_x"], st["support_y"], q),
+    "rect": lambda st, q: heads.rectified_proto_predict(st["support_x"], st["support_y"], q),
+    "linear": lambda st, q: heads.linear_head_predict(st["head"], q),
+}
+
+
+@pytest.mark.parametrize("name", NAMES)
 def test_predict_refuses_queries_of_another_block(name):
     data, spec = pool(), EpisodeSpec(5, 1, 4)
     block = sample_block(data, spec, [RngState(3).fork(i) for i in range(3)])
     predictor = learner(name).fit(block.support_x, block.support_y)
     for bad in (block.query_x[:2], block.query_x[:, :, :4], block.query_x[0],
                 block.query_x[None], block.query_x[0, 0]):
-        with pytest.raises(ShapeError, match="does not match feature dimension 6"):
+        with pytest.raises(ShapeError, match="does not match feature dimension 6") as refused:
             predictor.predict(bad)
+        # the head alone refuses it with the same message: one rule, heads.check_query
+        if name in HEADS:
+            with pytest.raises(ShapeError) as direct:
+                HEADS[name](predictor.state, bad)
+            assert str(direct.value) == str(refused.value)
     # one episode's predictor refuses a block of its width
     alone = learner(name).fit(block[0].support_x, block.support_y)
-    with pytest.raises(ShapeError, match="does not match feature dimension 6$"):
+    with pytest.raises(ShapeError, match="does not match feature dimension 6$") as refused:
         alone.predict(block.query_x)
+    if name in HEADS:
+        with pytest.raises(ShapeError) as direct:
+            HEADS[name](alone.state, block.query_x)
+        assert str(direct.value) == str(refused.value)
 
 
 def unequal_pool():

@@ -8,17 +8,20 @@ constructed, whether directly or through
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
+from fewbench import fomaml, heads
 from fewbench.api import (METHODS, LearnerState, MethodConfig, Provenance, parse_learner,
                           render_learner)
-from fewbench.dataset import SyntheticSpec
+from fewbench.dataset import SyntheticSpec, generate_synthetic
 from fewbench.errors import ArgumentError, ConfigError
 from fewbench.fomaml import InnerConfig, OuterConfig
 from fewbench.heads import PowerTransformParams, SinkhornConfig
 from fewbench.pipeline import load_config
+from fewbench.rng import RngState
 from fewbench.sampler import EpisodeSpec
 
 
@@ -103,6 +106,11 @@ BAD_FIELDS = [
      "seed must be a 64-bit unsigned integer, got True"),
     ("MethodConfig", "params", {"shrinkage": True}, ConfigError,
      "method parameter shrinkage=True is not a valid float"),
+    # counts are integers: each of these used to pass its bound and fail later
+    ("InnerConfig", "steps", 1.5, ArgumentError, "inner steps must be an integer, got 1.5"),
+    ("OuterConfig", "meta_batch", 2.5, ArgumentError, "meta_batch must be an integer, got 2.5"),
+    ("OuterConfig", "epochs", True, ArgumentError, "epochs must be an integer, got True"),
+    ("SinkhornConfig", "max_iters", 2.5, ArgumentError, "max_iters must be an integer, got 2.5"),
 ]
 
 
@@ -127,6 +135,30 @@ def test_every_config_type_has_a_bad_field_case():
         # frozen, so no field can change after the check
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(good, dataclasses.fields(good)[0].name, None)
+
+
+_SUPPORT_X = np.arange(12.0).reshape(6, 2)
+_SUPPORT_Y = np.array([0, 0, 1, 1, 2, 2])
+
+# each raised a bare TypeError from inside its loop or its array shapes
+FUNCTION_COUNTS = [
+    ("ptmap_fit_predict", lambda: heads.ptmap_fit_predict(
+        _SUPPORT_X, _SUPPORT_Y, _SUPPORT_X, n_iters=2.5), "n_iters must be an integer"),
+    ("linear_head_fit", lambda: heads.linear_head_fit(_SUPPORT_X, _SUPPORT_Y, epochs=2.5),
+     "epochs must be an integer"),
+    ("init_mlp", lambda: fomaml.init_mlp(4, 2.5, 3, RngState(0)),
+     "bad MLP shape d=4 h=2.5 n=3"),
+    ("meta_train", lambda: fomaml.meta_train(
+        generate_synthetic(SyntheticSpec(6, 3, 4, 1.0, 2.0, 7)), EpisodeSpec(3, 1),
+        outer=OuterConfig(epochs=1, meta_batch=1), hidden=2.5), "bad MLP shape d=3 h=2.5 n=3"),
+]
+
+
+@pytest.mark.parametrize("name,call,message", FUNCTION_COUNTS,
+                         ids=[case[0] for case in FUNCTION_COUNTS])
+def test_functions_refuse_a_count_that_is_not_an_integer(name, call, message):
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}"):
+        call()
 
 
 # (string overrides, the values they give) per method: the coercions and
