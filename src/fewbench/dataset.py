@@ -38,15 +38,22 @@ one chunk of rows at a time; a load holds one block of text while it
 parses it, and peaks at about 2.3x the table's array on large tables,
 when it joins the parsed records of the blocks into one array.  Their
 values are then gathered, in class order, into the table's one array.
+
+:func:`load_feature_dataset` parses an unchanged regular file once per
+process: it keeps a private copy of the tables of the last two regular
+files it loaded, each checked against the sha256 of the bytes parsed
+before it is copied out again.  Pipes are parsed on each load.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import os
+import stat
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterable, Iterator, TextIO
+from typing import IO, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -85,6 +92,17 @@ class ClassRecord:
     examples: np.ndarray  # (n_examples, dim) float64
 
 
+def _int64s(name: str, values) -> np.ndarray:
+    """``values`` as an int64 array; :class:`ArgumentError` unless each
+    entry is an integer (see :func:`is_integer`), never a float, which the
+    cast would truncate, nor a bool."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+        for value in values:
+            if not is_integer(value):
+                raise ArgumentError(f"{name} must be integers, got {value!r}")
+    return np.asarray(values, dtype=np.int64)
+
+
 class DatasetTable:
     """A pool of labeled feature vectors grouped by class.
 
@@ -100,8 +118,9 @@ class DatasetTable:
     :class:`ArgumentError` unless ``dim`` is an integer of at least 1 and
     each class has an integer id in ``[0, 2**63)`` that no other class
     has, so ``ids`` is int64, and at least one row of ``dim`` values
-    inside ``x``.  Rows can change in place, so whether they are finite
-    is checked when the table is written.
+    inside ``x``, given by an integer size and start.  Rows can change in
+    place, so whether they are finite is checked when the table is
+    written.
     """
 
     def __init__(self, dim: int, classes: Iterable[ClassRecord] = ()):
@@ -129,9 +148,9 @@ class DatasetTable:
         self.dim, self.x = check_count("dim", dim), x
         if x.shape[1:] != (self.dim,):
             raise ArgumentError(f"rows have shape {x.shape}, expected (n, {dim})")
-        self.sizes = np.asarray(sizes, dtype=np.int64)
-        self.starts = np.asarray(np.cumsum(self.sizes) - self.sizes if starts is None
-                                 else starts, dtype=np.int64)
+        self.sizes = _int64s("class sizes", sizes)
+        self.starts = (np.cumsum(self.sizes) - self.sizes if starts is None
+                       else _int64s("class starts", starts))
         if len(ids) != len(self.sizes):
             raise ArgumentError(f"{len(ids)} class ids for {len(self.sizes)} classes")
         if len(self.starts) != len(self.sizes):
@@ -429,11 +448,50 @@ def _row_error(row: str, dim: int) -> str:
     return f"unparseable value in row {row!r}"
 
 
-def _open_feature_file(path: str, errors: str = "strict") -> TextIO:
+def _open_feature_file(path: str, mode: str, **kwargs) -> IO:
     try:
-        return open(path, "r", encoding="utf-8", errors=errors)
+        return open(path, mode, **kwargs)
     except OSError as exc:
         raise ParseError(f"cannot read feature file: {exc}") from None
+
+
+class _HashingReader(io.RawIOBase):
+    """A raw reader over the binary file ``raw`` that feeds each byte it
+    reads to ``digest``, so a text wrapper over it hashes exactly the
+    bytes that it decodes."""
+
+    def __init__(self, raw, digest):
+        self._raw, self._digest = raw, digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int | None:
+        n = self._raw.readinto(buffer)
+        if n:
+            self._digest.update(memoryview(buffer)[:n])
+        return n
+
+
+_MEMO_FILES = 2  # regular files whose parsed table a load keeps
+# (st_dev, st_ino) -> (sha256 of the bytes parsed, a private copy of the
+# table), least recently loaded first
+_memo: dict[tuple[int, int], tuple[bytes, DatasetTable]] = {}
+
+
+def _copy_table(table: DatasetTable) -> DatasetTable:
+    return DatasetTable.from_rows(table.dim, table.x.copy(), table.ids.copy(),
+                                  table.sizes.copy(), table.starts.copy())
+
+
+def _file_digest(raw) -> bytes:
+    """The sha256 of the rest of the binary file ``raw``, read in blocks
+    of 64 KiB."""
+    digest, buffer = hashlib.sha256(), bytearray(1 << 16)
+    view = memoryview(buffer)
+    while n := raw.readinto(buffer):
+        digest.update(view[:n])
+    return digest.digest()
 
 
 def load_feature_dataset(path: str) -> DatasetTable:
@@ -441,9 +499,34 @@ def load_feature_dataset(path: str) -> DatasetTable:
 
     A file that cannot be opened, or is not UTF-8 text, raises
     :class:`ParseError`.
+
+    The tables of the last two regular files loaded are kept, each under
+    its file's device and inode with the sha256 of the bytes parsed.  A
+    load of one of those files hashes its bytes, and if they are the
+    bytes parsed before it returns a new copy of the kept table without
+    parsing; otherwise it parses them again.  So a load always returns
+    the table of the bytes it read, and never shares memory with another
+    load.  Pipes and other files that are not regular are read once, by
+    the parse alone, and are never kept.
     """
-    with _open_feature_file(path) as fh:
-        return parse_feature_dataset(fh)
+    with _open_feature_file(path, "rb", buffering=0) as raw:
+        info = os.fstat(raw.fileno())
+        key = (info.st_dev, info.st_ino) if stat.S_ISREG(info.st_mode) else None
+        kept = _memo.pop(key, None)
+        if kept is not None:
+            if _file_digest(raw) == kept[0]:
+                _memo[key] = kept  # now the most recently loaded
+                return _copy_table(kept[1])
+            raw.seek(0)
+        digest = hashlib.sha256()
+        with io.TextIOWrapper(io.BufferedReader(_HashingReader(raw, digest)),
+                              encoding="utf-8") as fh:
+            table = parse_feature_dataset(fh)
+    if key is not None:
+        _memo[key] = digest.digest(), _copy_table(table)
+        for old in list(_memo)[:-_MEMO_FILES]:
+            del _memo[old]
+    return table
 
 
 def load_feature_header(path: str) -> DatasetTable:
@@ -452,7 +535,7 @@ def load_feature_header(path: str) -> DatasetTable:
     :func:`load_feature_dataset`; the rows after it are not read."""
     # a byte that is not UTF-8 reads as a lone surrogate, which ends no
     # line, so the strict decode below sees line 1's bytes and no others
-    with _open_feature_file(path, errors="surrogateescape") as fh:
+    with _open_feature_file(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         line = "".join(fh.readline().splitlines(keepends=True)[:1])
     raw = io.BytesIO(line.encode("utf-8", "surrogateescape"))
     return parse_feature_dataset(io.TextIOWrapper(raw, encoding="utf-8"))

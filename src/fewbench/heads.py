@@ -600,10 +600,10 @@ def qda_fit(
     where ``s`` is the trace-per-dimension of the empirical covariances
     averaged over classes — a single shared scale, so ``lambda=1`` with
     equal priors degenerates exactly to nearest-prototype.  One-shot
-    support forces identity covariances (the empirical one is undefined).
-    All classes are fitted together: their Cholesky factors and the
-    inverses of those (the whitening factors) come from one batched call
-    each.
+    support forces identity covariances (the empirical one is undefined),
+    which are their own whitening factors.  Otherwise all classes are
+    fitted together: their Cholesky factors and the inverses of those (the
+    whitening factors) come from one batched call each.
     """
     if not 0.0 <= shrinkage <= 1.0:
         raise ArgumentError(f"shrinkage must be in [0, 1], got {shrinkage}")
@@ -615,7 +615,10 @@ def qda_fit(
     priors = np.full(n, 1.0 / n)   # balanced support: K / (N K), bit for bit
 
     if k == 1:
+        # each identity covariance is its own Cholesky factor and inverse,
+        # and has log-determinant 0, so nothing is factorized
         covs = np.broadcast_to(np.eye(d), means.shape + (d,)).copy()
+        whitening, log_dets = covs.copy(), np.zeros(means.shape[:-1])
     else:
         centered = blocks - means[..., None, :]
         empirical = centered.swapaxes(-1, -2) @ centered / k
@@ -623,16 +626,15 @@ def qda_fit(
         shared_scale = np.trace(empirical, axis1=-2, axis2=-1).mean(axis=-1) / d
         covs = ((1.0 - shrinkage) * empirical
                 + shrinkage * shared_scale[..., None, None, None] * np.eye(d))
-
-    try:
-        chol = np.linalg.cholesky(covs)
-    except np.linalg.LinAlgError:
-        raise ConditioningError(
-            "class covariance is singular after shrinkage; "
-            "increase lambda (shrinkage > 0)"
-        ) from None
-    log_dets = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-    whitening = np.linalg.inv(chol)
+        try:
+            chol = np.linalg.cholesky(covs)
+        except np.linalg.LinAlgError:
+            raise ConditioningError(
+                "class covariance is singular after shrinkage; "
+                "increase lambda (shrinkage > 0)"
+            ) from None
+        log_dets = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+        whitening = np.linalg.inv(chol)
     return QdaModel(
         means=means,
         covariances=covs,

@@ -197,6 +197,27 @@ def _check_feature_table_round_trip() -> None:
         raise AssertionError("a 0.0/-0.0 duplicate row was accepted")
 
 
+def _check_feature_memo() -> None:
+    # a second load of an unchanged file is an equal table of its own; a
+    # file rewritten in place at the same size, here with the ids of
+    # classes 0 and 1 swapped, is parsed again
+    with tempfile.TemporaryDirectory() as tmp:
+        path, table = os.path.join(tmp, "table.csv"), _small_table()
+        write_feature_dataset(table, path)
+        first, second = load_feature_dataset(path), load_feature_dataset(path)
+        text = render_feature_dataset(table)
+        _require(render_feature_dataset(first) == render_feature_dataset(second) == text)
+        _require(not np.shares_memory(first.x, second.x))
+        swap = {"0": "1", "1": "0"}
+        changed = "".join(swap[line[0]] + line[1:] if line[0] in swap and line[1] == ","
+                          else line for line in text.splitlines(keepends=True))
+        with open(path, "r+", encoding="utf-8") as fh:
+            fh.write(changed)
+        again = load_feature_dataset(path)
+        _require(again.class_ids()[:2] == [1, 0], again.class_ids())
+        _require(render_feature_dataset(again) == changed)
+
+
 def _check_end_to_end_scoring() -> None:
     table = generate_synthetic(
         SyntheticSpec(num_classes=10, dim=8, samples_per_class=8, class_std=0.5,
@@ -223,6 +244,7 @@ _CHECKS = [
     ("keyed streams", _check_keyed_streams),
     ("artifact round trip", _check_artifact_round_trip),
     ("feature table round trip", _check_feature_table_round_trip),
+    ("feature file memo", _check_feature_memo),
     ("end-to-end scoring", _check_end_to_end_scoring),
 ]
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from fewbench import api
+from fewbench import api, dataset
 
 
 def _sleeper_meta_fit(p, episode_spec, meta_train, seed, clock, log_path):
@@ -37,3 +37,12 @@ def sleeper_method():
     api.METHODS["sleeper"] = SLEEPER
     yield
     del api.METHODS["sleeper"]
+
+
+@pytest.fixture(autouse=True)
+def fresh_feature_memo():
+    """Each test starts and ends with no memoized feature tables, so what
+    a test loads does not depend on the tests run before it."""
+    dataset._memo.clear()
+    yield
+    dataset._memo.clear()

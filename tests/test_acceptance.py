@@ -259,14 +259,14 @@ def test_criterion_08_protocol_determinism(tmp_path):
     def snapshot():
         assert main(["run", "--config", str(config)]) == EXIT_OK
         return {
-            name: open(workdir / name, encoding="utf-8").read()
+            name: (workdir / name).read_text(encoding="utf-8")
             for name in sorted(os.listdir(workdir))
             if name.startswith("score_seed")
         }
 
     first = snapshot()
     second = snapshot()
-    board = open(workdir / "leaderboard.csv", encoding="utf-8").read().splitlines()
+    board = (workdir / "leaderboard.csv").read_text(encoding="utf-8").splitlines()
     entries = [line.split(",") for line in board]
     wallclock_free = [e[:8] + e[9:] for e in entries]
     ok = (first == second

@@ -124,7 +124,7 @@ def test_set_overrides_apply(config_path, tmp_path):
         "--set", "method.qda.shrinkage=0.75",
         "--set", f"paths.leaderboard={tmp_path / 'alt.csv'}",
     ]) == EXIT_OK
-    board = open(tmp_path / "alt.csv", encoding="utf-8").read()
+    board = (tmp_path / "alt.csv").read_text(encoding="utf-8")
     assert board.startswith("qda,")
 
 

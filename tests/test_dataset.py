@@ -3,6 +3,7 @@
 import io
 import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -539,6 +540,166 @@ def test_feature_file_io_memory_is_bounded(tmp_path):
         assert error_peak - error_before < 4.0 * table_bytes
 
 
+# ---------------------------------------------------------------------------
+# The memo of loaded feature files
+
+
+def _memo_table(seed: int, samples_per_class: int = 9) -> DatasetTable:
+    return generate_synthetic(SyntheticSpec(num_classes=5, dim=3,
+                                            samples_per_class=samples_per_class,
+                                            class_std=1.0, mean_scale=2.0, seed=seed))
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The sources that ``parse_feature_dataset`` was called on."""
+    calls = []
+    real = dataset.parse_feature_dataset
+
+    def counting(source):
+        calls.append(source)
+        return real(source)
+
+    monkeypatch.setattr(dataset, "parse_feature_dataset", counting)
+    return calls
+
+
+def _arrays(table: DatasetTable) -> list[np.ndarray]:
+    return [table.x, table.ids, table.sizes, table.starts]
+
+
+def test_a_second_load_of_an_unchanged_file_is_a_private_copy(tmp_path, parses):
+    path = str(tmp_path / "table.csv")
+    write_feature_dataset(_memo_table(1), path)
+    first = load_feature_dataset(path)
+    second = load_feature_dataset(path)
+    assert len(parses) == 1
+    assert _tables_bitwise_equal(second, first)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(_arrays(first), _arrays(second)))
+    (_, kept), = dataset._memo.values()
+    for a, b, c in zip(_arrays(first), _arrays(second), _arrays(kept)):
+        assert not (np.shares_memory(a, b) or np.shares_memory(a, c) or np.shares_memory(b, c))
+    # writing into either table leaves the next load unchanged
+    for table in (first, second):
+        table.x[:] = -1.0
+        table.ids[:] = 0
+        table.sizes[:] = 1
+        table.starts[:] = 0
+    assert _tables_bitwise_equal(load_feature_dataset(path), _memo_table(1))
+    assert len(parses) == 1
+
+
+def test_a_file_rewritten_in_place_at_the_same_size_is_parsed_again(tmp_path, parses):
+    path = tmp_path / "table.csv"
+    text = render_feature_dataset(_memo_table(2))
+    path.write_text(text, encoding="utf-8")
+    load_feature_dataset(str(path))
+    before = os.stat(path)
+    changed = text.replace("1", "2", 1)
+    assert changed != text and len(changed) == len(text)
+    with open(path, "r+", encoding="utf-8") as fh:
+        fh.write(changed)
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert ((after.st_ino, after.st_size, after.st_mtime_ns)
+            == (before.st_ino, before.st_size, before.st_mtime_ns))
+    assert _tables_bitwise_equal(load_feature_dataset(str(path)), parse_feature_dataset(changed))
+    assert len(parses) == 2
+
+
+def test_a_bad_row_appended_to_a_memoized_file_raises_as_a_fresh_load(tmp_path):
+    path = str(tmp_path / "table.csv")
+    table = _memo_table(3)
+    write_feature_dataset(table, path)
+    load_feature_dataset(path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("4,1.0,nan,2.0\n")
+    with pytest.raises(ParseError) as memoized:
+        load_feature_dataset(path)
+    assert dataset._memo == {}
+    with pytest.raises(ParseError) as fresh:
+        load_feature_dataset(path)
+    assert str(memoized.value) == str(fresh.value)
+    assert memoized.value.line_no == fresh.value.line_no == table.total_examples + 2
+
+
+def test_a_file_replaced_through_the_writer_is_parsed_again(tmp_path, parses):
+    path = str(tmp_path / "table.csv")
+    write_feature_dataset(_memo_table(4), path)
+    load_feature_dataset(path)
+    write_feature_dataset(_memo_table(5), path)
+    assert _tables_bitwise_equal(load_feature_dataset(path), _memo_table(5))
+    assert len(parses) == 2
+
+
+def test_a_failed_parse_stores_nothing(tmp_path):
+    path = tmp_path / "table.csv"
+    for text in ("dim=2\n0,1.0\n", "dim=2\n0,1.0,2.0\n0,1.0,2.0\n", "dim=x\n"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError):
+            load_feature_dataset(str(path))
+        assert dataset._memo == {}
+    path.write_bytes(b"dim=1\n0,1.0\n\xff\n")
+    with pytest.raises(ParseError, match="not utf-8 text"):
+        load_feature_dataset(str(path))
+    assert dataset._memo == {}
+
+
+def test_a_third_file_evicts_the_least_recently_loaded(tmp_path, parses):
+    paths = [str(tmp_path / f"table{i}.csv") for i in range(3)]
+    for i, path in enumerate(paths):
+        write_feature_dataset(_memo_table(10 + i), path)
+    a, b, c = paths
+    for path in (a, b, a, c):  # the second load of a is a hit, so b is the oldest
+        load_feature_dataset(path)
+    assert len(parses) == 3
+    assert [key[1] for key in dataset._memo] == [os.stat(a).st_ino, os.stat(c).st_ino]
+    assert _tables_bitwise_equal(load_feature_dataset(b), _memo_table(11))
+    assert len(parses) == 4
+    load_feature_dataset(c)
+    assert len(parses) == 4
+
+
+def test_a_pipe_is_read_once_and_never_memoized(tmp_path, parses):
+    fifo = str(tmp_path / "pipe")
+    os.mkfifo(fifo)
+    text = render_feature_dataset(_memo_table(6))
+
+    def feed():
+        with open(fifo, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    for _ in range(2):
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        table = load_feature_dataset(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert _tables_bitwise_equal(table, _memo_table(6))
+        assert dataset._memo == {}
+    assert len(parses) == 2
+
+
+def test_a_memo_hit_holds_about_one_table(tmp_path):
+    """A hit reads the file in blocks of 64 KiB to hash it, and copies the
+    kept table once.  The shape is that of the large-query benchmark's
+    test file."""
+    table = generate_synthetic(SyntheticSpec(num_classes=20, dim=16, samples_per_class=600,
+                                             class_std=1.0, mean_scale=2.0, seed=4))
+    path = str(tmp_path / "table.csv")
+    write_feature_dataset(table, path)
+    load_feature_dataset(path)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        loaded = load_feature_dataset(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _tables_bitwise_equal(loaded, table)
+    assert peak - before <= 1.2 * table.x.nbytes
+
+
 def test_render_parse_round_trip_is_byte_stable():
     gen = np.random.default_rng(0)
     table = DatasetTable(
@@ -725,6 +886,37 @@ def test_from_rows_refuses_rows_outside_x(sizes, starts, message):
     # the rows that are inside x build, and share x
     table = DatasetTable.from_rows(1, np.arange(4.0).reshape(4, 1), [0, 1], [1, 2], [3, 0])
     assert [rec.examples.ravel().tolist() for rec in table.classes] == [[3.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("sizes,starts,message", [
+    ([1.9, 1.5], [0.5, 1.7], "class sizes must be integers, got 1.9"),
+    ([1, 1.0], None, "class sizes must be integers, got 1.0"),
+    ([1, True], None, "class sizes must be integers, got True"),
+    (np.array([1.0, 2.0]), None, f"class sizes must be integers, got {np.float64(1.0)!r}"),
+    (np.array([True, True]), None, f"class sizes must be integers, got {np.True_!r}"),
+    ([1, 1], [0.5, 1.7], "class starts must be integers, got 0.5"),
+    ([1, 1], [0, False], "class starts must be integers, got False"),
+    ([1, 1], np.array([0.0, 1.0]), f"class starts must be integers, got {np.float64(0.0)!r}"),
+])
+def test_from_rows_refuses_sizes_and_starts_that_are_not_integers(sizes, starts, message):
+    """Class sizes and starts follow the rule of counts: a float, which
+    the int64 cast used to truncate without notice, and a bool are
+    refused."""
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        DatasetTable.from_rows(1, np.arange(3.0).reshape(3, 1), [0, 1], sizes, starts)
+
+
+def test_both_constructors_build_int64_sizes_and_starts():
+    """Integer sizes and starts of any integer type build; the records a
+    ``DatasetTable`` is built from give the same sizes and starts."""
+    x = np.arange(5.0).reshape(5, 1)
+    for sizes, starts in (([2, 3], [0, 2]), (np.array([2, 3], np.uint8), np.array([0, 2], np.int32)),
+                          (range(2, 4), (np.int16(0), np.uint64(2)))):
+        table = DatasetTable.from_rows(1, x, [0, 1], sizes, starts)
+        built = DatasetTable(1, table.classes)
+        for t in (table, built):
+            assert t.sizes.dtype == t.starts.dtype == np.int64
+            assert (t.sizes.tolist(), t.starts.tolist()) == ([2, 3], [0, 2])
 
 
 def test_tables_have_no_validate_method():

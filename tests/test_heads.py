@@ -273,6 +273,25 @@ def test_qda_one_shot_uses_identity_covariance():
     assert np.array_equal(qda_predict(model, qx), proto_labels(protos, qx))
 
 
+@pytest.mark.parametrize("d", [4, 16, 64])
+@pytest.mark.parametrize("block", [False, True])
+def test_qda_one_shot_fields_equal_the_factorized_ones(d, block):
+    """One-shot QDA factorizes nothing; its whitening factors and
+    log-determinants are bitwise those that a Cholesky factorization and
+    inverse of its identity covariances give."""
+    sx, sy, _, _ = make_episode(n=5, k=1, dim=d, seed=d)
+    if block:
+        sx = np.stack([sx, sx[::-1], sx * 2.0])
+    model = qda_fit(sx, sy)
+    chol = np.linalg.cholesky(model.covariances)
+    log_dets = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    whitening = np.linalg.inv(chol)
+    for got, want in ((model.whitening, whitening), (model.log_dets, log_dets)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    assert not np.shares_memory(model.whitening, model.covariances)
+
+
 def test_qda_full_shrinkage_equals_nearest_prototype():
     """lambda=1 with balanced support must reduce to nearest class mean.
 

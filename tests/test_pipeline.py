@@ -525,7 +525,7 @@ def test_scoring_writes_report(tmp_path):
     artifact = run_ingestion(cfg, seed=101)
     score = run_scoring(artifact, cfg, seed=101)
     assert score.episode_count == 4
-    text = open(cfg.report_path(101), encoding="utf-8").read()
+    text = Path(cfg.report_path(101)).read_text(encoding="utf-8")
     lines = text.splitlines()
     assert len(lines) == 5
     assert lines[-1].startswith("aggregate,")
@@ -535,7 +535,7 @@ def test_failed_report_write_keeps_earlier_report(tmp_path, monkeypatch):
     cfg = small_cfg(tmp_path)
     artifact = run_ingestion(cfg, seed=101)
     run_scoring(artifact, cfg, seed=101)
-    before = open(cfg.report_path(101), "rb").read()
+    before = Path(cfg.report_path(101)).read_bytes()
     listing = sorted(os.listdir(cfg.workdir))
 
     def broken_render(score):
@@ -553,7 +553,7 @@ def test_failed_report_write_keeps_earlier_report(tmp_path, monkeypatch):
     with pytest.raises(ArgumentError, match="score_seed101.csv.*rename failed"):
         run_scoring(artifact, cfg, seed=101)
     monkeypatch.undo()
-    assert open(cfg.report_path(101), "rb").read() == before
+    assert Path(cfg.report_path(101)).read_bytes() == before
     assert sorted(os.listdir(cfg.workdir)) == listing
 
 
@@ -581,7 +581,7 @@ def test_run_phase_completed(tmp_path):
     for seed in cfg.seeds:
         assert os.path.exists(cfg.artifact_path(seed))
         assert os.path.exists(cfg.report_path(seed))
-    board = open(cfg.leaderboard_path, encoding="utf-8").read().splitlines()
+    board = Path(cfg.leaderboard_path).read_text(encoding="utf-8").splitlines()
     assert len(board) == 1
     assert parse_leaderboard_entry(board[0]) == entry
 
@@ -608,7 +608,7 @@ def test_run_phase_timeout_marks_timed_out(tmp_path):
     assert entry.final is None
     assert entry.cause.startswith("BudgetExceededError: ")
     assert not os.path.exists(cfg.artifact_path(cfg.seeds[0]))
-    board = open(cfg.leaderboard_path, encoding="utf-8").read().splitlines()
+    board = Path(cfg.leaderboard_path).read_text(encoding="utf-8").splitlines()
     assert parse_leaderboard_entry(board[0]).status == "timed_out"
 
 
@@ -624,7 +624,7 @@ def test_run_phase_failure_marks_failed(tmp_path):
     # no artifact or score report: only the leaderboard entry
     assert os.listdir(cfg.workdir) == ["leaderboard.csv"]
     # the cause stays out of the 10-field leaderboard line
-    board = open(cfg.leaderboard_path, encoding="utf-8").read()
+    board = Path(cfg.leaderboard_path).read_text(encoding="utf-8")
     assert "SamplingError" not in board
     assert parse_leaderboard_entry(board.splitlines()[0]) == entry
 
@@ -638,10 +638,10 @@ def test_run_phase_is_deterministic_except_wallclock(tmp_path):
         _, entry = run_phase(cfg)
         entries.append(entry)
         artifacts.append([
-            open(cfg.artifact_path(s), encoding="utf-8").read() for s in cfg.seeds
+            Path(cfg.artifact_path(s)).read_text(encoding="utf-8") for s in cfg.seeds
         ])
         reports.append([
-            open(cfg.report_path(s), encoding="utf-8").read() for s in cfg.seeds
+            Path(cfg.report_path(s)).read_text(encoding="utf-8") for s in cfg.seeds
         ])
     assert artifacts[0] == artifacts[1]
     assert reports[0] == reports[1]
