@@ -39,10 +39,11 @@ parses it, and peaks at about 2.3x the table's array on large tables,
 when it joins the parsed records of the blocks into one array.  Their
 values are then gathered, in class order, into the table's one array.
 
-:func:`load_feature_dataset` parses an unchanged regular file once per
-process: it keeps a private copy of the tables of the last two regular
-files it loaded, each checked against the sha256 of the bytes parsed
-before it is copied out again.  Pipes are parsed on each load.
+:func:`load_feature_dataset` parses a regular file that is loaded again
+and again in a row only while its bytes change: from its second load on
+it keeps a private copy of the file's table, checked against the sha256
+of the bytes parsed before it is copied out again.  A file loaded once,
+and a pipe, are parsed as they are read and nothing is kept.
 """
 
 from __future__ import annotations
@@ -473,10 +474,10 @@ class _HashingReader(io.RawIOBase):
         return n
 
 
-_MEMO_FILES = 2  # regular files whose parsed table a load keeps
-# (st_dev, st_ino) -> (sha256 of the bytes parsed, a private copy of the
-# table), least recently loaded first
-_memo: dict[tuple[int, int], tuple[bytes, DatasetTable]] = {}
+# The last regular file loaded, under its (st_dev, st_ino): None after its
+# first load, and from its second load in a row on, the sha256 of the bytes
+# it last parsed with a private copy of their table.
+_memo: dict[tuple[int, int], tuple[bytes, DatasetTable] | None] = {}
 
 
 def _copy_table(table: DatasetTable) -> DatasetTable:
@@ -500,32 +501,34 @@ def load_feature_dataset(path: str) -> DatasetTable:
     A file that cannot be opened, or is not UTF-8 text, raises
     :class:`ParseError`.
 
-    The tables of the last two regular files loaded are kept, each under
-    its file's device and inode with the sha256 of the bytes parsed.  A
-    load of one of those files hashes its bytes, and if they are the
-    bytes parsed before it returns a new copy of the kept table without
-    parsing; otherwise it parses them again.  So a load always returns
-    the table of the bytes it read, and never shares memory with another
-    load.  Pipes and other files that are not regular are read once, by
-    the parse alone, and are never kept.
+    A regular file that is loaded again and again, with no other file
+    loaded in between, is parsed only while its bytes change.  Its first
+    load parses it and keeps only its device and inode.  The second load
+    in a row parses it too, hashing the bytes it parses with sha256, and
+    keeps a private copy of the table.  Each later load in a row hashes
+    the file and returns a new copy of the kept table if the bytes are
+    those parsed, or parses them again if not.  So a load always returns
+    the table of the bytes it read and shares memory with no other load;
+    a file loaded once costs no more than its parse, and a load of
+    another file, or of a pipe, drops the kept table.
     """
     with _open_feature_file(path, "rb", buffering=0) as raw:
         info = os.fstat(raw.fileno())
         key = (info.st_dev, info.st_ino) if stat.S_ISREG(info.st_mode) else None
+        again = key is not None and key in _memo
         kept = _memo.pop(key, None)
+        _memo.clear()
         if kept is not None:
             if _file_digest(raw) == kept[0]:
-                _memo[key] = kept  # now the most recently loaded
+                _memo[key] = kept
                 return _copy_table(kept[1])
             raw.seek(0)
         digest = hashlib.sha256()
-        with io.TextIOWrapper(io.BufferedReader(_HashingReader(raw, digest)),
-                              encoding="utf-8") as fh:
+        reader = _HashingReader(raw, digest) if again else raw
+        with io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8") as fh:
             table = parse_feature_dataset(fh)
     if key is not None:
-        _memo[key] = digest.digest(), _copy_table(table)
-        for old in list(_memo)[:-_MEMO_FILES]:
-            del _memo[old]
+        _memo[key] = (digest.digest(), _copy_table(table)) if again else None
     return table
 
 

@@ -282,9 +282,9 @@ def load_split(config: PhaseConfig) -> MetaSplit:
     ``meta_train`` is a table of that width with no classes.  A standalone
     :func:`run_ingestion` or :func:`run_scoring` loads less: ingestion
     reads only the test file's header, scoring only the train file's.
-    A file's rows are parsed once per process while its bytes do not
-    change (see :func:`~fewbench.dataset.load_feature_dataset`), so the
-    phases of one process that load the same test file parse it once.
+    Phases of one process that load only the same test file parse it
+    twice while its bytes do not change, and copy it from the third
+    phase on (see :func:`~fewbench.dataset.load_feature_dataset`).
     """
     return _load_split(config, train_rows=_meta_trains(config), test_rows=True)
 

@@ -198,16 +198,17 @@ def _check_feature_table_round_trip() -> None:
 
 
 def _check_feature_memo() -> None:
-    # a second load of an unchanged file is an equal table of its own; a
-    # file rewritten in place at the same size, here with the ids of
-    # classes 0 and 1 swapped, is parsed again
+    # loads of an unchanged file in a row, the third a copy of the table
+    # the second kept, are equal tables of their own; a file rewritten in
+    # place at the same size, here with the ids of classes 0 and 1
+    # swapped, is parsed again
     with tempfile.TemporaryDirectory() as tmp:
         path, table = os.path.join(tmp, "table.csv"), _small_table()
         write_feature_dataset(table, path)
-        first, second = load_feature_dataset(path), load_feature_dataset(path)
+        loads = [load_feature_dataset(path) for _ in range(3)]
         text = render_feature_dataset(table)
-        _require(render_feature_dataset(first) == render_feature_dataset(second) == text)
-        _require(not np.shares_memory(first.x, second.x))
+        _require(all(render_feature_dataset(t) == text for t in loads))
+        _require(not any(np.shares_memory(a.x, b.x) for a, b in zip(loads, loads[1:])))
         swap = {"0": "1", "1": "0"}
         changed = "".join(swap[line[0]] + line[1:] if line[0] in swap and line[1] == ","
                           else line for line in text.splitlines(keepends=True))

@@ -541,7 +541,7 @@ def test_feature_file_io_memory_is_bounded(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The memo of loaded feature files
+# The memo of a feature file loaded again and again
 
 
 def _memo_table(seed: int, samples_per_class: int = 9) -> DatasetTable:
@@ -564,36 +564,85 @@ def parses(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def hashed(monkeypatch):
+    """The bytes that loads fed to sha256, whether while parsing or not."""
+    fed = []
+    real = dataset.hashlib.sha256
+
+    class Counting:
+        def __init__(self):
+            self._digest = real()
+
+        def update(self, data):
+            fed.append(len(data))
+            self._digest.update(data)
+
+        def digest(self):
+            return self._digest.digest()
+
+    monkeypatch.setattr(dataset.hashlib, "sha256", Counting)
+    return fed
+
+
 def _arrays(table: DatasetTable) -> list[np.ndarray]:
     return [table.x, table.ids, table.sizes, table.starts]
 
 
-def test_a_second_load_of_an_unchanged_file_is_a_private_copy(tmp_path, parses):
+def _keep(path: str) -> None:
+    """Load ``path`` twice in a row, so that its table is kept."""
+    load_feature_dataset(path)
+    load_feature_dataset(path)
+    assert list(dataset._memo) == [(os.stat(path).st_dev, os.stat(path).st_ino)]
+    assert dataset._memo[list(dataset._memo)[0]] is not None
+
+
+def test_a_file_loaded_once_is_parsed_without_hashing_and_no_table_is_kept(
+        tmp_path, parses, hashed):
+    paths = [str(tmp_path / f"table{i}.csv") for i in range(2)]
+    for i, path in enumerate(paths):
+        write_feature_dataset(_memo_table(20 + i), path)
+    for path in paths * 2:  # each load follows a load of the other file
+        table = load_feature_dataset(path)
+        info = os.stat(path)
+        assert dataset._memo == {(info.st_dev, info.st_ino): None}
+    assert _tables_bitwise_equal(table, _memo_table(21))
+    assert len(parses) == 4
+    assert hashed == []
+
+
+def test_a_third_load_in_a_row_of_an_unchanged_file_is_a_private_copy(tmp_path, parses):
     path = str(tmp_path / "table.csv")
     write_feature_dataset(_memo_table(1), path)
     first = load_feature_dataset(path)
     second = load_feature_dataset(path)
-    assert len(parses) == 1
-    assert _tables_bitwise_equal(second, first)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(_arrays(first), _arrays(second)))
+    assert len(parses) == 2
+    third = load_feature_dataset(path)
+    assert len(parses) == 2
+    loads = (first, second, third)
+    for table in loads[1:]:
+        assert _tables_bitwise_equal(table, first)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(_arrays(first), _arrays(table)))
     (_, kept), = dataset._memo.values()
-    for a, b, c in zip(_arrays(first), _arrays(second), _arrays(kept)):
-        assert not (np.shares_memory(a, b) or np.shares_memory(a, c) or np.shares_memory(b, c))
-    # writing into either table leaves the next load unchanged
-    for table in (first, second):
+    tables = loads + (kept,)
+    for i, a in enumerate(tables):
+        for b in tables[i + 1:]:
+            assert not any(np.shares_memory(u, v) for u, v in zip(_arrays(a), _arrays(b)))
+    # writing into any loaded table leaves the next load unchanged
+    for table in loads:
         table.x[:] = -1.0
         table.ids[:] = 0
         table.sizes[:] = 1
         table.starts[:] = 0
     assert _tables_bitwise_equal(load_feature_dataset(path), _memo_table(1))
-    assert len(parses) == 1
+    assert len(parses) == 2
 
 
 def test_a_file_rewritten_in_place_at_the_same_size_is_parsed_again(tmp_path, parses):
     path = tmp_path / "table.csv"
     text = render_feature_dataset(_memo_table(2))
     path.write_text(text, encoding="utf-8")
-    load_feature_dataset(str(path))
+    _keep(str(path))
     before = os.stat(path)
     changed = text.replace("1", "2", 1)
     assert changed != text and len(changed) == len(text)
@@ -604,66 +653,69 @@ def test_a_file_rewritten_in_place_at_the_same_size_is_parsed_again(tmp_path, pa
     assert ((after.st_ino, after.st_size, after.st_mtime_ns)
             == (before.st_ino, before.st_size, before.st_mtime_ns))
     assert _tables_bitwise_equal(load_feature_dataset(str(path)), parse_feature_dataset(changed))
-    assert len(parses) == 2
+    assert len(parses) == 3
+    # the changed bytes are kept in turn
+    assert _tables_bitwise_equal(load_feature_dataset(str(path)), parse_feature_dataset(changed))
+    assert len(parses) == 3
 
 
-def test_a_bad_row_appended_to_a_memoized_file_raises_as_a_fresh_load(tmp_path):
+def test_a_bad_row_appended_to_a_kept_file_raises_as_a_fresh_load(tmp_path):
     path = str(tmp_path / "table.csv")
     table = _memo_table(3)
     write_feature_dataset(table, path)
-    load_feature_dataset(path)
+    _keep(path)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("4,1.0,nan,2.0\n")
-    with pytest.raises(ParseError) as memoized:
+    with pytest.raises(ParseError) as kept:
         load_feature_dataset(path)
     assert dataset._memo == {}
     with pytest.raises(ParseError) as fresh:
         load_feature_dataset(path)
-    assert str(memoized.value) == str(fresh.value)
-    assert memoized.value.line_no == fresh.value.line_no == table.total_examples + 2
+    assert str(kept.value) == str(fresh.value)
+    assert kept.value.line_no == fresh.value.line_no == table.total_examples + 2
 
 
 def test_a_file_replaced_through_the_writer_is_parsed_again(tmp_path, parses):
     path = str(tmp_path / "table.csv")
     write_feature_dataset(_memo_table(4), path)
-    load_feature_dataset(path)
+    _keep(path)
     write_feature_dataset(_memo_table(5), path)
     assert _tables_bitwise_equal(load_feature_dataset(path), _memo_table(5))
-    assert len(parses) == 2
+    assert len(parses) == 3
 
 
 def test_a_failed_parse_stores_nothing(tmp_path):
     path = tmp_path / "table.csv"
     for text in ("dim=2\n0,1.0\n", "dim=2\n0,1.0,2.0\n0,1.0,2.0\n", "dim=x\n"):
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(ParseError):
-            load_feature_dataset(str(path))
-        assert dataset._memo == {}
+        for _ in range(2):
+            with pytest.raises(ParseError):
+                load_feature_dataset(str(path))
+            assert dataset._memo == {}
     path.write_bytes(b"dim=1\n0,1.0\n\xff\n")
     with pytest.raises(ParseError, match="not utf-8 text"):
         load_feature_dataset(str(path))
     assert dataset._memo == {}
 
 
-def test_a_third_file_evicts_the_least_recently_loaded(tmp_path, parses):
-    paths = [str(tmp_path / f"table{i}.csv") for i in range(3)]
-    for i, path in enumerate(paths):
-        write_feature_dataset(_memo_table(10 + i), path)
-    a, b, c = paths
-    for path in (a, b, a, c):  # the second load of a is a hit, so b is the oldest
-        load_feature_dataset(path)
-    assert len(parses) == 3
-    assert [key[1] for key in dataset._memo] == [os.stat(a).st_ino, os.stat(c).st_ino]
+def test_a_load_of_another_file_drops_the_kept_table(tmp_path, parses):
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    write_feature_dataset(_memo_table(10), a)
+    write_feature_dataset(_memo_table(11), b)
+    _keep(a)
     assert _tables_bitwise_equal(load_feature_dataset(b), _memo_table(11))
-    assert len(parses) == 4
-    load_feature_dataset(c)
+    assert dataset._memo == {(os.stat(b).st_dev, os.stat(b).st_ino): None}
+    assert _tables_bitwise_equal(load_feature_dataset(a), _memo_table(10))
     assert len(parses) == 4
 
 
-def test_a_pipe_is_read_once_and_never_memoized(tmp_path, parses):
+def test_a_pipe_is_read_once_and_never_kept(tmp_path, parses):
     fifo = str(tmp_path / "pipe")
     os.mkfifo(fifo)
     text = render_feature_dataset(_memo_table(6))
+    path = str(tmp_path / "table.csv")
+    write_feature_dataset(_memo_table(7), path)
+    _keep(path)
 
     def feed():
         with open(fifo, "w", encoding="utf-8") as fh:
@@ -677,27 +729,35 @@ def test_a_pipe_is_read_once_and_never_memoized(tmp_path, parses):
         assert not writer.is_alive()
         assert _tables_bitwise_equal(table, _memo_table(6))
         assert dataset._memo == {}
-    assert len(parses) == 2
+    assert len(parses) == 4
 
 
-def test_a_memo_hit_holds_about_one_table(tmp_path):
-    """A hit reads the file in blocks of 64 KiB to hash it, and copies the
-    kept table once.  The shape is that of the large-query benchmark's
-    test file."""
+def test_keeping_and_copying_a_table_hold_about_one_table(tmp_path):
+    """The second load in a row parses as the first does and then copies
+    the table it keeps; a later load reads the file in blocks of 64 KiB to
+    hash it and copies the kept table once.  The shape is that of the
+    large-query benchmark's test file."""
     table = generate_synthetic(SyntheticSpec(num_classes=20, dim=16, samples_per_class=600,
                                              class_std=1.0, mean_scale=2.0, seed=4))
     path = str(tmp_path / "table.csv")
     write_feature_dataset(table, path)
     load_feature_dataset(path)
+    peaks = []
     tracemalloc.start()
     try:
-        before, _ = tracemalloc.get_traced_memory()
-        loaded = load_feature_dataset(path)
-        _, peak = tracemalloc.get_traced_memory()
+        for _ in range(2):
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            loaded = load_feature_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak - before)
+            assert _tables_bitwise_equal(loaded, table)
+            del loaded
     finally:
         tracemalloc.stop()
-    assert _tables_bitwise_equal(loaded, table)
-    assert peak - before <= 1.2 * table.x.nbytes
+    # as test_feature_file_io_memory_is_bounded: the loaded table is one of the four
+    assert peaks[0] < 4.0 * table.x.nbytes
+    assert peaks[1] <= 1.2 * table.x.nbytes
 
 
 def test_render_parse_round_trip_is_byte_stable():
