@@ -48,7 +48,6 @@ and a pipe, are parsed as they are read and nothing is kept.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import os
 import stat
@@ -485,10 +484,18 @@ def _copy_table(table: DatasetTable) -> DatasetTable:
                                   table.sizes.copy(), table.starts.copy())
 
 
+def _sha256():
+    # imported when first used: hashlib loads OpenSSL, about 3.6 MB
+    # resident, which a process that loads each file once never needs
+    import hashlib
+
+    return hashlib.sha256()
+
+
 def _file_digest(raw) -> bytes:
     """The sha256 of the rest of the binary file ``raw``, read in blocks
     of 64 KiB."""
-    digest, buffer = hashlib.sha256(), bytearray(1 << 16)
+    digest, buffer = _sha256(), bytearray(1 << 16)
     view = memoryview(buffer)
     while n := raw.readinto(buffer):
         digest.update(view[:n])
@@ -523,7 +530,7 @@ def load_feature_dataset(path: str) -> DatasetTable:
                 _memo[key] = kept
                 return _copy_table(kept[1])
             raw.seek(0)
-        digest = hashlib.sha256()
+        digest = _sha256() if again else None
         reader = _HashingReader(raw, digest) if again else raw
         with io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8") as fh:
             table = parse_feature_dataset(fh)

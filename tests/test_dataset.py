@@ -3,6 +3,8 @@
 import io
 import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -568,7 +570,7 @@ def parses(monkeypatch):
 def hashed(monkeypatch):
     """The bytes that loads fed to sha256, whether while parsing or not."""
     fed = []
-    real = dataset.hashlib.sha256
+    real = dataset._sha256
 
     class Counting:
         def __init__(self):
@@ -581,7 +583,7 @@ def hashed(monkeypatch):
         def digest(self):
             return self._digest.digest()
 
-    monkeypatch.setattr(dataset.hashlib, "sha256", Counting)
+    monkeypatch.setattr(dataset, "_sha256", Counting)
     return fed
 
 
@@ -609,6 +611,21 @@ def test_a_file_loaded_once_is_parsed_without_hashing_and_no_table_is_kept(
     assert _tables_bitwise_equal(table, _memo_table(21))
     assert len(parses) == 4
     assert hashed == []
+
+
+def test_a_process_that_loads_a_file_once_does_not_import_hashlib(tmp_path):
+    """hashlib loads OpenSSL, about 3.6 MB resident; only a file loaded
+    again in a row needs it."""
+    path = str(tmp_path / "table.csv")
+    write_feature_dataset(_memo_table(22), path)
+    code = ("import sys\nfrom fewbench import cli, dataset\n"
+            f"dataset.load_feature_dataset({path!r})\n"
+            "assert 'hashlib' not in sys.modules\n"
+            f"dataset.load_feature_dataset({path!r})\n"
+            "assert 'hashlib' in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dataset.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_a_third_load_in_a_row_of_an_unchanged_file_is_a_private_copy(tmp_path, parses):
