@@ -198,14 +198,14 @@ def _check_feature_table_round_trip() -> None:
 
 
 def _check_feature_memo() -> None:
-    # loads of an unchanged file in a row, the third a copy of the table
-    # the second kept, are equal tables of their own; a file rewritten in
-    # place at the same size, here with the ids of classes 0 and 1
-    # swapped, is parsed again
+    # loads of an unchanged file in a row, the third and fourth copies of
+    # the table the second kept, are equal tables of their own; a file
+    # rewritten in place at the same size, here with the ids of classes 0
+    # and 1 swapped, is parsed again
     with tempfile.TemporaryDirectory() as tmp:
         path, table = os.path.join(tmp, "table.csv"), _small_table()
         write_feature_dataset(table, path)
-        loads = [load_feature_dataset(path) for _ in range(3)]
+        loads = [load_feature_dataset(path) for _ in range(4)]
         text = render_feature_dataset(table)
         _require(all(render_feature_dataset(t) == text for t in loads))
         _require(not any(np.shares_memory(a.x, b.x) for a, b in zip(loads, loads[1:])))
