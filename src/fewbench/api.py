@@ -419,8 +419,9 @@ METHODS: dict[str, Method] = {
                 "tol": heads.PTMAP_SINKHORN.tol,
                 "n_iters": 20, "step_size": 0.2},
         fit=_keep_support, predict=_ptmap_predict,
-        bounds={"epsilon": "[0, inf)", "reg": "(0, inf]", "max_iters": "[1, inf)",
-                "tol": "(0, inf]", "n_iters": "[0, inf)", "step_size": "(0, 1]"},
+        bounds={"beta": "(0, inf)", "epsilon": "[0, inf)", "reg": "(0, inf]",
+                "max_iters": "[1, inf)", "tol": "(0, inf]", "n_iters": "[0, inf)",
+                "step_size": "(0, 1]"},
         block_bytes=_ptmap_bytes,
     ),
     "qda": Method(
@@ -479,8 +480,10 @@ def render_learner(learner: LearnerState) -> str:
     out = [ARTIFACT_MAGIC, f"method,{learner.method.name}"]
     for key in sorted(learner.method.params):
         value = learner.method.params[key]
-        # a NumPy scalar as its Python value: its NumPy 2 repr does not parse
-        value = value.item() if isinstance(value, np.generic) else value
+        # a value of another type, such as a NumPy scalar or an IntEnum, as
+        # the plain value it was coerced to: its own repr need not parse
+        if type(value) not in (str, int, float, bool):
+            value = learner.method.values[key]
         out.append(f"config,{key},{value!r}")
     p = learner.provenance
     out.append(f"provenance,{p.seed},{p.episodes_consumed},{p.batches_consumed}")
@@ -524,7 +527,9 @@ def parse_learner(text: str) -> LearnerState:
                 method_name = line.split(",", 1)[1]
             elif line.startswith("config,"):
                 _, key, value = line.split(",", 2)
-                params[key] = ast.literal_eval(value)
+                # the repr of a float that is not finite is no literal
+                params[key] = (float(value) if value in ("inf", "-inf", "nan")
+                               else ast.literal_eval(value))
             elif line.startswith("provenance,"):
                 _, s, e, b = line.split(",")
                 provenance = Provenance(int(s), int(e), int(b))

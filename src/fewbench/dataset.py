@@ -96,10 +96,9 @@ def _int64s(name: str, values) -> np.ndarray:
     """``values`` as an int64 array; :class:`ArgumentError` unless each
     entry is an integer (see :func:`is_integer`), never a float, which the
     cast would truncate, nor a bool."""
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
-        for value in values:
-            if not is_integer(value):
-                raise ArgumentError(f"{name} must be integers, got {value!r}")
+    for value in values:
+        if not is_integer(value):
+            raise ArgumentError(f"{name} must be integers, got {value!r}")
     return np.asarray(values, dtype=np.int64)
 
 
@@ -237,7 +236,6 @@ class SyntheticSpec:
 
 
 _BLOCK_CHARS = 1 << 16  # characters per block of feature text read or written
-_NARROW_ROWS = 256  # rows per loadtxt call while narrowing a refused block
 
 
 def parse_feature_dataset(source: str | TextIO) -> DatasetTable:
@@ -248,8 +246,9 @@ def parse_feature_dataset(source: str | TextIO) -> DatasetTable:
     each block is checked whole before the next one is read.  Besides one
     block, the parse holds the records read so far, and its traced peak
     is about 2.3x the table's array on large tables: 3.3 MiB for 12,000
-    rows of 16 values.  The source is never rewound, so piped input
-    parses too.
+    rows of 16 values.  A block that ``loadtxt`` refuses is read again a
+    row at a time up to its first bad row.  The source is never rewound,
+    so piped input parses too.
 
     Raises :class:`ParseError` naming the one-based line number, counted
     from where the source stood, of the first line that breaks the
@@ -277,8 +276,8 @@ def parse_feature_dataset(source: str | TextIO) -> DatasetTable:
     dtype = _record_dtype(dim)
 
     # one loadtxt pass per block, which also rejects a row with the wrong
-    # number of fields; a block it refuses is narrowed to its first bad
-    # row, and nothing after that block is read
+    # number of fields; a block it refuses is read again a row at a time up
+    # to its first bad row, and nothing after that block is read
     parts, hashes, skipped = [], [], []  # skipped: lines that are not data rows
     first_line, message = 2, None
     for lines in chain([lines[1:]], map(str.splitlines, blocks)):
@@ -403,26 +402,20 @@ def _first_duplicate(h: np.ndarray, ids: np.ndarray, x: np.ndarray) -> int | Non
     return None
 
 
-def _check_rows(
-    rows: list[str], dtype, dim: int, step: int = _NARROW_ROWS
-) -> tuple[list[np.ndarray], str | None]:
+def _check_rows(rows: list[str], dtype, dim: int) -> tuple[list[np.ndarray], str | None]:
     """Read ``rows`` up to the first one that breaks a rule other than
     duplication: the records of the rows before it, and its error
     message, or None when no row breaks one.
 
-    ``rows`` that ``loadtxt`` refuses are read again ``step`` rows at a
-    time, and a part it refuses again a row at a time, so the row-by-row
-    reads stay inside one part.
+    ``rows`` that ``loadtxt`` refuses together are read again a row at a
+    time, up to the first one that it refuses alone; the rows before that
+    one are then read together, since it reads them each alone.
     """
     records = _load(rows, dtype)
     if records is None and len(rows) > 1:
-        parts: list[np.ndarray] = []
-        for start in range(0, len(rows), step):
-            checked, message = _check_rows(rows[start:start + step], dtype, dim, 1)
-            parts += checked
-            if message is not None:
-                return parts, message
-        return parts, None
+        k = next(k for k, row in enumerate(rows) if _load([row], dtype) is None)
+        parts, message = _check_rows(rows[:k], dtype, dim) if k else ([], None)
+        return parts, message or _row_error(rows[k], dim)
     if records is None:
         return [], _row_error(rows[0], dim)
     negative = records["id"] < 0
@@ -457,11 +450,12 @@ def _open_feature_file(path: str, mode: str, **kwargs) -> IO:
 
 class _HashingReader(io.RawIOBase):
     """A raw reader over the binary file ``raw`` that feeds each byte it
-    reads to ``digest``, so a text wrapper over it hashes exactly the
-    bytes that it decodes."""
+    reads to its ``digest``, so a text wrapper over it hashes exactly the
+    bytes that it decodes, and reading it to the end hashes the rest of
+    the file."""
 
     def __init__(self, raw, digest):
-        self._raw, self._digest = raw, digest
+        self._raw, self.digest = raw, digest
 
     def readable(self) -> bool:
         return True
@@ -469,7 +463,7 @@ class _HashingReader(io.RawIOBase):
     def readinto(self, buffer) -> int | None:
         n = self._raw.readinto(buffer)
         if n:
-            self._digest.update(memoryview(buffer)[:n])
+            self.digest.update(memoryview(buffer)[:n])
         return n
 
 
@@ -490,16 +484,6 @@ def _sha256():
     import hashlib
 
     return hashlib.sha256()
-
-
-def _file_digest(raw) -> bytes:
-    """The sha256 of the rest of the binary file ``raw``, read in blocks
-    of 64 KiB."""
-    digest, buffer = _sha256(), bytearray(1 << 16)
-    view = memoryview(buffer)
-    while n := raw.readinto(buffer):
-        digest.update(view[:n])
-    return digest.digest()
 
 
 def load_feature_dataset(path: str) -> DatasetTable:
@@ -526,16 +510,18 @@ def load_feature_dataset(path: str) -> DatasetTable:
         kept = _memo.pop(key, None)
         _memo.clear()
         if kept is not None:
-            if _file_digest(raw) == kept[0]:
+            hashing = _HashingReader(raw, _sha256())
+            while hashing.read(1 << 16):
+                pass
+            if hashing.digest.digest() == kept[0]:
                 _memo[key] = kept
                 return _copy_table(kept[1])
             raw.seek(0)
-        digest = _sha256() if again else None
-        reader = _HashingReader(raw, digest) if again else raw
+        reader = _HashingReader(raw, _sha256()) if again else raw
         with io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8") as fh:
             table = parse_feature_dataset(fh)
     if key is not None:
-        _memo[key] = (digest.digest(), _copy_table(table)) if again else None
+        _memo[key] = (reader.digest.digest(), _copy_table(table)) if again else None
     return table
 
 

@@ -231,6 +231,8 @@ class PowerTransformParams:
     unit_normalize: bool = True
 
     def __post_init__(self) -> None:
+        if not 0 < self.beta < np.inf:
+            raise ArgumentError(f"beta must be positive and finite, got {self.beta}")
         if self.epsilon < 0:
             raise ArgumentError(f"epsilon must be non-negative, got {self.epsilon}")
 

@@ -239,15 +239,19 @@ def load_config(cfg: dict[str, str]) -> PhaseConfig:
         except ValueError:
             raise ConfigError(f"{key} must be {_KINDS[kind]}, got {cfg[key]!r}") from None
 
-    synthetic = None
-    n_train_classes = get("data.n_train_classes", int)
+    synthetic = n_train_classes = None
     if synthetic_data:
         synthetic = SyntheticSpec(**{f.name: get(f"data.synthetic.{f.name}", type(f.default))
                                      for f in fields(SyntheticSpec)})
+        n_train_classes = get("data.n_train_classes", int)
         if n_train_classes is None:
             n_train_classes = max(1, (3 * synthetic.num_classes) // 4)
     elif "data.train_path" not in cfg or "data.test_path" not in cfg:
         raise ConfigError("data.train_path and data.test_path must both be set")
+    elif unread := sorted(key for key in cfg if key.startswith("data.synthetic.")
+                          or key in ("data.n_train_classes", "data.split_seed")):
+        raise ConfigError(f"{', '.join(unread)} set, but only a synthetic phase reads "
+                          "them, and this one reads data.train_path and data.test_path")
 
     episode_spec = EpisodeSpec(get("sampler.n_way", int), get("sampler.k_shot", int),
                                get("sampler.query_per_class", _query_count))

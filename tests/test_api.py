@@ -27,6 +27,7 @@ from fewbench.errors import (
     ArgumentError,
     ArtifactError,
     BenchError,
+    BudgetExceededError,
     ConfigError,
     EpisodeFormatError,
     ShapeError,
@@ -71,6 +72,20 @@ def test_linear_meta_fit_learns_feature_statistics():
     assert learner.provenance.batches_consumed == 10
     again = meta_fit(*spec_for("linear"), EASY_POOL, seed=4)
     assert np.array_equal(learner.arrays["feat_mean"], again.arrays["feat_mean"])
+
+
+def test_linear_meta_fit_checks_the_budget_before_each_batch():
+    class Clock:
+        checks = 0
+
+        def check(self):
+            Clock.checks += 1
+            if Clock.checks == 3:
+                raise BudgetExceededError("budget spent")
+
+    with pytest.raises(BudgetExceededError, match="budget spent"):
+        meta_fit(*spec_for("linear"), EASY_POOL, seed=4, clock=Clock())
+    assert Clock.checks == 3
 
 
 def test_fomaml_meta_fit_trains_and_counts_episodes():
@@ -154,6 +169,7 @@ def test_registry_bounds_cover_numeric_keys_only():
     ("ptmap", "tol", ["0", "-1"], ["1e-12", "inf"]),
     ("ptmap", "n_iters", ["-1"], ["0"]),
     ("ptmap", "step_size", ["0", "1.01", "nan"], ["1", "1e-3"]),
+    ("ptmap", "beta", ["0", "-1", "nan", "inf"], ["0.5", "2", "1e-9"]),
 ])
 def test_method_config_enforces_bounds(name, key, bad, good):
     for value in bad:

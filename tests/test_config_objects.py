@@ -7,6 +7,7 @@ constructed, whether directly or through
 """
 
 import dataclasses
+import enum
 import math
 import re
 
@@ -111,6 +112,13 @@ BAD_FIELDS = [
     ("OuterConfig", "meta_batch", 2.5, ArgumentError, "meta_batch must be an integer, got 2.5"),
     ("OuterConfig", "epochs", True, ArgumentError, "epochs must be an integer, got True"),
     ("SinkhornConfig", "max_iters", 2.5, ArgumentError, "max_iters must be an integer, got 2.5"),
+    # the bound that the registry declares for method.ptmap.beta
+    ("PowerTransformParams", "beta", 0.0, ArgumentError,
+     "beta must be positive and finite, got 0.0"),
+    ("PowerTransformParams", "beta", math.nan, ArgumentError,
+     "beta must be positive and finite, got nan"),
+    ("PowerTransformParams", "beta", math.inf, ArgumentError,
+     "beta must be positive and finite, got inf"),
 ]
 
 
@@ -292,4 +300,31 @@ def test_numpy_scalar_parameters_round_trip_through_an_artifact(name, key, value
     again = parse_learner(rendered)
     assert again.method == config and again.method.values == config.values
     assert type(again.method.params[key]) is type(value.item())
+    assert render_learner(again) == rendered
+
+
+class Epochs(enum.IntEnum):
+    FEW = 3
+
+
+# every default as given, the infinite reg and tol that ptmap's bounds take,
+# as a Python and as a NumPy float, and an int of a subclass of int
+ACCEPTED_PARAMS = [(name, dict(METHODS[name].params)) for name in sorted(METHODS)] + [
+    ("ptmap", {key: value}) for key in ("reg", "tol") for value in (math.inf, np.float64(np.inf))
+] + [("fomaml", {"epochs": Epochs.FEW})]
+
+
+@pytest.mark.parametrize("name,params", ACCEPTED_PARAMS,
+                         ids=[f"{n}-{p!r}" for n, p in ACCEPTED_PARAMS])
+def test_every_accepted_parameter_value_round_trips_through_an_artifact(name, params):
+    """An artifact records each parameter as the repr of its plain Python
+    value, ``inf`` included, and ``parse_learner`` reads back the same
+    config."""
+    config = MethodConfig(name, params)
+    rendered = render_learner(LearnerState(config, {}, Provenance(seed=1)))
+    for key, value in params.items():
+        value = value if type(value) in (str, int, float, bool) else config.values[key]
+        assert f"\nconfig,{key},{value!r}\n" in rendered
+    again = parse_learner(rendered)
+    assert again.method == config and again.method.values == config.values
     assert render_learner(again) == rendered

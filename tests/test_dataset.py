@@ -117,6 +117,25 @@ def test_duplicate_rows_allowed_across_classes():
     assert table.total_examples == 2
 
 
+def test_rows_that_share_a_hash_are_compared_exactly(monkeypatch):
+    """When every row has the same hash, the exact pass compares them all:
+    rows of one class that differ are no duplicate, and across classes
+    equal rows are none either."""
+    rows = "".join(f"{c},{v}.5,{-v}.0\n" for v in range(4) for c in (0, 1))
+    text = f"dim=2\n# a comment\n{rows}"
+    want = parse_feature_dataset(text)
+    duplicated = text + "\n1,2.5,-2.0\n"  # after a blank line: line 12 repeats line 8
+    with pytest.raises(ParseError) as fresh:
+        parse_feature_dataset(duplicated)
+    monkeypatch.setattr(dataset, "_row_hashes",
+                        lambda records: np.zeros(len(records), dtype=np.uint64))
+    assert _tables_bitwise_equal(parse_feature_dataset(text), want)
+    with pytest.raises(ParseError) as collided:
+        parse_feature_dataset(duplicated)
+    assert str(collided.value) == str(fresh.value)
+    assert collided.value.line_no == fresh.value.line_no == 12
+
+
 @pytest.mark.parametrize("text", ["dim=3\n", "dim=3", "dim=3\n# only a comment\n\n  \n"])
 def test_header_only_file_is_an_empty_table(text):
     table = parse_feature_dataset(text)

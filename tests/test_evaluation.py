@@ -176,6 +176,18 @@ def test_budget_abort_records_completed_count():
     assert err.value.completed == 0
 
 
+def test_a_budget_error_inside_a_fit_is_raised_as_it_is():
+    """A learner that runs out of budget inside its own fit raises the
+    budget error itself, not as a failure of that episode."""
+    class OutOfTime:
+        def fit(self, support_x, support_y):
+            raise BudgetExceededError("spent inside fit", completed=2)
+
+    with pytest.raises(BudgetExceededError, match="^spent inside fit$") as err:
+        evaluate_learner(OutOfTime(), POOL, SPEC, 4, seed=1)
+    assert err.value.completed == 2
+
+
 def test_single_episode_has_zero_halfwidth():
     agg = evaluate_learner(ConstantLearner(), POOL, SPEC, 1, seed=11)
     assert agg.episode_count == 1

@@ -8,6 +8,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,11 +158,29 @@ def test_load_config_scopes_method_params():
         {"method.name": "proto", "method.ptmap.step_size": "1.5"},
         {"phase.seeds": "1,2"},
         {"phase.seeds": "1,2,2"},
+        {"method.name": "ptmap", "method.ptmap.beta": "nan"},
+        {"method.name": "ptmap", "method.ptmap.beta": "0"},
     ],
 )
 def test_load_config_rejects(overrides):
     with pytest.raises(ConfigError):
         load_config(overrides)
+
+
+def test_a_phase_read_from_files_refuses_the_keys_of_a_synthetic_phase():
+    """No such phase reads them, so setting one is an error that names it;
+    the rule that both paths be set comes first."""
+    paths = {"data.train_path": "train.csv", "data.test_path": "test.csv"}
+    unread = {"data.synthetic.dim": "4", "data.n_train_classes": "3", "data.split_seed": "5"}
+    for key, value in unread.items():
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)} set, but only a synthetic"):
+            load_config({**paths, key: value})
+    with pytest.raises(ConfigError, match="^data.n_train_classes, data.split_seed, "
+                                          "data.synthetic.dim set, but"):
+        load_config({**paths, **unread})
+    with pytest.raises(ConfigError, match="^data.train_path and data.test_path must both"):
+        load_config({"data.train_path": "train.csv", **unread})
+    assert load_config(paths).n_train_classes is None
 
 
 def test_load_config_rejects_unknown_top_level_keys():
@@ -584,6 +603,16 @@ def test_run_phase_completed(tmp_path):
     board = Path(cfg.leaderboard_path).read_text(encoding="utf-8").splitlines()
     assert len(board) == 1
     assert parse_leaderboard_entry(board[0]) == entry
+
+
+def test_run_phase_scores_a_learner_with_infinite_parameters(tmp_path):
+    """The artifact that ingestion writes for an infinite ``reg`` or
+    ``tol`` reads back in scoring, for a Python and a NumPy float."""
+    cfg = dataclasses.replace(small_cfg(tmp_path), method=MethodConfig(
+        "ptmap", {"reg": float("inf"), "tol": np.float64(np.inf)}))
+    _, entry = run_phase(cfg)
+    assert entry.status == "completed"
+    assert load_learner(cfg.artifact_path(cfg.seeds[0])).method == cfg.method
 
 
 def test_run_phase_requires_three_distinct_seeds(tmp_path):

@@ -59,6 +59,11 @@ def test_a_spec_that_is_not_an_episode_spec_is_refused(entry, spec):
         call(spec)
 
 
+def test_a_block_of_no_substreams_is_refused():
+    with pytest.raises(ArgumentError, match="^a block needs at least one substream$"):
+        sample_block(make_pool(), EpisodeSpec(n_way=5, k_shot=1), [])
+
+
 def test_episode_structure():
     pool = make_pool()
     ep = sample_episode(pool, EpisodeSpec(n_way=5, k_shot=2), RngState(1))
