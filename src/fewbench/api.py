@@ -22,7 +22,7 @@ from . import fomaml as fm
 from . import heads
 from .dataset import DatasetTable, read_text, render_value, write_text_atomic
 from .errors import ArtifactError, ConfigError, EpisodeFormatError, ShapeError
-from .rng import RngState, check_seed, is_integer
+from .rng import Interval, RngState, check_seed, is_integer
 from .sampler import EpisodeSpec, block_episodes, check_spec, sample_batch
 
 __all__ = [
@@ -66,7 +66,9 @@ class Method:
     against one budget (see :func:`~fewbench.sampler.block_episodes`).
     ``choices`` maps a key that takes one of a fixed set of values to that
     set, and ``bounds`` maps a numeric key to the interval its value must
-    lie in, written like ``"(0, 1]"`` with ``inf`` for an unbounded end.
+    lie in, written like ``"(0, 1]"`` with ``inf`` for an unbounded end and
+    parsed when the entry is built.  A built-in method's key takes the
+    :class:`~fewbench.rng.Interval` declared where the library checks it.
     """
 
     params: dict
@@ -76,6 +78,11 @@ class Method:
     meta_fit: Callable[..., tuple] | None = None
     choices: dict = field(default_factory=dict)
     bounds: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "bounds", {
+            key: text if isinstance(text, Interval) else Interval(text)
+            for key, text in self.bounds.items()})
 
 
 #: Whether a parameter of each type takes a value other than a string: never
@@ -139,11 +146,8 @@ class MethodConfig:
                     f"{self.name!r} must be one of {list(allowed)}"
                 )
         for key, interval in method.bounds.items():
-            low, high = (float(end) for end in interval[1:-1].split(","))
-            v = values[key]
-            if not ((low <= v if interval[0] == "[" else low < v)
-                    and (v <= high if interval[-1] == "]" else v < high)):
-                raise ConfigError(f"method parameter {key}={v!r} for method "
+            if not interval.holds(values[key]):
+                raise ConfigError(f"method parameter {key}={values[key]!r} for method "
                                   f"{self.name!r} must lie in {interval}")
         object.__setattr__(self, "values", values)
 
@@ -399,17 +403,21 @@ METHODS: dict[str, Method] = {
         params={"inner_steps": 5, "inner_lr": 0.05, "outer_lr": 0.005,
                 "meta_batch": 32, "epochs": 300, "hidden": 64},
         fit=_fomaml_fit, predict=_fomaml_predict, meta_fit=_fomaml_meta_fit,
-        bounds={"inner_steps": "[0, inf)", "inner_lr": "(0, inf)",
-                "outer_lr": "(0, inf)", "meta_batch": "[1, inf)",
-                "epochs": "[0, inf)", "hidden": "[1, inf)"},
+        bounds={"inner_steps": fm.InnerConfig.BOUNDS["steps"],
+                "inner_lr": fm.InnerConfig.BOUNDS["lr"],
+                "outer_lr": fm.OuterConfig.BOUNDS["lr"],
+                "meta_batch": fm.OuterConfig.BOUNDS["meta_batch"],
+                "epochs": fm.OuterConfig.BOUNDS["epochs"],
+                "hidden": fm.MLP_BOUNDS["hidden"]},
         block_bytes=_fomaml_bytes,
     ),
     "linear": Method(
         params={"pretrain_batches": 10, "batch_size": 256,
                 "epochs": 10, "step_size": 0.001},
         fit=_linear_fit, predict=_linear_predict, meta_fit=_linear_meta_fit,
+        # the two meta-fit counts reach no library check, so they are set here
         bounds={"pretrain_batches": "[1, inf)", "batch_size": "[1, inf)",
-                "epochs": "[1, inf)", "step_size": "(0, inf)"},
+                **heads.LinearHead.BOUNDS},
         block_bytes=_linear_bytes,
     ),
     "ptmap": Method(
@@ -419,14 +427,13 @@ METHODS: dict[str, Method] = {
                 "tol": heads.PTMAP_SINKHORN.tol,
                 "n_iters": 20, "step_size": 0.2},
         fit=_keep_support, predict=_ptmap_predict,
-        bounds={"beta": "(0, inf)", "epsilon": "[0, inf)", "reg": "(0, inf]",
-                "max_iters": "[1, inf)", "tol": "(0, inf]", "n_iters": "[0, inf)",
-                "step_size": "(0, 1]"},
+        bounds={**heads.PowerTransformParams.BOUNDS, **heads.SinkhornConfig.BOUNDS,
+                **heads.PTMAP_BOUNDS},
         block_bytes=_ptmap_bytes,
     ),
     "qda": Method(
         params={"shrinkage": 0.5},
-        fit=_qda_fit, predict=_qda_predict, bounds={"shrinkage": "[0, 1]"},
+        fit=_qda_fit, predict=_qda_predict, bounds=heads.QdaModel.BOUNDS,
         block_bytes=_qda_bytes,
     ),
     "rect": Method(

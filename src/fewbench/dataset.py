@@ -58,7 +58,7 @@ from typing import IO, Iterable, Iterator, TextIO
 import numpy as np
 
 from .errors import ArgumentError, BenchError, ParseError
-from .rng import check_count, check_seed, is_integer
+from .rng import Interval, check_bounds, check_count, check_seed, is_integer
 
 __all__ = [
     "ClassRecord",
@@ -221,17 +221,17 @@ class SyntheticSpec:
     mean_scale: float = 2.0
     seed: int = 7
 
+    # mean_scale == 0 (all class means coincide) is allowed as a degenerate
+    # case so the Bayes oracle can be checked against chance level.
+    BOUNDS = {"class_std": Interval("(0, inf)"), "mean_scale": Interval("[0, inf)")}
+
     def __post_init__(self) -> None:
         sizes = (self.num_classes, self.dim, self.samples_per_class)
         if not all(is_integer(size) for size in sizes):
             raise ArgumentError(f"non-integer size field in {self}")
         if min(sizes) < 1:
             raise ArgumentError(f"non-positive size field in {self}")
-        # mean_scale == 0 (all class means coincide) is allowed as a degenerate
-        # case so the Bayes oracle can be checked against chance level.
-        if not (0 < self.class_std < np.inf and 0 <= self.mean_scale < np.inf):
-            raise ArgumentError("class_std must be positive and mean_scale non-negative, both "
-                                f"finite, got {self.class_std!r} and {self.mean_scale!r}")
+        check_bounds(self.BOUNDS, vars(self))
         check_seed(self.seed)
 
 

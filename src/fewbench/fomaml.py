@@ -37,7 +37,7 @@ from . import heads
 from .dataset import write_text_atomic
 from .errors import ArgumentError, NumericError, ShapeError
 from .evaluation import cat_accuracy
-from .rng import RngState, check_count
+from .rng import Interval, RngState, check_bounds
 from .sampler import (Episode, EpisodeSpec, block_episodes, check_pool, episode_shape,
                       sample_block)
 # not called here: it stays bound for a run tracer that wraps
@@ -48,6 +48,7 @@ __all__ = [
     "MlpParams",
     "InnerConfig",
     "OuterConfig",
+    "MLP_BOUNDS",
     "init_mlp",
     "mlp_forward",
     "loss_and_grad",
@@ -87,10 +88,10 @@ class InnerConfig:
     steps: int = 5
     lr: float = 0.05
 
+    BOUNDS = {"steps": Interval("[0, inf)", integer=True), "lr": Interval("(0, inf)")}
+
     def __post_init__(self) -> None:
-        check_count("inner steps", self.steps, 0)
-        if not self.lr > 0:
-            raise ArgumentError(f"inner lr must be positive, got {self.lr}")
+        check_bounds(self.BOUNDS, vars(self))
 
 
 @dataclass(frozen=True)
@@ -101,19 +102,22 @@ class OuterConfig:
     meta_batch: int = 32
     epochs: int = 300
 
+    BOUNDS = {"lr": Interval("(0, inf)"), "meta_batch": Interval("[1, inf)", integer=True),
+              "epochs": Interval("[0, inf)", integer=True)}
+
     def __post_init__(self) -> None:
-        if not self.lr > 0:
-            raise ArgumentError(f"outer lr must be positive, got {self.lr}")
-        check_count("meta_batch", self.meta_batch)
-        check_count("epochs", self.epochs, 0)
+        check_bounds(self.BOUNDS, vars(self))
+
+
+#: The ranges of :func:`init_mlp`'s widths, and so of :func:`meta_train`'s ``hidden``.
+MLP_BOUNDS = {"dim": Interval("[1, inf)", integer=True),
+              "hidden": Interval("[1, inf)", integer=True),
+              "n_way": Interval("[2, inf)", integer=True)}
 
 
 def init_mlp(dim: int, hidden: int, n_way: int, rng: RngState) -> MlpParams:
     """Scaled-uniform initialization, U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
-    try:
-        check_count("d", dim), check_count("h", hidden), check_count("n", n_way, 2)
-    except ArgumentError:
-        raise ArgumentError(f"bad MLP shape d={dim} h={hidden} n={n_way}") from None
+    check_bounds(MLP_BOUNDS, {"dim": dim, "hidden": hidden, "n_way": n_way})
     gen = rng.generator
     s1 = 1.0 / np.sqrt(dim)
     s2 = 1.0 / np.sqrt(hidden)

@@ -43,7 +43,7 @@ from .errors import (
     NumericError,
     ShapeError,
 )
-from .rng import check_count
+from .rng import Interval, check_bounds
 
 __all__ = [
     "METRICS",
@@ -54,6 +54,7 @@ __all__ = [
     "QdaModel",
     "LinearHead",
     "PTMAP_SINKHORN",
+    "PTMAP_BOUNDS",
     "check_query",
     "compute_prototypes",
     "proto_predict",
@@ -230,11 +231,10 @@ class PowerTransformParams:
     epsilon: float = 1e-6
     unit_normalize: bool = True
 
+    BOUNDS = {"beta": Interval("(0, inf)"), "epsilon": Interval("[0, inf)")}
+
     def __post_init__(self) -> None:
-        if not 0 < self.beta < np.inf:
-            raise ArgumentError(f"beta must be positive and finite, got {self.beta}")
-        if self.epsilon < 0:
-            raise ArgumentError(f"epsilon must be non-negative, got {self.epsilon}")
+        check_bounds(self.BOUNDS, vars(self))
 
 
 def power_transform(
@@ -282,12 +282,11 @@ class SinkhornConfig:
     max_iters: int = 200
     tol: float = 1e-6
 
+    BOUNDS = {"reg": Interval("(0, inf]"), "max_iters": Interval("[1, inf)", integer=True),
+              "tol": Interval("(0, inf]")}
+
     def __post_init__(self) -> None:
-        if not self.reg > 0:
-            raise ArgumentError(f"reg must be positive, got {self.reg}")
-        check_count("max_iters", self.max_iters)
-        if not self.tol > 0:
-            raise ArgumentError(f"tol must be positive, got {self.tol}")
+        check_bounds(self.BOUNDS, vars(self))
 
 
 #: Stopping rule used by the transductive center-estimation head.  Its
@@ -509,6 +508,10 @@ def _sinkhorn_block(
 # Power-transform + transport center estimation (transductive)
 
 
+#: The ranges of :func:`ptmap_fit_predict`'s ``n_iters`` and ``step_size``.
+PTMAP_BOUNDS = {"n_iters": Interval("[0, inf)", integer=True), "step_size": Interval("(0, 1]")}
+
+
 def ptmap_fit_predict(
     support_x: np.ndarray,
     support_y: np.ndarray,
@@ -527,9 +530,7 @@ def ptmap_fit_predict(
     center.  ``n_iters=0`` reduces to nearest-prototype on transformed
     features.  A block of episodes solves its transport problems together.
     """
-    check_count("n_iters", n_iters, 0)
-    if not 0 < step_size <= 1:
-        raise ArgumentError(f"step_size must be in (0, 1], got {step_size}")
+    check_bounds(PTMAP_BOUNDS, {"n_iters": n_iters, "step_size": step_size})
     n, _ = support_structure(support_x, support_y)
     pt_params = pt_params or PowerTransformParams()
     sinkhorn_config = sinkhorn_config or PTMAP_SINKHORN
@@ -582,7 +583,7 @@ class QdaModel:
     ``covariances[c]``: it maps ``x - means[c]`` to a vector whose squared
     norm is the Mahalanobis distance of ``x`` under class ``c``.  A model
     fitted to a block of E episodes has a leading E axis on every array
-    but ``priors``.
+    but ``priors``.  ``BOUNDS`` holds the range that :func:`qda_fit` takes.
     """
 
     means: np.ndarray        # (N, d)
@@ -591,6 +592,8 @@ class QdaModel:
     priors: np.ndarray       # (N,)
     whitening: np.ndarray = field(repr=False, default=None)  # (N, d, d)
     log_dets: np.ndarray = field(repr=False, default=None)   # (N,)
+
+    BOUNDS = {"shrinkage": Interval("[0, 1]")}
 
 
 def qda_fit(
@@ -607,8 +610,7 @@ def qda_fit(
     fitted together: their Cholesky factors and the inverses of those (the
     whitening factors) come from one batched call each.
     """
-    if not 0.0 <= shrinkage <= 1.0:
-        raise ArgumentError(f"shrinkage must be in [0, 1], got {shrinkage}")
+    check_bounds(QdaModel.BOUNDS, {"shrinkage": shrinkage})
     n, k = support_structure(support_x, support_y)
     x = np.asarray(support_x, dtype=np.float64)
     d = x.shape[-1]
@@ -686,6 +688,9 @@ class LinearHead:
     step_size: float
     loss_history: tuple = ()   # per epoch: a float, or an (E,) array
 
+    # the ranges that linear_head_fit takes
+    BOUNDS = {"epochs": Interval("[1, inf)", integer=True), "step_size": Interval("(0, inf)")}
+
 
 def label_picks(y: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
     """The flat positions ``(E, S)`` of int64 labels ``y`` in ``[0, N)``,
@@ -748,9 +753,7 @@ def linear_head_fit(
     ``(E,)`` array, and a loss that is not finite in any episode raises
     :class:`DivergenceError`.
     """
-    check_count("epochs", epochs)
-    if not step_size > 0:
-        raise ArgumentError(f"step_size must be positive, got {step_size}")
+    check_bounds(LinearHead.BOUNDS, {"epochs": epochs, "step_size": step_size})
     n, _ = support_structure(support_x, support_y)
     x = np.asarray(support_x, dtype=np.float64)
     one = x.ndim == 2

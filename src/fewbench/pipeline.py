@@ -37,6 +37,7 @@ from .errors import (
     ReportError,
 )
 from .evaluation import AggregateScore, RunResult, evaluate_learner, final_score, render_score_report
+from .rng import Interval, check_bounds
 from .sampler import ALL_REMAINING, EpisodeSpec, check_pool
 
 __all__ = [
@@ -125,11 +126,11 @@ class PhaseConfig:
     leaderboard_path: str
     train_log: str = ""  # paths.train_log; "{seed}" becomes the seed
 
+    # a NaN budget would never expire; inf means no limit
+    BOUNDS = {"phase.budget_seconds": Interval("(0, inf]")}
+
     def __post_init__(self) -> None:
-        # NaN fails every comparison, so a NaN budget would never expire;
-        # inf is allowed and means no limit
-        if not self.budget_seconds > 0:
-            raise ConfigError(f"phase.budget_seconds must be positive, got {self.budget_seconds}")
+        check_bounds(self.BOUNDS, {"phase.budget_seconds": self.budget_seconds}, ConfigError)
         if self.episode_count < 1:
             raise ConfigError(f"phase.episode_count must be >= 1, got {self.episode_count}")
         if self.split_seed < 0:

@@ -16,6 +16,10 @@ instead of building a ``SeedSequence``, a ``Philox`` and a ``Generator``
 per state.  When two states or more share a seed and all but the last
 word of their path, their keys come from one vectorised pass of numpy's
 ``SeedSequence`` mix, whose work up to the last path word is cached.
+
+The module also holds the argument rules shared by every layer: seeds and
+counts, and :class:`Interval` with :func:`check_bounds`, the one checker of
+a numeric parameter's range.
 """
 
 from __future__ import annotations
@@ -26,7 +30,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, BenchError
+
+__all__ = ["Interval", "RngState", "check_bounds", "check_count", "check_seed", "is_integer",
+           "streams"]
 
 _MAX_SEED = 2**64
 
@@ -54,6 +61,34 @@ def check_count(name: str, value, least: int = 1) -> int:
     if value < least:
         raise ArgumentError(f"{name} must be >= {least}, got {value}")
     return int(value)
+
+
+class Interval(str):
+    """A range of numbers written like ``"(0, 1]"``, with ``inf`` for an
+    unbounded end, and parsed once, when built.  ``nan`` and bools lie in
+    none, and an ``integer`` interval holds integers only (see
+    :func:`is_integer`)."""
+
+    def __new__(cls, text: str, integer: bool = False):
+        self = super().__new__(cls, text)
+        self.low, self.high = map(float, text[1:-1].split(","))
+        self.closed, self.integer = (text[0] == "[", text[-1] == "]"), integer
+        return self
+
+    def holds(self, value) -> bool:
+        return bool((is_integer(value) or not (self.integer or isinstance(value, (bool, np.bool_))))
+                    and (self.low <= value if self.closed[0] else self.low < value)
+                    and (value <= self.high if self.closed[1] else value < self.high))
+
+
+def check_bounds(bounds: dict, values, error: type[BenchError] = ArgumentError) -> None:
+    """Refuse with ``error`` the first name of ``bounds`` whose entry in the
+    mapping ``values`` lies outside its :class:`Interval`."""
+    for name, interval in bounds.items():
+        if interval.integer and not is_integer(values[name]):
+            raise error(f"{name} must be an integer, got {values[name]!r}")
+        if not interval.holds(values[name]):
+            raise error(f"{name} must lie in {interval}, got {values[name]}")
 
 
 @dataclass(frozen=True)

@@ -51,26 +51,26 @@ BAD_FIELDS = [
     ("SyntheticSpec", "samples_per_class", -1, ArgumentError,
      "non-positive size field in "),
     ("SyntheticSpec", "class_std", 0.0, ArgumentError,
-     "class_std must be positive and mean_scale non-negative"),
+     "class_std must lie in (0, inf), got 0.0"),
     ("SyntheticSpec", "class_std", math.nan, ArgumentError,
-     "class_std must be positive and mean_scale non-negative"),
+     "class_std must lie in (0, inf), got nan"),
     ("SyntheticSpec", "mean_scale", -1.0, ArgumentError,
-     "class_std must be positive and mean_scale non-negative"),
+     "mean_scale must lie in [0, inf), got -1.0"),
     ("SyntheticSpec", "seed", -1, ArgumentError,
      "seed must be a 64-bit unsigned integer, got -1"),
     ("SyntheticSpec", "seed", 2**64, ArgumentError,
      f"seed must be a 64-bit unsigned integer, got {2**64}"),
-    ("SinkhornConfig", "reg", 0.0, ArgumentError, "reg must be positive, got 0.0"),
-    ("SinkhornConfig", "reg", math.nan, ArgumentError, "reg must be positive, got nan"),
-    ("SinkhornConfig", "max_iters", 0, ArgumentError, "max_iters must be >= 1, got 0"),
-    ("SinkhornConfig", "tol", 0.0, ArgumentError, "tol must be positive, got 0.0"),
+    ("SinkhornConfig", "reg", 0.0, ArgumentError, "reg must lie in (0, inf], got 0.0"),
+    ("SinkhornConfig", "reg", math.nan, ArgumentError, "reg must lie in (0, inf], got nan"),
+    ("SinkhornConfig", "max_iters", 0, ArgumentError, "max_iters must lie in [1, inf), got 0"),
+    ("SinkhornConfig", "tol", 0.0, ArgumentError, "tol must lie in (0, inf], got 0.0"),
     ("PowerTransformParams", "epsilon", -1e-9, ArgumentError,
-     "epsilon must be non-negative, got -1e-09"),
-    ("InnerConfig", "steps", -1, ArgumentError, "inner steps must be >= 0, got -1"),
-    ("InnerConfig", "lr", 0.0, ArgumentError, "inner lr must be positive, got 0.0"),
-    ("OuterConfig", "lr", -0.1, ArgumentError, "outer lr must be positive, got -0.1"),
-    ("OuterConfig", "meta_batch", 0, ArgumentError, "meta_batch must be >= 1, got 0"),
-    ("OuterConfig", "epochs", -1, ArgumentError, "epochs must be >= 0, got -1"),
+     "epsilon must lie in [0, inf), got -1e-09"),
+    ("InnerConfig", "steps", -1, ArgumentError, "steps must lie in [0, inf), got -1"),
+    ("InnerConfig", "lr", 0.0, ArgumentError, "lr must lie in (0, inf), got 0.0"),
+    ("OuterConfig", "lr", -0.1, ArgumentError, "lr must lie in (0, inf), got -0.1"),
+    ("OuterConfig", "meta_batch", 0, ArgumentError, "meta_batch must lie in [1, inf), got 0"),
+    ("OuterConfig", "epochs", -1, ArgumentError, "epochs must lie in [0, inf), got -1"),
     ("MethodConfig", "name", "nonesuch", ConfigError, "unknown method 'nonesuch'; known: "),
     ("MethodConfig", "params", {"shrinkagez": "1"}, ConfigError,
      "unknown parameters ['shrinkagez'] for method 'qda'"),
@@ -79,9 +79,9 @@ BAD_FIELDS = [
     ("MethodConfig", "params", {"shrinkage": "2"}, ConfigError,
      "method parameter shrinkage=2.0 for method 'qda' must lie in [0, 1]"),
     ("PhaseConfig", "budget_seconds", 0.0, ConfigError,
-     "phase.budget_seconds must be positive, got 0.0"),
+     "phase.budget_seconds must lie in (0, inf], got 0.0"),
     ("PhaseConfig", "budget_seconds", math.nan, ConfigError,
-     "phase.budget_seconds must be positive, got nan"),
+     "phase.budget_seconds must lie in (0, inf], got nan"),
     ("PhaseConfig", "episode_count", 0, ConfigError,
      "phase.episode_count must be >= 1, got 0"),
     ("PhaseConfig", "split_seed", -1, ConfigError, "data.split_seed must be >= 0, got -1"),
@@ -94,9 +94,9 @@ BAD_FIELDS = [
     ("SyntheticSpec", "num_classes", 2.5, ArgumentError, "non-integer size field in "),
     ("SyntheticSpec", "dim", 4.0, ArgumentError, "non-integer size field in "),
     ("SyntheticSpec", "class_std", math.inf, ArgumentError,
-     "class_std must be positive and mean_scale non-negative, both finite, got inf"),
+     "class_std must lie in (0, inf), got inf"),
     ("SyntheticSpec", "mean_scale", math.inf, ArgumentError,
-     "class_std must be positive and mean_scale non-negative, both finite, got 1.0 and inf"),
+     "mean_scale must lie in [0, inf), got inf"),
     # a bool is not an integer
     ("EpisodeSpec", "n_way", True, ArgumentError, "n_way must be an integer, got True"),
     ("EpisodeSpec", "k_shot", True, ArgumentError, "k_shot must be an integer, got True"),
@@ -108,17 +108,25 @@ BAD_FIELDS = [
     ("MethodConfig", "params", {"shrinkage": True}, ConfigError,
      "method parameter shrinkage=True is not a valid float"),
     # counts are integers: each of these used to pass its bound and fail later
-    ("InnerConfig", "steps", 1.5, ArgumentError, "inner steps must be an integer, got 1.5"),
+    ("InnerConfig", "steps", 1.5, ArgumentError, "steps must be an integer, got 1.5"),
     ("OuterConfig", "meta_batch", 2.5, ArgumentError, "meta_batch must be an integer, got 2.5"),
     ("OuterConfig", "epochs", True, ArgumentError, "epochs must be an integer, got True"),
     ("SinkhornConfig", "max_iters", 2.5, ArgumentError, "max_iters must be an integer, got 2.5"),
     # the bound that the registry declares for method.ptmap.beta
     ("PowerTransformParams", "beta", 0.0, ArgumentError,
-     "beta must be positive and finite, got 0.0"),
+     "beta must lie in (0, inf), got 0.0"),
     ("PowerTransformParams", "beta", math.nan, ArgumentError,
-     "beta must be positive and finite, got nan"),
+     "beta must lie in (0, inf), got nan"),
     ("PowerTransformParams", "beta", math.inf, ArgumentError,
-     "beta must be positive and finite, got inf"),
+     "beta must lie in (0, inf), got inf"),
+    # the bounds that the registry declares for method.fomaml.inner_lr and
+    # outer_lr, and for method.ptmap.epsilon: each of these used to build
+    ("InnerConfig", "lr", math.inf, ArgumentError, "lr must lie in (0, inf), got inf"),
+    ("OuterConfig", "lr", math.inf, ArgumentError, "lr must lie in (0, inf), got inf"),
+    ("PowerTransformParams", "epsilon", math.nan, ArgumentError,
+     "epsilon must lie in [0, inf), got nan"),
+    ("PowerTransformParams", "epsilon", math.inf, ArgumentError,
+     "epsilon must lie in [0, inf), got inf"),
 ]
 
 
@@ -155,10 +163,11 @@ FUNCTION_COUNTS = [
     ("linear_head_fit", lambda: heads.linear_head_fit(_SUPPORT_X, _SUPPORT_Y, epochs=2.5),
      "epochs must be an integer"),
     ("init_mlp", lambda: fomaml.init_mlp(4, 2.5, 3, RngState(0)),
-     "bad MLP shape d=4 h=2.5 n=3"),
+     "hidden must be an integer, got 2.5"),
     ("meta_train", lambda: fomaml.meta_train(
         generate_synthetic(SyntheticSpec(6, 3, 4, 1.0, 2.0, 7)), EpisodeSpec(3, 1),
-        outer=OuterConfig(epochs=1, meta_batch=1), hidden=2.5), "bad MLP shape d=3 h=2.5 n=3"),
+        outer=OuterConfig(epochs=1, meta_batch=1), hidden=2.5),
+     "hidden must be an integer, got 2.5"),
 ]
 
 
@@ -167,6 +176,28 @@ FUNCTION_COUNTS = [
 def test_functions_refuse_a_count_that_is_not_an_integer(name, call, message):
     with pytest.raises(ArgumentError, match=f"^{re.escape(message)}"):
         call()
+
+
+# refused at the call, as the registry refuses them at config load
+FUNCTION_BOUNDS = [
+    # this one used to run two epochs, then raise DivergenceError
+    ("linear_head_fit", lambda: heads.linear_head_fit(_SUPPORT_X, _SUPPORT_Y,
+                                                      step_size=math.inf),
+     "step_size must lie in (0, inf), got inf"),
+    ("qda_fit", lambda: heads.qda_fit(_SUPPORT_X, _SUPPORT_Y, shrinkage=math.nan),
+     "shrinkage must lie in [0, 1], got nan"),
+    ("ptmap_fit_predict", lambda: heads.ptmap_fit_predict(
+        _SUPPORT_X, _SUPPORT_Y, _SUPPORT_X, step_size=math.nan),
+     "step_size must lie in (0, 1], got nan"),
+]
+
+
+@pytest.mark.parametrize("name,call,message", FUNCTION_BOUNDS,
+                         ids=[case[0] for case in FUNCTION_BOUNDS])
+def test_functions_refuse_a_value_outside_its_interval(name, call, message):
+    with pytest.raises(ArgumentError) as err:
+        call()
+    assert str(err.value) == message
 
 
 # (string overrides, the values they give) per method: the coercions and
